@@ -505,9 +505,8 @@ def reconstruct(
         Required by solvers with the ``needs_geom`` capability
         (OS-SART's view subsets, FBP's ramp filter).
     x0, callback, watchdog
-        Passed through to iterative solvers; ``callback`` may be the
-        legacy 3-argument form or an
-        :class:`~repro.recon.events.IterationEvent` consumer.
+        Passed through to iterative solvers; ``callback`` receives one
+        :class:`~repro.recon.events.IterationEvent` per iteration.
     resume_from : CheckpointState, optional
         Continue an interrupted run from a
         :class:`~repro.recon.checkpoint.CheckpointState` (solvers with
@@ -529,16 +528,16 @@ def reconstruct(
     -------
     ReconstructionResult
     """
-    from repro.recon.events import as_event_callback
+    from repro.recon.driver import run
     from repro.recon.registry import get_solver
-    from repro.resilience.watchdog import resolve_watchdog
 
     spec = get_solver(solver)
     validated = spec.validate_params(params, apply_defaults=True)
     iterative = spec.supports("iterative")
     if not iterative:
         for name, value in (("x0", x0), ("callback", callback),
-                            ("watchdog", watchdog)):
+                            ("watchdog", watchdog),
+                            ("resume_from", resume_from)):
             if value is not None and value is not False:
                 raise ValidationError(
                     f"solver {spec.name!r} is analytic; {name}= does not apply"
@@ -549,65 +548,28 @@ def reconstruct(
             f"(capability: needs_geom)"
         )
 
-    start = 0
-    if resume_from is not None:
-        from repro.recon.checkpoint import solver_params_hash
-
-        if not spec.supports("resume"):
-            raise ValidationError(
-                f"solver {spec.name!r} does not support resume_from "
-                f"(capability: resume)"
-            )
-        ckpt_solver = resume_from.solver.replace("_", "-")
-        if ckpt_solver != spec.name:
-            raise ValidationError(
-                f"resume_from is a {ckpt_solver!r} checkpoint; this run "
-                f"is {spec.name!r}"
-            )
-        expected_hash = solver_params_hash(spec.name, validated)
-        if resume_from.params_hash and resume_from.params_hash != expected_hash:
-            raise ValidationError(
-                f"resume_from was checkpointed under a different "
-                f"{spec.name!r} parameterisation (params hash "
-                f"{resume_from.params_hash} != {expected_hash}); "
-                "resuming would not continue the same run"
-            )
-        start = resume_from.k + 1
-
     history: list = []
-    user_cb = as_event_callback(callback)
 
     def _recorder(event) -> None:
         history.append(event.stripped())
-        if user_cb is not None:
-            user_cb(event)
-
-    _recorder.accepts_events = True
-
-    wd = resolve_watchdog(
-        watchdog, solver=spec.name, relax=validated.get("relax")
-    ) if iterative else None
+        if callback is not None:
+            callback(event)
 
     t0 = time.perf_counter()
-    image = spec.runner(
-        op, sinogram, geom=geom, x0=x0,
-        callback=_recorder if iterative else None,
-        watchdog=wd, resume_from=resume_from, **validated,
-    )
-    wall = time.perf_counter() - t0
-
-    if not iterative:
-        stop = "analytic"
-    elif start + len(history) >= validated.get("iterations", 0):
-        stop = "max_iterations"
-    elif wd is not None and wd.restarts > 0:
-        stop = "restarted"
+    if iterative:
+        image, iterations, stop = run(
+            spec.solver, op, sinogram, geom=geom, x0=x0, callback=_recorder,
+            watchdog=watchdog, resume_from=resume_from, **validated,
+        )
     else:
-        stop = "converged"
+        image, iterations, stop = (
+            spec.solver(op, sinogram, geom, **validated), 0, "analytic"
+        )
+    wall = time.perf_counter() - t0
     return ReconstructionResult(
         image=image,
         history=tuple(history),
-        iterations=start + len(history),
+        iterations=iterations,
         stop_reason=stop,
         wall_seconds=wall,
         solver=spec.name,

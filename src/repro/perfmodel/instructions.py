@@ -259,7 +259,3 @@ def _raw_profile(fmt: SpMVFormat, machine) -> InstructionProfile:
         )
     raise ValidationError(f"no instruction profile for format {name!r}")
 
-
-def profile_with_efficiency(fmt: SpMVFormat, machine) -> InstructionProfile:
-    """Deprecated alias of :func:`instruction_profile`."""
-    return instruction_profile(fmt, machine)

@@ -7,8 +7,9 @@ run at high frequency with a fixed matrix.  This package provides:
 * :class:`~repro.recon.linops.ProjectionOperator` — wraps any
   :class:`~repro.sparse.SpMVFormat` as forward/adjoint operator;
 * ART/Kaczmarz (:mod:`repro.recon.art`), SIRT (:mod:`repro.recon.sirt`),
-  CGLS (:mod:`repro.recon.cgls`) — row-action and gradient solvers that
-  consume CSR-style access;
+  CGLS (:mod:`repro.recon.cgls`), OS-SART (:mod:`repro.recon.os_sart`) —
+  row-action and gradient solvers that consume CSR-style access, all run
+  by one iteration driver (:mod:`repro.recon.driver`);
 * ICD — Iterative Coordinate Descent (:mod:`repro.recon.icd`), the
   column-action solver whose access pattern is *why* CSC-style formats
   (and hence CSCV) matter (Section III);
@@ -26,7 +27,7 @@ from repro.recon.checkpoint import (
     save_checkpoint,
     solver_params_hash,
 )
-from repro.recon.events import IterationEvent, as_event_callback
+from repro.recon.events import IterationEvent
 from repro.recon.fbp import fbp_reconstruct
 from repro.recon.icd import icd_reconstruct
 from repro.recon.linops import ProjectionOperator
@@ -44,7 +45,6 @@ from repro.recon.sirt import sirt_reconstruct
 __all__ = [
     "ProjectionOperator",
     "IterationEvent",
-    "as_event_callback",
     "CheckpointState",
     "CheckpointWriter",
     "column_state",

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
-from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
-from repro.obs.trace import span
-from repro.recon.events import IterationEvent, as_event_callback
+from repro.recon.driver import Iteration, run
 from repro.recon.linops import ProjectionOperator
-from repro.resilience.guards import check as guard_check
-from repro.resilience.watchdog import resolve_watchdog
+from repro.recon.sirt import sart_weights
 from repro.sparse.csr import CSRMatrix
-from repro.utils.arrays import check_1d, ensure_dtype
 
 
 def kaczmarz_sweep(
@@ -49,6 +43,31 @@ def kaczmarz_sweep(
         resid = y[i] - av @ x[cols]
         x[cols] += relax * resid / row_norms_sq[i] * av
     return x
+
+
+class Art(Iteration):
+    """Blocked-ART state: the SART weights over a single (m,) sinogram."""
+
+    name = "art"
+
+    def __init__(self, op, y, x, params, geom, resumed):
+        super().__init__(op, y, x, params)
+        self.inv_row, self.inv_col = sart_weights(
+            op.forward, op.adjoint, op.shape, op.dtype
+        )
+
+    def step(self):
+        self.resid = self.y - self.op.forward(self.x)
+        return self.x, float(np.linalg.norm(self.resid)), None
+
+    def commit(self):
+        op = self.op
+        weighted = (self.resid.astype(np.float64) * self.inv_row).astype(op.dtype)
+        update = op.adjoint(weighted).astype(np.float64) * self.inv_col
+        x = (self.x.astype(np.float64) + self.relax * update).astype(op.dtype)
+        if self.nonneg:
+            np.maximum(x, 0, out=x)
+        self.x = x
 
 
 def art_reconstruct(
@@ -82,67 +101,12 @@ def art_reconstruct(
         Project onto the nonnegative orthant each iteration (attenuation
         cannot be negative).
     callback : callable, optional
-        Per-iteration hook: legacy ``callback(k, x, residual_norm)`` or
-        an :class:`~repro.recon.events.IterationEvent` consumer.
+        Per-iteration hook receiving one
+        :class:`~repro.recon.events.IterationEvent`.
     watchdog : bool or ResidualWatchdog, optional
         Divergence guard; see :func:`repro.recon.sirt.sirt_reconstruct`.
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
-    if not (0.0 < relax < 2.0):
-        raise ValidationError("relax must be in (0, 2)")
-    m, n = op.shape
-    y = ensure_dtype(check_1d(sinogram, m, "sinogram"), op.dtype, "sinogram")
-    guard_check(y, "sinogram", where="art")
-    x = (
-        np.zeros(n, dtype=op.dtype)
-        if x0 is None
-        else ensure_dtype(check_1d(x0, n, "x0"), op.dtype, "x0").copy()
-    )
-
-    ones_n = np.ones(n, dtype=op.dtype)
-    ones_m = np.ones(m, dtype=op.dtype)
-    row_sums = np.asarray(op.forward(ones_n), dtype=np.float64)
-    col_sums = np.asarray(op.adjoint(ones_m), dtype=np.float64)
-    inv_row = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 1e-12)
-    inv_col = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 1e-12)
-
-    wd = resolve_watchdog(watchdog, solver="art", relax=relax)
-    x_init = x.copy() if wd is not None else None
-    cb = as_event_callback(callback)
-
-    residual_gauge = obs_metrics.gauge("art.residual", "last ART residual norm")
-    iter_counter = obs_metrics.counter("art.iterations", "ART sweeps run")
-    meter = obs_perf.ConvergenceMeter("art", y_norm=float(np.linalg.norm(y)))
-    for k in range(iterations):
-        it_t0 = obs_perf.clock() if obs_perf.active else 0.0
-        with span("art.iter", k=k) as it_span:
-            resid = y - op.forward(x)
-            rnorm = float(np.linalg.norm(resid))
-            event = IterationEvent(
-                k=k, x=x, residual_norm=rnorm, normal_residual_norm=None,
-                solver="art",
-            )
-            if wd is not None and wd.observe_event(event) == "restart":
-                x = np.asarray(
-                    wd.best_x if wd.best_x is not None else x_init,
-                    dtype=op.dtype,
-                ).copy()
-                relax = wd.relax
-                it_span.set(residual=rnorm, restart=True)
-                continue
-            weighted = (resid.astype(np.float64) * inv_row).astype(op.dtype)
-            update = op.adjoint(weighted).astype(np.float64) * inv_col
-            x = (x.astype(np.float64) + relax * update).astype(op.dtype)
-            if nonneg:
-                np.maximum(x, 0, out=x)
-            it_span.set(residual=rnorm)
-        residual_gauge.set(rnorm)
-        iter_counter.inc()
-        meter.observe_event(
-            event,
-            seconds=obs_perf.clock() - it_t0 if obs_perf.active else None,
-        )
-        if cb is not None:
-            cb(event.with_x(x))
-    return x
+    return run(
+        Art, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
+        iterations=iterations, relax=relax, nonneg=nonneg,
+    ).image

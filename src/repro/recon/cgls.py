@@ -16,15 +16,80 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
-from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
-from repro.obs.trace import span
-from repro.recon.events import NORMAL_RESIDUAL, IterationEvent, as_event_callback
+from repro.recon.driver import Iteration, run
+from repro.recon.events import NORMAL_RESIDUAL
 from repro.recon.linops import ProjectionOperator
-from repro.resilience.guards import check as guard_check
-from repro.resilience.watchdog import resolve_watchdog
-from repro.utils.arrays import as_column_batch
+
+
+class Cgls(Iteration):
+    """CGLS state: the per-column CG recurrence, updated in place."""
+
+    name = "cgls"
+    meaning = NORMAL_RESIDUAL
+    work_dtype = np.float64
+    arrays = {
+        "x": ("n", "k"), "r": ("m", "k"), "s": ("n", "k"), "p": ("n", "k"),
+        "gamma": ("k",), "gamma0": ("k",), "active": ("k",),
+    }
+
+    def __init__(self, op, y, x, params, geom, resumed):
+        super().__init__(op, y, x, params)
+        self.damping = params["damping"]
+        if resumed is None:
+            self.r, self.s, self.p, self.gamma = self._recurrence(x)
+            self.gamma0 = np.where(self.gamma > 0, self.gamma, 1.0)
+            self.active = np.ones(y.shape[1], dtype=bool)
+        else:
+            # restore the recurrence verbatim: re-deriving it from x alone
+            # would change the conjugate directions and with them the bits
+            # of every later iterate
+            for name in ("r", "s", "p", "gamma", "gamma0"):
+                setattr(self, name,
+                        np.array(resumed[name], dtype=np.float64, copy=True))
+            self.active = np.array(resumed["active"], dtype=bool, copy=True)
+        self.y_norm = float(np.sqrt(self.gamma0.sum())) or 1.0
+
+    def _recurrence(self, x):
+        op = self.op
+        r = (self.y - op.forward(x.astype(op.dtype))).astype(np.float64)
+        s = op.adjoint(r.astype(op.dtype)).astype(np.float64) - self.damping * x
+        return r, s, s.copy(), np.einsum("ij,ij->j", s, s)
+
+    def converged(self, last):
+        self.active &= self.gamma > self.rtol * self.rtol * self.gamma0
+        return not self.active.any()
+
+    def step(self):
+        op, p, active = self.op, self.p, self.active
+        q = op.forward(p.astype(op.dtype)).astype(np.float64)
+        qq = np.einsum("ij,ij->j", q, q) + self.damping * np.einsum("ij,ij->j", p, p)
+        active &= qq > 0.0  # p column in the null space: freeze it
+        if not active.any():
+            return None
+        alpha = np.zeros(active.size)
+        np.divide(self.gamma, qq, out=alpha, where=active)
+        self.x += alpha[None, :] * p
+        self.r -= alpha[None, :] * q
+        back = op.adjoint(self.r.astype(op.dtype)).astype(np.float64)
+        self.s = back - self.damping * self.x
+        self.gamma_new = np.einsum("ij,ij->j", self.s, self.s)
+        rnorm = float(np.sqrt(self.gamma_new[active].sum()))
+        return self.x, float(np.linalg.norm(self.r)), rnorm
+
+    def commit(self):
+        # advancing here, before the callback, means a checkpoint taken
+        # at callback time holds the top-of-next-iteration recurrence
+        beta = np.zeros(self.active.size)
+        np.divide(self.gamma_new, self.gamma, out=beta,
+                  where=self.active & (self.gamma > 0))
+        self.p = self.s + beta[None, :] * self.p
+        self.gamma = self.gamma_new
+
+    def restart(self, x, relax):
+        # no relaxation to back off: re-initialise the whole recurrence
+        self.x = x
+        self.r, self.s, self.p, self.gamma = self._recurrence(x)
+        self.active = np.ones(self.active.size, dtype=bool)
 
 
 def cgls_reconstruct(
@@ -51,8 +116,7 @@ def cgls_reconstruct(
         ``min ||A x - y||^2 + lambda ||x||^2`` (regularised CGLS, the
         standard stabiliser for noisy/limited-angle data).
     callback : callable, optional
-        Per-iteration hook: the legacy ``callback(k, x,
-        normal_residual_norm)`` form, or an event consumer taking one
+        Per-iteration hook receiving one
         :class:`~repro.recon.events.IterationEvent` whose ``meaning`` is
         ``"normal_residual"`` (CGLS drives on ``||A^T r||``; the event
         carries the plain ``||r||`` too).
@@ -70,139 +134,8 @@ def cgls_reconstruct(
         starts at ``k + 1``, matching the uninterrupted run exactly.
         Incompatible with ``x0`` and ``watchdog``.
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
-    if damping < 0:
-        raise ValidationError("damping must be >= 0")
-    m, n = op.shape
-    y, was_1d = as_column_batch(sinogram, m, "sinogram", op.dtype)
-    guard_check(y, "sinogram", where="cgls")
-    k_cols = y.shape[1]
-    if resume_from is not None and x0 is not None:
-        raise ValidationError(
-            "x0 cannot be combined with resume_from (the checkpoint is "
-            "the starting iterate)"
-        )
-    if x0 is None:
-        x = np.zeros((n, k_cols), dtype=np.float64)
-    else:
-        x0b, x0_1d = as_column_batch(x0, n, "x0", np.float64)
-        if x0_1d != was_1d or x0b.shape[1] != k_cols:
-            raise ValidationError("x0 must match the sinogram batch shape")
-        x = x0b.copy()
-
-    def init_recurrence(xk):
-        r = (y - op.forward(xk.astype(op.dtype))).astype(np.float64)
-        s = op.adjoint(r.astype(op.dtype)).astype(np.float64) - damping * xk
-        return r, s, s.copy(), np.einsum("ij,ij->j", s, s)
-
-    start = 0
-    if resume_from is not None:
-        # restore the recurrence verbatim: re-deriving it from x alone
-        # (init_recurrence) would change the conjugate directions and
-        # with them the bits of every later iterate
-        arrays = resume_from.require(
-            "cgls", {"x", "r", "s", "p", "gamma", "gamma0", "active"}
-        )
-        expected = {
-            "x": (n, k_cols), "r": (m, k_cols), "s": (n, k_cols),
-            "p": (n, k_cols), "gamma": (k_cols,), "gamma0": (k_cols,),
-            "active": (k_cols,),
-        }
-        for name, shape in expected.items():
-            got = np.asarray(arrays[name]).shape
-            if got != shape:
-                raise ValidationError(
-                    f"cgls checkpoint {name} has shape {got}; this "
-                    f"problem needs {shape}"
-                )
-        x = np.array(arrays["x"], dtype=np.float64, copy=True)
-        r = np.array(arrays["r"], dtype=np.float64, copy=True)
-        s = np.array(arrays["s"], dtype=np.float64, copy=True)
-        p = np.array(arrays["p"], dtype=np.float64, copy=True)
-        gamma = np.array(arrays["gamma"], dtype=np.float64, copy=True)
-        gamma0 = np.array(arrays["gamma0"], dtype=np.float64, copy=True)
-        active = np.array(arrays["active"], dtype=bool, copy=True)
-        start = resume_from.k + 1
-    else:
-        r, s, p, gamma = init_recurrence(x)
-        gamma0 = np.where(gamma > 0, gamma, 1.0)
-        active = np.ones(k_cols, dtype=bool)
-
-    wd = resolve_watchdog(watchdog, solver="cgls")
-    if wd is not None and resume_from is not None:
-        raise ValidationError(
-            "watchdog cannot be combined with resume_from (restart "
-            "interventions make the run non-resumable bitwise)"
-        )
-    x_init = x.copy() if wd is not None else None
-    cb = as_event_callback(callback)
-
-    def _state() -> dict:
-        # lazy checkpoint capture; called from the callback it sees the
-        # top-of-next-iteration recurrence (the beta/p/gamma advance runs
-        # before the callback — see the loop tail)
-        return {
-            "x": x.copy(), "r": r.copy(), "s": s.copy(), "p": p.copy(),
-            "gamma": gamma.copy(), "gamma0": gamma0.copy(),
-            "active": active.copy(),
-        }
-
-    residual_gauge = obs_metrics.gauge(
-        "cgls.residual", "last CGLS normal-equation residual norm"
-    )
-    iter_counter = obs_metrics.counter("cgls.iterations", "CGLS iterations run")
-    rnorm = float(np.sqrt(gamma.sum()))
-    meter = obs_perf.ConvergenceMeter(
-        "cgls", y_norm=float(np.sqrt(gamma0.sum())) or 1.0, rtol=rtol
-    )
-    for k in range(start, iterations):
-        active &= gamma > rtol * rtol * gamma0
-        if not active.any():
-            break
-        it_t0 = obs_perf.clock() if obs_perf.active else 0.0
-        with span("cgls.iter", k=k, batch=k_cols) as it_span:
-            q = op.forward(p.astype(op.dtype)).astype(np.float64)
-            qq = np.einsum("ij,ij->j", q, q) + damping * np.einsum("ij,ij->j", p, p)
-            active &= qq > 0.0  # p column in the null space: freeze it
-            if not active.any():
-                break
-            alpha = np.zeros(k_cols)
-            np.divide(gamma, qq, out=alpha, where=active)
-            x += alpha[None, :] * p
-            r -= alpha[None, :] * q
-            s = op.adjoint(r.astype(op.dtype)).astype(np.float64) - damping * x
-            gamma_new = np.einsum("ij,ij->j", s, s)
-            rnorm = float(np.sqrt(gamma_new[active].sum()))
-            event = IterationEvent(
-                k=k, x=x, residual_norm=float(np.linalg.norm(r)),
-                normal_residual_norm=rnorm, meaning=NORMAL_RESIDUAL,
-                solver="cgls", state_provider=_state,
-            )
-            if wd is not None and wd.observe_event(event) == "restart":
-                x = np.array(
-                    wd.best_x if wd.best_x is not None else x_init, copy=True
-                )
-                r, s, p, gamma = init_recurrence(x)
-                active = np.ones(k_cols, dtype=bool)
-                it_span.set(residual=rnorm, restart=True)
-                continue
-            it_span.set(residual=rnorm)
-        residual_gauge.set(rnorm)
-        iter_counter.inc()
-        meter.observe_event(
-            event,
-            seconds=obs_perf.clock() - it_t0 if obs_perf.active else None,
-        )
-        # advance the recurrence BEFORE the callback (bitwise-neutral
-        # reorder: nothing in between reads beta/p/gamma) so a checkpoint
-        # captured at callback time holds top-of-next-iteration state
-        beta = np.zeros(k_cols)
-        np.divide(gamma_new, gamma, out=beta, where=active & (gamma > 0))
-        p = s + beta[None, :] * p
-        gamma = gamma_new
-        if cb is not None:
-            xk = x.astype(op.dtype)
-            cb(event.with_x(xk[:, 0] if was_1d else xk))
-    out = x.astype(op.dtype)
-    return out[:, 0] if was_1d else out
+    return run(
+        Cgls, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
+        resume_from=resume_from, iterations=iterations, rtol=rtol,
+        damping=damping,
+    ).image

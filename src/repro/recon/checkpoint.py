@@ -263,8 +263,6 @@ class CheckpointWriter:
     state is live); see ``IterationEvent.state_provider``.
     """
 
-    accepts_events = True
-
     def __init__(self, path, *, every: int | None = None,
                  params_hash: str = "", residuals: tuple = (), chain=None):
         from repro import config

@@ -1,34 +1,28 @@
 """Typed per-iteration events: one callback contract for every solver.
 
-Historically each solver invoked ``callback(k, x, resid)`` with a bare
-float whose *meaning* differed: SIRT/ART/OS-SART report the data-space
-residual ``||y - A x||`` while CGLS drives its recurrence with the
-normal-equation residual ``||A^T r||``.  Consumers (the watchdog,
-progress streaming in :mod:`repro.serve`, the
-:class:`~repro.obs.perf.ConvergenceMeter`) had to know which solver they
-were attached to in order to interpret the number.
+A bare residual float means different things per solver: SIRT/ART/
+OS-SART drive on the data-space residual ``||y - A x||`` while CGLS
+drives its recurrence with the normal-equation residual ``||A^T r||``.
+Consumers (the watchdog, progress streaming in :mod:`repro.serve`, the
+:class:`~repro.obs.perf.ConvergenceMeter`) should not need to know which
+solver they are attached to in order to interpret the number.
 
-:class:`IterationEvent` makes the meaning explicit.  Solvers construct
-one event per iteration carrying *both* norms when both are cheap (CGLS
+:class:`IterationEvent` makes the meaning explicit.  Solvers emit one
+event per iteration carrying *both* norms when both are cheap (CGLS
 maintains ``r`` anyway) and a ``meaning`` tag naming the driving norm;
 :attr:`IterationEvent.norm` returns that driving norm so generic
-consumers never branch on the solver name.
-
-Backwards compatibility: :func:`as_event_callback` adapts any consumer.
-A callable taking a single positional argument (or marked with
-``accepts_events = True``) receives the event itself; the legacy
-three-argument form keeps receiving ``(k, x, driving_norm)`` unchanged.
+consumers never branch on the solver name.  Every solver ``callback=``
+is called with exactly one event per completed iteration.
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["IterationEvent", "as_event_callback"]
+__all__ = ["IterationEvent"]
 
 #: ``meaning`` value for solvers driven by the data-space residual norm.
 RESIDUAL = "residual"
@@ -78,7 +72,7 @@ class IterationEvent:
 
     @property
     def norm(self) -> float:
-        """The driving norm (the value legacy callbacks received)."""
+        """The driving norm, the one ``meaning`` names."""
         if self.meaning == NORMAL_RESIDUAL:
             return float(self.normal_residual_norm)
         return float(self.residual_norm)
@@ -93,41 +87,3 @@ class IterationEvent:
         and no solver locals are pinned alive."""
         return replace(self, x=None, state_provider=None)
 
-
-def _positional_arity(fn: Callable) -> int | None:
-    """Number of required positional parameters, or None when unknowable."""
-    try:
-        sig = inspect.signature(fn)
-    except (TypeError, ValueError):
-        return None
-    count = 0
-    for p in sig.parameters.values():
-        if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD):
-            count += 1
-        elif p.kind == p.VAR_POSITIONAL:
-            return None  # *args: ambiguous, treat as legacy
-    return count
-
-
-def as_event_callback(callback) -> Callable[[IterationEvent], None] | None:
-    """Normalise a solver ``callback=`` argument to an event consumer.
-
-    * ``None`` stays ``None`` (the solvers skip event construction).
-    * A callable with ``accepts_events = True`` (class attribute or
-      function attribute) or exactly one required positional parameter
-      is called with the :class:`IterationEvent`.
-    * Anything else is treated as the legacy three-argument contract and
-      called with ``(event.k, event.x, event.norm)`` — bit-for-bit what
-      those callbacks always received.
-    """
-    if callback is None:
-        return None
-    if getattr(callback, "accepts_events", False):
-        return callback
-    if _positional_arity(callback) == 1:
-        return callback
-
-    def _legacy(event: IterationEvent) -> None:
-        callback(event.k, event.x, event.norm)
-
-    return _legacy

@@ -13,18 +13,16 @@ every subset update as a batched SpMM over the row slice and returns an
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
-from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
-from repro.obs.trace import span
-from repro.recon.events import IterationEvent, as_event_callback
-from repro.resilience.guards import check as guard_check
-from repro.resilience.watchdog import resolve_watchdog
+from repro.recon.driver import Iteration, run
+from repro.recon.linops import ProjectionOperator
+from repro.recon.sirt import sart_weights
 from repro.sparse.csr import CSRMatrix
-from repro.utils.arrays import as_column_batch
 
 
 def view_subsets(geom: ParallelBeamGeometry, num_subsets: int) -> list[np.ndarray]:
@@ -46,6 +44,50 @@ def _row_slice(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
     return CSRMatrix(
         (rows.size, csr.shape[1]), new_ptr, csr.col_idx[take], csr.vals[take]
     )
+
+
+class OsSart(Iteration):
+    """OS-SART state: one CSR row slice and its SART weights per subset."""
+
+    name = "os_sart"
+    work_dtype = np.float64
+    arrays = {"x": ("n", "k")}
+
+    def __init__(self, op, y, x, params, geom, resumed):
+        super().__init__(op, y, x, params)
+        self.csr = csr = op.to_csr()
+        self.pieces = []
+        for views in view_subsets(geom, params["num_subsets"]):
+            rows = (views[:, None] * geom.num_bins
+                    + np.arange(geom.num_bins)[None, :]).ravel()
+            sub = _row_slice(csr, rows)
+            inv_r, inv_c = sart_weights(
+                sub.spmv, sub.transpose_spmv, sub.shape, csr.dtype
+            )
+            self.pieces.append((sub, rows, inv_r, inv_c))
+        self.span_attrs = {"subsets": len(self.pieces), **self.span_attrs}
+
+    def step(self):
+        # the driving norm is a per-pass proxy: the root of the summed
+        # squared per-subset residual norms, costing no extra SpMM
+        x, dtype = self.x, self.csr.dtype
+        x_pass = x.copy() if self.watched else None
+        resid_sq = 0.0
+        for sub, rows, inv_r, inv_c in self.pieces:
+            ax = sub.spmm(x.astype(dtype)).astype(np.float64)
+            resid = self.y[rows].astype(np.float64) - ax
+            resid_sq += float(np.linalg.norm(resid)) ** 2
+            scaled = np.ascontiguousarray((resid * inv_r[:, None]).astype(dtype))
+            back = sub.transpose_spmm(scaled).astype(np.float64)
+            x += self.relax * inv_c[:, None] * back
+            if self.nonneg:
+                np.maximum(x, 0, out=x)
+        return x_pass, float(np.sqrt(resid_sq)), None
+
+    def report(self, event):
+        full_resid = self.y.astype(np.float64) - self.csr.spmm(
+            self.x.astype(self.csr.dtype)).astype(np.float64)
+        return replace(event, residual_norm=float(np.linalg.norm(full_resid)))
 
 
 def os_sart_reconstruct(
@@ -78,110 +120,12 @@ def os_sart_reconstruct(
     summed squared per-subset residual norms already computed during
     the pass, costing no extra SpMM.  Relax values above 2 are accepted
     so a guarded run can recover from over-relaxation (see
-    :func:`repro.recon.sirt.sirt_reconstruct`).
+    :func:`repro.recon.sirt.sirt_reconstruct`).  ``callback`` events
+    carry the exact residual of the post-pass iterate instead.
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
-    if not (0.0 < relax <= 4.0):
-        raise ValidationError("relax must be in (0, 4]")
-    m, n = csr.shape
-    y, was_1d = as_column_batch(sinogram, m, "sinogram", csr.dtype)
-    guard_check(y, "sinogram", where="os_sart")
-    k_cols = y.shape[1]
-    start = 0
-    if resume_from is not None:
-        if x0 is not None:
-            raise ValidationError(
-                "x0 cannot be combined with resume_from (the checkpoint "
-                "is the starting iterate)"
-            )
-        arrays = resume_from.require("os_sart", {"x"})
-        xr = np.asarray(arrays["x"])
-        if xr.shape != (n, k_cols):
-            raise ValidationError(
-                f"os_sart checkpoint x has shape {xr.shape}; this "
-                f"problem needs {(n, k_cols)}"
-            )
-        x = np.array(xr, dtype=np.float64, copy=True)
-        start = resume_from.k + 1
-    elif x0 is None:
-        x = np.zeros((n, k_cols), dtype=np.float64)
-    else:
-        x0b, x0_1d = as_column_batch(x0, n, "x0", np.float64)
-        if x0_1d != was_1d or x0b.shape[1] != k_cols:
-            raise ValidationError("x0 must match the sinogram batch shape")
-        x = x0b.copy()
-
-    subsets = view_subsets(geom, num_subsets)
-    pieces = []
-    for views in subsets:
-        rows = (views[:, None] * geom.num_bins + np.arange(geom.num_bins)[None, :]).ravel()
-        sub = _row_slice(csr, rows)
-        row_sums = np.asarray(sub.spmv(np.ones(n, dtype=csr.dtype)), dtype=np.float64)
-        col_sums = sub.transpose_spmv(np.ones(rows.size, dtype=csr.dtype)).astype(np.float64)
-        inv_r = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 1e-12)
-        inv_c = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 1e-12)
-        pieces.append((sub, rows, inv_r, inv_c))
-
-    wd = resolve_watchdog(watchdog, solver="os_sart", relax=relax)
-    if wd is not None and resume_from is not None:
-        raise ValidationError(
-            "watchdog cannot be combined with resume_from (restart "
-            "interventions make the run non-resumable bitwise)"
-        )
-    x_init = x.copy() if wd is not None else None
-    cb = as_event_callback(callback)
-
-    def _state() -> dict:
-        # lazy checkpoint capture: x is mutated in place, so a call from
-        # the callback copies the post-pass iterate
-        return {"x": x.copy()}
-
-    iter_counter = obs_metrics.counter("os_sart.iterations", "OS-SART passes run")
-    meter = obs_perf.ConvergenceMeter(
-        "os_sart", y_norm=float(np.linalg.norm(y)) or 1.0
-    )
-    for it in range(start, iterations):
-        it_t0 = obs_perf.clock() if obs_perf.active else 0.0
-        with span("os_sart.iter", k=it, subsets=len(pieces), batch=k_cols) as it_span:
-            x_pass = x.copy() if wd is not None else None
-            resid_sq = 0.0
-            for sub, rows, inv_r, inv_c in pieces:
-                resid = y[rows].astype(np.float64) - sub.spmm(x.astype(csr.dtype)).astype(
-                    np.float64
-                )
-                resid_sq += float(np.linalg.norm(resid)) ** 2
-                scaled = np.ascontiguousarray((resid * inv_r[:, None]).astype(csr.dtype))
-                back = sub.transpose_spmm(scaled).astype(np.float64)
-                x += relax * inv_c[:, None] * back
-                if nonneg:
-                    np.maximum(x, 0, out=x)
-            if wd is not None and wd.observe_event(IterationEvent(
-                k=it, x=x_pass, residual_norm=float(np.sqrt(resid_sq)),
-                normal_residual_norm=None, solver="os_sart",
-            )) == "restart":
-                # discard the pass, resume from the best iterate with
-                # the backed-off relaxation
-                x = np.array(
-                    wd.best_x if wd.best_x is not None else x_init, copy=True
-                )
-                relax = wd.relax
-                it_span.set(restart=True)
-                continue
-        iter_counter.inc()
-        meter.observe(
-            it, float(np.sqrt(resid_sq)),
-            seconds=obs_perf.clock() - it_t0 if obs_perf.active else None,
-        )
-        if cb is not None:
-            full_resid = y.astype(np.float64) - csr.spmm(x.astype(csr.dtype)).astype(np.float64)
-            rnorm = float(np.linalg.norm(full_resid))
-            obs_metrics.gauge("os_sart.residual", "last OS-SART residual norm").set(rnorm)
-            xk = x.astype(csr.dtype)
-            cb(IterationEvent(
-                k=it, x=xk[:, 0] if was_1d else xk, residual_norm=rnorm,
-                normal_residual_norm=None, solver="os_sart",
-                state_provider=_state,
-            ))
-    out = x.astype(csr.dtype)
-    return out[:, 0] if was_1d else out
+    return run(
+        OsSart, ProjectionOperator(csr), sinogram, geom=geom, x0=x0,
+        callback=callback, watchdog=watchdog, resume_from=resume_from,
+        num_subsets=num_subsets, iterations=iterations, relax=relax,
+        nonneg=nonneg,
+    ).image

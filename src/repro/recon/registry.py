@@ -22,8 +22,12 @@ solver silently ignores.  This module puts them behind one registry of
   bits (e.g. SIRT's ``rtol`` couples columns through the stacked norm,
   so ``rtol > 0`` jobs must run solo).
 
-The legacy functions remain importable and unchanged; the registry
-runners delegate to them.
+Each iterative spec points at its solver's
+:class:`~repro.recon.driver.Iteration` subclass, which
+:func:`repro.recon.driver.run` drives — the same call the
+``sirt_reconstruct``-style entry points make, so a facade run and a
+direct call execute one code path.  Analytic solvers (FBP) point at
+their reconstruction function.
 """
 
 from __future__ import annotations
@@ -34,6 +38,11 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.recon.art import Art
+from repro.recon.cgls import Cgls
+from repro.recon.fbp import fbp_reconstruct
+from repro.recon.os_sart import OsSart
+from repro.recon.sirt import Sirt
 
 __all__ = [
     "Param",
@@ -114,17 +123,16 @@ class Param:
 
 @dataclass(frozen=True)
 class SolverSpec:
-    """One registered solver: schema, capabilities and a uniform runner.
+    """One registered solver: schema, capabilities and its definition.
 
-    ``run(op, sinogram, *, geom=None, x0=None, callback=None,
-    watchdog=None, **params)`` delegates to the legacy function with the
-    solver's own calling convention (OS-SART extracts a CSR matrix from
-    the operator, FBP passes the geometry positionally).
+    ``solver`` is the :class:`~repro.recon.driver.Iteration` subclass
+    for ``iterative`` solvers, else the function
+    ``solver(op, sinogram, geom, **params)`` computing the image.
     """
 
     name: str
     doc: str
-    runner: Callable[..., np.ndarray]
+    solver: Any
     params: tuple[Param, ...] = ()
     capabilities: frozenset = field(default_factory=frozenset)
     #: Returns a reason string when the given (validated) parameters
@@ -181,76 +189,6 @@ class SolverSpec:
         return None
 
 
-# --------------------------------------------------------------------- #
-# runners: adapt each legacy entry point to the uniform signature
-
-
-def _run_sirt(op, sinogram, *, geom=None, x0=None, callback=None,
-              watchdog=None, resume_from=None, **params):
-    from repro.recon.sirt import sirt_reconstruct
-
-    return sirt_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
-
-
-def _run_cgls(op, sinogram, *, geom=None, x0=None, callback=None,
-              watchdog=None, resume_from=None, **params):
-    from repro.recon.cgls import cgls_reconstruct
-
-    return cgls_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
-
-
-def _run_art(op, sinogram, *, geom=None, x0=None, callback=None,
-             watchdog=None, resume_from=None, **params):
-    from repro.recon.art import art_reconstruct
-
-    if resume_from is not None:
-        raise ValidationError(
-            "solver 'art' does not support resume_from (capability: "
-            "resume)"
-        )
-    return art_reconstruct(
-        op, sinogram, x0=x0, callback=callback, watchdog=watchdog, **params
-    )
-
-
-def _run_os_sart(op, sinogram, *, geom=None, x0=None, callback=None,
-                 watchdog=None, resume_from=None, **params):
-    from repro.recon.os_sart import os_sart_reconstruct
-
-    if geom is None:
-        raise ValidationError(
-            "solver 'os-sart' requires geom= (its ordered subsets "
-            "partition the view axis)"
-        )
-    return os_sart_reconstruct(
-        op.to_csr(), geom, sinogram,
-        x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, **params,
-    )
-
-
-def _run_fbp(op, sinogram, *, geom=None, x0=None, callback=None,
-             watchdog=None, resume_from=None, **params):
-    from repro.recon.fbp import fbp_reconstruct
-
-    if geom is None:
-        raise ValidationError(
-            "solver 'fbp' requires geom= (the ramp filter needs the "
-            "angular sampling)"
-        )
-    if resume_from is not None:
-        raise ValidationError(
-            "solver 'fbp' is analytic; resume_from= does not apply"
-        )
-    return fbp_reconstruct(op, sinogram, geom, **params)
-
-
 def _sirt_batch_guard(params: dict) -> str | None:
     if params.get("rtol", 0.0):
         return ("sirt with rtol > 0 couples batch columns through the "
@@ -270,7 +208,7 @@ SOLVERS: dict[str, SolverSpec] = {
         SolverSpec(
             name="sirt",
             doc="Simultaneous Iterative Reconstruction Technique",
-            runner=_run_sirt,
+            solver=Sirt,
             params=(
                 _ITERATIONS,
                 Param("relax", float, 1.0, low=0.0, high=4.0, low_open=True,
@@ -287,7 +225,7 @@ SOLVERS: dict[str, SolverSpec] = {
         SolverSpec(
             name="cgls",
             doc="Conjugate gradients on the normal equations",
-            runner=_run_cgls,
+            solver=Cgls,
             params=(
                 Param("iterations", int, 30, low=1,
                       doc="iteration budget"),
@@ -306,7 +244,7 @@ SOLVERS: dict[str, SolverSpec] = {
         SolverSpec(
             name="art",
             doc="Blocked ART (SART weighting, row-action flavour)",
-            runner=_run_art,
+            solver=Art,
             params=(
                 Param("iterations", int, 10, low=1, doc="full sweeps"),
                 Param("relax", float, 0.5, low=0.0, high=2.0,
@@ -319,7 +257,7 @@ SOLVERS: dict[str, SolverSpec] = {
         SolverSpec(
             name="os-sart",
             doc="Ordered-subsets SART",
-            runner=_run_os_sart,
+            solver=OsSart,
             params=(
                 Param("iterations", int, 5, low=1,
                       doc="full passes over all subsets"),
@@ -336,7 +274,7 @@ SOLVERS: dict[str, SolverSpec] = {
         SolverSpec(
             name="fbp",
             doc="Filtered back-projection through the matrix adjoint",
-            runner=_run_fbp,
+            solver=fbp_reconstruct,
             params=(
                 Param("window", str, "ramlak",
                       choices=("ramlak", "hann"),

@@ -21,15 +21,47 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ValidationError
-from repro.obs import metrics as obs_metrics
-from repro.obs import perf as obs_perf
-from repro.obs.trace import span
-from repro.recon.events import IterationEvent, as_event_callback
+from repro.recon.driver import Iteration, run
 from repro.recon.linops import ProjectionOperator
-from repro.resilience.guards import check as guard_check
-from repro.resilience.watchdog import resolve_watchdog
-from repro.utils.arrays import as_column_batch
+
+
+def sart_weights(forward, adjoint, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``(1 / row sums, 1 / column sums)`` in float64 of the matrix behind
+    *forward*/*adjoint*, zero where a sum vanishes — the SART weighting."""
+    m, n = shape
+    row_sums = np.asarray(forward(np.ones(n, dtype=dtype)), dtype=np.float64)
+    col_sums = np.asarray(adjoint(np.ones(m, dtype=dtype)), dtype=np.float64)
+    return tuple(
+        np.divide(1.0, s, out=np.zeros_like(s), where=s > 1e-12)
+        for s in (row_sums, col_sums)
+    )
+
+
+class Sirt(Iteration):
+    """SIRT state: the SART weights; each update rebinds ``x``."""
+
+    name = "sirt"
+    arrays = {"x": ("n", "k")}
+
+    def __init__(self, op, y, x, params, geom, resumed):
+        super().__init__(op, y, x, params)
+        self.inv_r, self.inv_c = sart_weights(
+            op.forward, op.adjoint, op.shape, op.dtype
+        )
+
+    def step(self):
+        self.resid = (self.y - self.op.forward(self.x)).astype(np.float64)
+        return self.x, float(np.linalg.norm(self.resid)), None
+
+    def commit(self):
+        op = self.op
+        weighted = (self.resid * self.inv_r[:, None]).astype(op.dtype)
+        back = op.adjoint(weighted).astype(np.float64)
+        x = self.x.astype(np.float64) + self.relax * self.inv_c[:, None] * back
+        x = x.astype(op.dtype)
+        if self.nonneg:
+            np.maximum(x, 0, out=x)
+        self.x = x
 
 
 def sirt_reconstruct(
@@ -53,10 +85,8 @@ def sirt_reconstruct(
         Stop once ``||resid|| / ||y||`` falls below this (0 disables).
         For a sinogram stack both norms are Frobenius norms of the stack.
     callback : callable, optional
-        Per-iteration hook.  Either the legacy ``callback(k, x,
-        residual_norm)`` form or an event consumer taking one
-        :class:`~repro.recon.events.IterationEvent` (see
-        :func:`~repro.recon.events.as_event_callback`).
+        Per-iteration hook receiving one
+        :class:`~repro.recon.events.IterationEvent`.
     watchdog : bool or ResidualWatchdog, optional
         Divergence guard (:mod:`repro.resilience.watchdog`): ``True``
         for the defaults, or a configured instance.  On detection the
@@ -74,93 +104,8 @@ def sirt_reconstruct(
         ``x0`` (the checkpoint *is* the start) and ``watchdog`` (a
         restart-adjusted run is not bitwise-resumable).
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
-    if not (0.0 < relax <= 4.0):
-        raise ValidationError("relax must be in (0, 4]")
-    m, n = op.shape
-    y, was_1d = as_column_batch(sinogram, m, "sinogram", op.dtype)
-    guard_check(y, "sinogram", where="sirt")
-    k_cols = y.shape[1]
-    start = 0
-    if resume_from is not None:
-        if x0 is not None:
-            raise ValidationError(
-                "x0 cannot be combined with resume_from (the checkpoint "
-                "is the starting iterate)"
-            )
-        arrays = resume_from.require("sirt", {"x"})
-        xr = np.asarray(arrays["x"])
-        if xr.shape != (n, k_cols):
-            raise ValidationError(
-                f"sirt checkpoint x has shape {xr.shape}; this problem "
-                f"needs {(n, k_cols)}"
-            )
-        x = np.array(xr, dtype=op.dtype, copy=True)
-        start = resume_from.k + 1
-    elif x0 is None:
-        x = np.zeros((n, k_cols), dtype=op.dtype)
-    else:
-        x0b, x0_1d = as_column_batch(x0, n, "x0", op.dtype)
-        if x0_1d != was_1d or x0b.shape[1] != k_cols:
-            raise ValidationError("x0 must match the sinogram batch shape")
-        x = x0b.copy()
-    y_norm = float(np.linalg.norm(y)) or 1.0
-
-    row_sums = np.asarray(op.forward(np.ones(n, dtype=op.dtype)), dtype=np.float64)
-    col_sums = np.asarray(op.adjoint(np.ones(m, dtype=op.dtype)), dtype=np.float64)
-    inv_r = np.divide(1.0, row_sums, out=np.zeros_like(row_sums), where=row_sums > 1e-12)
-    inv_c = np.divide(1.0, col_sums, out=np.zeros_like(col_sums), where=col_sums > 1e-12)
-
-    wd = resolve_watchdog(watchdog, solver="sirt", relax=relax)
-    if wd is not None and resume_from is not None:
-        raise ValidationError(
-            "watchdog cannot be combined with resume_from (restart "
-            "interventions make the run non-resumable bitwise)"
-        )
-    x_init = x.copy() if wd is not None else None
-    cb = as_event_callback(callback)
-
-    def _state() -> dict:
-        # lazy checkpoint capture: reads the live iterate at call time
-        # (i.e. post-update when called from the callback)
-        return {"x": x.copy()}
-
-    residual_gauge = obs_metrics.gauge("sirt.residual", "last SIRT residual norm")
-    iter_counter = obs_metrics.counter("sirt.iterations", "SIRT iterations run")
-    meter = obs_perf.ConvergenceMeter("sirt", y_norm=y_norm, rtol=rtol)
-    for k in range(start, iterations):
-        it_t0 = obs_perf.clock() if obs_perf.active else 0.0
-        with span("sirt.iter", k=k, batch=k_cols) as it_span:
-            resid = (y - op.forward(x)).astype(np.float64)
-            rnorm = float(np.linalg.norm(resid))
-            event = IterationEvent(
-                k=k, x=x, residual_norm=rnorm, normal_residual_norm=None,
-                solver="sirt", state_provider=_state,
-            )
-            if wd is not None and wd.observe_event(event) == "restart":
-                # discard this sweep: resume from the best iterate with
-                # the backed-off relaxation the watchdog just set
-                x = np.asarray(
-                    wd.best_x if wd.best_x is not None else x_init,
-                    dtype=op.dtype,
-                ).copy()
-                relax = wd.relax
-                it_span.set(residual=rnorm, restart=True)
-                continue
-            back = op.adjoint((resid * inv_r[:, None]).astype(op.dtype)).astype(np.float64)
-            x = (x.astype(np.float64) + relax * inv_c[:, None] * back).astype(op.dtype)
-            if nonneg:
-                np.maximum(x, 0, out=x)
-            it_span.set(residual=rnorm)
-        residual_gauge.set(rnorm)
-        iter_counter.inc()
-        meter.observe_event(
-            event,
-            seconds=obs_perf.clock() - it_t0 if obs_perf.active else None,
-        )
-        if cb is not None:
-            cb(event.with_x(x[:, 0] if was_1d else x))
-        if rtol > 0 and rnorm / y_norm < rtol:
-            break
-    return x[:, 0] if was_1d else x
+    return run(
+        Sirt, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
+        resume_from=resume_from, iterations=iterations, relax=relax,
+        nonneg=nonneg, rtol=rtol,
+    ).image

@@ -937,8 +937,6 @@ class ReconstructionService:
                 if draining:
                     raise _BatchSuspend()
 
-        on_event.accepts_events = True
-
         try:
             op = self._operator(req)
             if req.resume_from is not None:

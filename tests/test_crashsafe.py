@@ -77,7 +77,6 @@ def capture_checkpoint(at_k):
                 arrays=event.state_provider(), residuals=(),
             )
 
-    cb.accepts_events = True
     return box, cb
 
 
@@ -185,19 +184,39 @@ class TestResumeValidation:
                 iterations=6, relax=0.7,
             )
 
-    def test_x0_and_watchdog_rejected(self, op, geom, sino):
+    @pytest.mark.parametrize("solver,params", SOLVER_CASES)
+    def test_x0_and_watchdog_rejected(self, op, geom, sino, solver, params):
         box, cb = capture_checkpoint(2)
-        api.reconstruct(op, sino, solver="sirt", callback=cb, iterations=4)
+        api.reconstruct(op, sino, solver=solver, geom=geom, callback=cb,
+                        **params)
         state = box["state"]
         with pytest.raises(ValidationError, match="x0"):
             api.reconstruct(
-                op, sino, solver="sirt", resume_from=state,
-                x0=np.zeros(op.shape[1], dtype=op.dtype), iterations=4,
+                op, sino, solver=solver, geom=geom, resume_from=state,
+                x0=np.zeros(op.shape[1], dtype=op.dtype), **params,
             )
         with pytest.raises(ValidationError, match="watchdog"):
             api.reconstruct(
-                op, sino, solver="sirt", resume_from=state,
-                watchdog=True, iterations=4,
+                op, sino, solver=solver, geom=geom, resume_from=state,
+                watchdog=True, **params,
+            )
+
+    def test_direct_call_checks_params_hash(self, op, geom, sino):
+        box, cb = capture_checkpoint(2)
+        res = api.reconstruct(
+            op, sino, solver="sirt", callback=cb, iterations=6
+        )
+        state = box["state"]
+        stamped = CheckpointState(
+            solver=state.solver, k=state.k,
+            params_hash=solver_params_hash("sirt", res.params),
+            arrays=state.arrays, residuals=state.residuals,
+        )
+        # the same parameterisation resumes; a different one is refused
+        repro.recon.sirt_reconstruct(op, sino, resume_from=stamped, iterations=6)
+        with pytest.raises(ValidationError, match="parameterisation"):
+            repro.recon.sirt_reconstruct(
+                op, sino, resume_from=stamped, iterations=6, relax=0.7
             )
 
     def test_unsupporting_solver_rejected(self, op, geom, sino):
@@ -209,14 +228,20 @@ class TestResumeValidation:
                 iterations=3,
             )
 
-    def test_wrong_shape_rejected(self, op, geom, sino):
+    @pytest.mark.parametrize("solver,params", SOLVER_CASES)
+    def test_wrong_shape_rejected(self, op, geom, sino, solver, params):
+        box, cb = capture_checkpoint(1)
+        api.reconstruct(op, sino, solver=solver, geom=geom, callback=cb,
+                        **params)
+        state = box["state"]
         bad = CheckpointState(
-            solver="sirt", k=1, params_hash="",
-            arrays={"x": np.zeros((3, 1), dtype=op.dtype)},
+            solver=state.solver, k=state.k, params_hash="",
+            arrays={**state.arrays, "x": np.zeros((3, 1), dtype=op.dtype)},
         )
         with pytest.raises(ValidationError, match="shape"):
             api.reconstruct(
-                op, sino, solver="sirt", resume_from=bad, iterations=4
+                op, sino, solver=solver, geom=geom, resume_from=bad,
+                **params,
             )
 
 

@@ -71,7 +71,7 @@ class TestSIRT:
         _, _, op, truth, sino = problem
         errs = []
         sirt_reconstruct(op, sino, iterations=15,
-                         callback=lambda k, x, r: errs.append(r))
+                         callback=lambda e: errs.append(e.norm))
         assert errs[-1] < errs[0]
 
     def test_converges_toward_truth(self, problem):
@@ -88,7 +88,7 @@ class TestSIRT:
         _, _, op, _, sino = problem
         count = []
         sirt_reconstruct(op, sino, iterations=100, rtol=0.9,
-                         callback=lambda k, x, r: count.append(k))
+                         callback=lambda e: count.append(e.k))
         assert len(count) < 100
 
     def test_invalid_args(self, problem):
@@ -112,7 +112,7 @@ class TestCGLS:
         _, _, op, _, sino = problem
         norms = []
         cgls_reconstruct(op, sino, iterations=15,
-                         callback=lambda k, x, g: norms.append(g))
+                         callback=lambda e: norms.append(e.norm))
         assert norms[-1] < norms[0]
 
     def test_consistent_system_high_accuracy(self):

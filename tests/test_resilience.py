@@ -707,6 +707,40 @@ class TestWatchdogInSolvers:
         assert wd.restarts == 1
         assert self._rnorm(op, sino, x) < 0.1 * float(np.linalg.norm(sino))
 
+    @pytest.mark.parametrize("solver", ["sirt", "art", "os_sart", "cgls"])
+    def test_restart_equals_fresh_run_from_best_iterate(self, solver):
+        # a restart at iteration 3 discards that sweep and runs the rest
+        # of the budget from the best iterate with relax backed off: it
+        # must be bitwise the fresh run from that iterate
+        geom = ParallelBeamGeometry.for_image(24, num_views=36)
+        # one kernel thread: threaded C reductions sum in arrival order,
+        # which would make two runs differ regardless of the solver
+        op = operator(geom, cache=False, threads=1)
+        sino = op.forward(shepp_logan(24).ravel().astype(op.dtype))
+        solve = {
+            "sirt": lambda **kw: sirt_reconstruct(op, sino, **kw),
+            "art": lambda **kw: art_reconstruct(op, sino, **kw),
+            "os_sart": lambda **kw: os_sart_reconstruct(
+                op.to_csr(), geom, sino, num_subsets=4, **kw),
+            "cgls": lambda **kw: cgls_reconstruct(op, sino, **kw),
+        }[solver]
+
+        class RestartAt3(ResidualWatchdog):
+            def observe(self, iteration, residual, x):
+                if iteration == 3:
+                    self.snapshot = np.array(self.best_x, copy=True)
+                    return self._diverged(iteration, residual)
+                return super().observe(iteration, residual, x)
+
+        relax = {} if solver == "cgls" else {"relax": 1.0}
+        wd = RestartAt3(solver=solver)
+        guarded = solve(iterations=10, watchdog=wd, **relax)
+        assert wd.restarts == 1
+        backed_off = {k: v * wd.backoff for k, v in relax.items()}
+        fresh = solve(iterations=6, x0=wd.snapshot.reshape(-1), **backed_off)
+        assert guarded.dtype == fresh.dtype
+        assert np.array_equal(guarded, fresh)
+
     def test_sirt_exhausted_budget_raises_solver_error(self, problem):
         _, _, op, _, sino = problem
         wd = ResidualWatchdog(solver="sirt", max_restarts=0)
