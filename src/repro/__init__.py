@@ -9,7 +9,7 @@ Public API highlights
   :class:`~repro.sparse.SpMVFormat` interface.
 - :mod:`repro.core` implements the paper's contribution: the CSCV format
   (CSCV-Z / CSCV-M), IOBLR local reordering, VxG packing, the
-  multi-threaded SpMV driver and the parameter autotuner.
+  forward/adjoint product dispatcher and the parameter autotuner.
 - :mod:`repro.recon` applies it all to iterative CT reconstruction
   (ART, SIRT, CGLS, ICD) with FBP and image metrics.
 - :mod:`repro.perfmodel` models GFLOP/s on the paper's SKL/Zen2 machines.

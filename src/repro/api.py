@@ -261,7 +261,7 @@ def operator(
         Explicit cache instance (tests, custom roots); defaults to the
         process-configured cache.
     threads : int, optional
-        Thread count for formats with threaded drivers.
+        OpenMP thread count for formats with compiled threaded kernels.
     reference_mode : str
         CSCV reference-curve ablation (``"ioblr"`` / ``"btb"``).
     build_workers : int, optional

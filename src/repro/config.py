@@ -27,7 +27,8 @@ Environment variables
     ``1`` (default) checks stored array checksums on every cache load;
     ``0`` trusts the entry (fastest, still validated structurally).
 ``REPRO_THREADS``
-    Default thread count for multi-threaded SpMV (default: CPU count).
+    Default OpenMP thread count of the compiled kernels (default: CPU
+    count).  The NumPy fallback is single-threaded and ignores it.
 ``REPRO_BUILD_WORKERS``
     Default worker count for the parallel cold build — the projector
     sweep over view ranges and the block-partitioned CSCV packing

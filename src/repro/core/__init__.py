@@ -16,8 +16,8 @@ Modules
 ``builder``   end-to-end conversion COO + geometry -> CSCV arrays
 ``format_z``  CSCV-Z (padding kept)
 ``format_m``  CSCV-M (padding masked out, soft-vexpand)
-``spmv``      sequential and multi-threaded SpMV drivers
-``transpose`` x = A^T y back-projection (paper future work)
+``spmv``      the one product dispatcher: forward and x = A^T y adjoint
+              (back-projection, paper future work), SpMV and SpMM
 ``autotune``  section V-D parameter selection
 ``io``        serialization (.npz archives + mmap-able cache directories)
 ``cache``     persistent content-addressed operator cache

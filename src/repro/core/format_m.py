@@ -16,7 +16,7 @@ import numpy as np
 from repro.core.builder import CSCVData
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
-from repro.core.spmv import resolve_flat_rows_m, spmm_m, spmv_m
+from repro.core.spmv import product, value_cols_m, value_rows_m
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
@@ -26,12 +26,13 @@ class CSCVMMatrix(SpMVFormat):
     """CSCV with padding removed behind per-CSCVE masks (paper's CSCV-M)."""
 
     name = "cscv-m"
+    variant = "m"
 
     def __init__(self, data: CSCVData, threads: int | None = None):
         super().__init__(data.shape, data.nnz, data.dtype)
         self.data = data
         self.threads = threads
-        self._flat_rows: np.ndarray | None = None
+        self._value_rows: np.ndarray | None = None
 
     @classmethod
     def from_ct(
@@ -78,64 +79,24 @@ class CSCVMMatrix(SpMVFormat):
     # ------------------------------------------------------------------ #
 
     def spmv_into(self, x, y):
-        x = self._check_x(x)
-        return spmv_m(self.data, x, y, threads=self.threads, flat_rows=self._rows())
+        return product(self, x, y)
 
     def spmm_into(self, X, Y):
         """Multi-RHS SpMV: one packed-value stream serves all k columns."""
-        return spmm_m(self.data, X, Y, threads=self.threads, flat_rows=self._rows())
-
-    def _rows(self) -> np.ndarray:
-        if self._flat_rows is None:
-            self._flat_rows = resolve_flat_rows_m(self.data)
-        return self._flat_rows
+        return product(self, X, Y)
 
     def transpose_spmv(self, y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x = A^T y`` over the packed value stream."""
-        from repro.utils.arrays import check_1d, ensure_dtype
-
-        y_in = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=self.dtype)
-        else:
-            out[:] = 0
-        d = self.data
-        if d.nnz == 0:
-            return out
-        rows = self._rows()
-        counts = np.diff(d.voff)
-        xcols = np.repeat(d.e_col.astype(np.int64), counts)
-        contrib = d.packed * y_in[rows]
-        out += np.bincount(xcols, weights=contrib, minlength=self.shape[1]).astype(
-            self.dtype, copy=False
-        )
-        return out
+        return product(self, y_in, out, adjoint=True)
 
     def transpose_spmm(self, Y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X = A^T Y`` for a sinogram stack ``Y`` of shape (m, k)."""
-        from repro.errors import ValidationError
-        from repro.utils.arrays import ensure_dtype
+        return product(self, Y_in, out, adjoint=True)
 
-        Y_in = np.asarray(Y_in)
-        if Y_in.ndim != 2 or Y_in.shape[0] != self.shape[0]:
-            raise ValidationError(f"Y must have shape ({self.shape[0]}, k)")
-        Yc = ensure_dtype(Y_in, self.dtype, "Y")
-        k = Yc.shape[1]
-        if out is None:
-            out = np.zeros((self.shape[1], k), dtype=self.dtype)
-        else:
-            out[:] = 0
-        d = self.data
-        if d.nnz == 0 or k == 0:
-            return out
-        rows = self._rows()
-        counts = np.diff(d.voff)
-        xcols = np.repeat(d.e_col.astype(np.int64), counts)
-        contrib = d.packed[:, None] * Yc[rows]
-        acc = np.zeros((self.shape[1], k), dtype=np.float64)
-        np.add.at(acc, xcols, contrib)
-        out += acc.astype(self.dtype, copy=False)
-        return out
+    def _rows(self) -> np.ndarray:
+        if self._value_rows is None:
+            self._value_rows = value_rows_m(self.data)
+        return self._value_rows
 
     # ------------------------------------------------------------------ #
 
@@ -187,7 +148,4 @@ class CSCVMMatrix(SpMVFormat):
         if d.nnz == 0:
             z = np.zeros(0, dtype=np.int64)
             return z, z, np.zeros(0, dtype=self.dtype)
-        rows = self._rows()
-        counts = np.diff(d.voff)
-        cols = np.repeat(d.e_col.astype(np.int64), counts)
-        return rows.astype(np.int64), cols, d.packed
+        return self._rows().astype(np.int64), value_cols_m(d), d.packed

@@ -14,7 +14,7 @@ import numpy as np
 from repro.config import INDEX_DTYPE
 from repro.core.builder import CSCVData, build_cscv
 from repro.core.params import CSCVParams
-from repro.core.spmv import resolve_flat_rows_z, spmm_z, spmv_z
+from repro.core.spmv import product, value_rows_z
 from repro.errors import FormatError, ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.matrix_base import SpMVFormat, register_format
@@ -25,12 +25,13 @@ class CSCVZMatrix(SpMVFormat):
     """CSCV with padding zeros stored (paper's CSCV-Z)."""
 
     name = "cscv-z"
+    variant = "z"
 
     def __init__(self, data: CSCVData, threads: int | None = None):
         super().__init__(data.shape, data.nnz, data.dtype)
         self.data = data
         self.threads = threads
-        self._flat_rows: np.ndarray | None = None
+        self._value_rows: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # construction
@@ -107,20 +108,14 @@ class CSCVZMatrix(SpMVFormat):
         return cls(data, threads)
 
     # ------------------------------------------------------------------ #
-    # SpMV
+    # products (all through the one CSCV dispatcher)
 
     def spmv_into(self, x, y):
-        x = self._check_x(x)
-        return spmv_z(self.data, x, y, threads=self.threads, flat_rows=self._rows())
+        return product(self, x, y)
 
     def spmm_into(self, X, Y):
         """Multi-RHS SpMV: one VxG stream serves all k columns."""
-        return spmm_z(self.data, X, Y, threads=self.threads, flat_rows=self._rows())
-
-    def _rows(self) -> np.ndarray:
-        if self._flat_rows is None:
-            self._flat_rows = resolve_flat_rows_z(self.data)
-        return self._flat_rows
+        return product(self, X, Y)
 
     def transpose_spmv(self, y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x = A^T y`` — back-projection through the same VxG stream.
@@ -129,75 +124,16 @@ class CSCVZMatrix(SpMVFormat):
         ``ytilde`` slots, dot with the VxG values, accumulate into
         ``x[col]`` (the paper's announced future work, implemented here).
         """
-        from repro import config
-        from repro.kernels import dispatch
-        from repro.utils.arrays import check_1d, ensure_dtype
-
-        y_in = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=self.dtype)
-        else:
-            out[:] = 0
-        d = self.data
-        if d.nnz == 0:
-            return out
-        fn = dispatch.get("cscv_z_tspmv", self.dtype)
-        if fn is not None:
-            fn(
-                self.shape[1],
-                d.num_blocks,
-                d.blk_vxg_ptr,
-                d.vxg_col,
-                d.vxg_start,
-                d.values,
-                d.params.vxg_len,
-                d.blk_ysize,
-                d.blk_map_ptr,
-                d.ymap,
-                y_in,
-                out,
-                d.max_ysize,
-                int(self.threads or config.runtime.threads),
-            )
-            return out
-        rows = self._rows()
-        valid = rows >= 0
-        vxg_len = d.params.vxg_len
-        contrib = np.zeros(d.num_vxg * vxg_len, dtype=np.float64)
-        contrib[valid] = d.values[valid] * y_in[rows[valid]]
-        per_vxg = contrib.reshape(d.num_vxg, vxg_len).sum(axis=1)
-        out += np.bincount(
-            d.vxg_col.astype(np.int64), weights=per_vxg, minlength=self.shape[1]
-        ).astype(self.dtype, copy=False)
-        return out
+        return product(self, y_in, out, adjoint=True)
 
     def transpose_spmm(self, Y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``X = A^T Y`` for a sinogram stack ``Y`` of shape (m, k)."""
-        from repro.errors import ValidationError
-        from repro.utils.arrays import ensure_dtype
+        return product(self, Y_in, out, adjoint=True)
 
-        Y_in = np.asarray(Y_in)
-        if Y_in.ndim != 2 or Y_in.shape[0] != self.shape[0]:
-            raise ValidationError(f"Y must have shape ({self.shape[0]}, k)")
-        Yc = ensure_dtype(Y_in, self.dtype, "Y")
-        k = Yc.shape[1]
-        if out is None:
-            out = np.zeros((self.shape[1], k), dtype=self.dtype)
-        else:
-            out[:] = 0
-        d = self.data
-        if d.nnz == 0 or k == 0:
-            return out
-        rows = self._rows()
-        valid = rows >= 0
-        vxg_len = d.params.vxg_len
-        contrib = np.zeros((d.num_vxg * vxg_len, k), dtype=np.float64)
-        contrib[valid] = d.values[valid, None] * Yc[rows[valid]]
-        per_vxg = contrib.reshape(d.num_vxg, vxg_len, k).sum(axis=1)
-        acc = np.zeros((self.shape[1], k), dtype=np.float64)
-        np.add.at(acc, d.vxg_col.astype(np.int64), per_vxg)
-        out += acc.astype(self.dtype, copy=False)
-        return out
+    def _rows(self) -> np.ndarray:
+        if self._value_rows is None:
+            self._value_rows = value_rows_z(self.data)
+        return self._value_rows
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -1,71 +1,53 @@
-"""SpMV / SpMM execution drivers for CSCV data.
+"""The one CSCV product dispatcher: forward and adjoint, SpMV and SpMM.
 
-Three execution paths, all numerically identical:
+Every CSCV product — ``Y = A X`` or ``X = A^T Y``, for a vector or an
+``(·, k)`` stack — goes through :func:`product`.  One table
+(:data:`ROUTES`) keys each call by (direction, variant, 1-D or 2-D) and
+names the compiled kernel serving it:
 
 * **C blocked** — the faithful pipeline: per block, zero a ``ytilde``
   scratch, stream VxGs as contiguous vector FMAs, scatter-add through the
   inverse IOBLR map into per-thread private copies of ``y``, reduce
-  (Section IV-E threading scheme) — OpenMP inside the compiled kernel;
-* **NumPy flat** — a fully vectorised fallback: pre-resolved global row
-  per value slot + one ``bincount`` scatter-add;
-* **NumPy threaded** — the flat path split over block ranges across a
-  thread pool with per-thread partial ``y`` and a final reduction,
-  mirroring the paper's private-copy scheme in pure Python.
+  (Section IV-E threading scheme) — OpenMP inside the compiled kernel.
+  The adjoint kernel runs the same stream gather-only.
+* **NumPy** — rows without a kernel, and every row when no compiled
+  library serves the dtype: one vectorised accumulator per (variant,
+  direction) over all ``k`` columns, summed by a single ``bincount``.
 
-The multi-RHS drivers (:func:`spmm_z` / :func:`spmm_m`) run the same VxG
-stream against ``X`` of shape ``(n, k)`` — the matrix streams from memory
-once for all ``k`` right-hand sides, which is where the batched CT
-workload (many slices, one system matrix) wins over looped SpMV.
+The multi-RHS rows stream the matrix from memory once for all ``k``
+right-hand sides, which is where the batched CT workload (many slices,
+one system matrix) wins over looped SpMV.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from repro import config
 from repro.core.builder import CSCVData
+from repro.errors import ValidationError
 from repro.kernels import dispatch
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs.trace import span
-from repro.utils.pool import run_resilient, spmv_pool
+from repro.utils.arrays import check_out, ensure_dtype
+
+#: (adjoint, variant, 2-D) -> (op, counter tag, C kernel).  Rows without
+#: a kernel run NumPy with no ``dispatch.get`` lookup: looking up an
+#: unknown name raises under ``REPRO_BACKEND=c``.
+ROUTES = {
+    (False, "z", False): ("spmv", "z", "cscv_z_spmv"),
+    (False, "z", True): ("spmm", "z_mm", "cscv_z_spmm"),
+    (False, "m", False): ("spmv", "m", "cscv_m_spmv"),
+    (False, "m", True): ("spmm", "m_mm", "cscv_m_spmm"),
+    (True, "z", False): ("tspmv", "z_t", "cscv_z_tspmv"),
+    (True, "z", True): ("tspmm", "z_tmm", None),
+    (True, "m", False): ("tspmv", "m_t", None),
+    (True, "m", True): ("tspmm", "m_tmm", None),
+}
 
 
-def _shared_pool(workers: int) -> ThreadPoolExecutor:
-    """The process-wide SpMV worker pool, grown to at least *workers*.
-
-    Backed by :data:`repro.utils.pool.spmv_pool`, which also *shrinks*
-    (recreates the pool smaller) when ``config.runtime.threads`` is
-    lowered at runtime and the request fits under the new ceiling.
-    """
-    return spmv_pool.get(workers)
-
-
-def _shutdown_pool() -> None:
-    """Tear down the shared pool (atexit hook and test hook)."""
-    spmv_pool.shutdown()
-
-
-def __getattr__(name: str):
-    # Back-compat introspection of the pool internals (test hooks).
-    if name == "_pool":
-        return spmv_pool._pool
-    if name == "_pool_size":
-        return spmv_pool.size
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _count_call(variant: str, backend: str) -> None:
-    """Per-(variant, backend) SpMV call counters (cscv_z/c, cscv_m/flat...)."""
-    obs_metrics.counter(
-        f"spmv.calls.{variant}.{backend}",
-        "SpMV executions by CSCV variant and execution backend",
-    ).inc()
-
-
-def resolve_flat_rows_z(data: CSCVData) -> np.ndarray:
+def value_rows_z(data: CSCVData) -> np.ndarray:
     """Global row id (or -1) of every CSCV-Z value slot.
 
     Composes VxG placement with the per-block inverse map once, so the
@@ -80,7 +62,7 @@ def resolve_flat_rows_z(data: CSCVData) -> np.ndarray:
     return data.ymap[pos.ravel()]
 
 
-def resolve_flat_rows_m(data: CSCVData) -> np.ndarray:
+def value_rows_m(data: CSCVData) -> np.ndarray:
     """Global row id of every packed CSCV-M value (always valid)."""
     if data.nnz == 0:
         return np.zeros(0, dtype=np.int32)
@@ -103,304 +85,125 @@ def _mask_lanes(masks: np.ndarray, s_vvec: int) -> np.ndarray:
     return lane.astype(np.int64)
 
 
-def spmv_z(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
-    """CSCV-Z SpMV into *y* (overwritten)."""
-    threads = threads or config.runtime.threads
-    y[:] = 0
-    if data.nnz == 0:
-        return y
-    t0 = obs_perf.clock() if obs_perf.active else 0.0
-    fn = dispatch.get("cscv_z_spmv", data.dtype)
-    if fn is not None:
-        with span("spmv.z", backend="c", nnz=data.nnz,
-                  blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.values,
-                data.params.vxg_len,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                x,
-                y,
-                data.max_ysize,
-                int(threads),
-            )
-        _count_call("z", "c")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmv", "z", "c", data, obs_perf.clock() - t0)
-        return y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_z(data)
-    if threads <= 1 or data.num_blocks < 2 * threads:
-        with span("spmv.z", backend="flat", nnz=data.nnz, blocks=data.num_blocks):
-            _accumulate_z(data, x, y, rows, 0, data.num_blocks)
-        _count_call("z", "flat")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmv", "z", "flat", data, obs_perf.clock() - t0)
-        return y
-    with span("spmv.z", backend="threaded", nnz=data.nnz,
-              blocks=data.num_blocks, threads=int(threads)):
-        _threaded(data, x, y, rows, threads, _accumulate_z)
-    _count_call("z", "threaded")
-    if obs_perf.active:
-        obs_perf.record_cscv("spmv", "z", "threaded", data, obs_perf.clock() - t0)
-    return y
-
-
-def _accumulate_z(data, x, y, rows, b0, b1):
-    vxg_len = data.params.vxg_len
-    g0, g1 = int(data.blk_vxg_ptr[b0]), int(data.blk_vxg_ptr[b1])
-    if g0 == g1:
-        return
-    vals = data.values[g0 * vxg_len : g1 * vxg_len].reshape(g1 - g0, vxg_len)
-    contrib = (vals * x[data.vxg_col[g0:g1].astype(np.int64)][:, None]).ravel()
-    r = rows[g0 * vxg_len : g1 * vxg_len]
-    valid = r >= 0
-    y += np.bincount(
-        r[valid], weights=contrib[valid], minlength=data.shape[0]
-    ).astype(data.dtype, copy=False)
-
-
-def spmv_m(data: CSCVData, x: np.ndarray, y: np.ndarray, *, threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
-    """CSCV-M SpMV into *y* (overwritten) — packed values + soft-vexpand."""
-    threads = threads or config.runtime.threads
-    y[:] = 0
-    if data.nnz == 0:
-        return y
-    t0 = obs_perf.clock() if obs_perf.active else 0.0
-    fn = dispatch.get("cscv_m_spmv", data.dtype)
-    if fn is not None:
-        with span("spmv.m", backend="c", nnz=data.nnz,
-                  blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.vxg_voff,
-                data.vxg_masks,
-                data.packed,
-                data.params.s_vxg,
-                data.params.s_vvec,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                x,
-                y,
-                data.max_ysize,
-                int(threads),
-            )
-        _count_call("m", "c")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmv", "m", "c", data, obs_perf.clock() - t0)
-        return y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_m(data)
-    if threads <= 1 or data.num_blocks < 2 * threads:
-        with span("spmv.m", backend="flat", nnz=data.nnz, blocks=data.num_blocks):
-            _accumulate_m(data, x, y, rows, 0, data.num_blocks)
-        _count_call("m", "flat")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmv", "m", "flat", data, obs_perf.clock() - t0)
-        return y
-    with span("spmv.m", backend="threaded", nnz=data.nnz,
-              blocks=data.num_blocks, threads=int(threads)):
-        _threaded(data, x, y, rows, threads, _accumulate_m)
-    _count_call("m", "threaded")
-    if obs_perf.active:
-        obs_perf.record_cscv("spmv", "m", "threaded", data, obs_perf.clock() - t0)
-    return y
-
-
-def _accumulate_m(data, x, y, rows, b0, b1):
-    k0, k1 = int(data.voff[data.blk_e_ptr[b0]]), int(data.voff[data.blk_e_ptr[b1]])
-    if k0 == k1:
-        return
-    e0, e1 = int(data.blk_e_ptr[b0]), int(data.blk_e_ptr[b1])
-    counts = np.diff(data.voff[e0 : e1 + 1])
-    xcols = np.repeat(data.e_col[e0:e1].astype(np.int64), counts)
-    contrib = data.packed[k0:k1] * x[xcols]
-    r = rows[k0:k1]
-    y += np.bincount(r, weights=contrib, minlength=data.shape[0]).astype(
-        data.dtype, copy=False
-    )
-
-
-def _threaded(data, x, y, rows, threads, accumulate):
-    """Private-y-per-thread scheme over contiguous block ranges.
-
-    Works for both SpMV (*y* 1-D) and SpMM (*y* 2-D) accumulators; the
-    partials mirror *y*'s shape.
-    """
-    from repro.utils.partition import split_evenly
-
-    ranges = [r for r in split_evenly(data.num_blocks, threads) if r[0] < r[1]]
-    partials = [np.zeros_like(y) for _ in ranges]
-
-    def work(idx: int):
-        b0, b1 = ranges[idx]
-        partials[idx][:] = 0  # idempotent under retry / serial fallback
-        with span("spmv.block_range", b0=b0, b1=b1):
-            accumulate(data, x, partials[idx], rows, b0, b1)
-
-    run_resilient(spmv_pool, work, range(len(ranges)), len(ranges), label="spmv")
-    for p in partials:  # deterministic reduction order
-        y += p
-    return y
+def value_cols_m(data: CSCVData) -> np.ndarray:
+    """Global column id of every packed CSCV-M value."""
+    return np.repeat(data.e_col.astype(np.int64), np.diff(data.voff))
 
 
 # ---------------------------------------------------------------------- #
-# multi-RHS (SpMM) drivers
+# the dispatcher
 
 
-def spmm_z(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
-           threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
-    """CSCV-Z multi-RHS SpMV: ``Y[:] = A @ X`` with ``X`` of shape (n, k)."""
-    threads = threads or config.runtime.threads
-    Y[:] = 0
-    k = X.shape[1]
+def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
+    """``A X`` (or ``A^T X``) for a CSCV format; *X* is 1-D or ``(·, k)``.
+
+    *fmt* is a :class:`~repro.core.format_z.CSCVZMatrix` or
+    :class:`~repro.core.format_m.CSCVMMatrix`.  *out* (allocated when
+    ``None``, overwritten otherwise) must be a C-contiguous array of the
+    matrix dtype and the product's shape, else :class:`ValidationError`.
+    """
+    data = fmt.data
+    m, n = data.shape
+    size_in, size_out = (m, n) if adjoint else (n, m)
+    name = "y" if adjoint else "x"
+    X = np.asarray(X)
+    if X.ndim not in (1, 2) or X.shape[0] != size_in:
+        raise ValidationError(
+            f"{name} must have shape ({size_in},) or ({size_in}, k), got {X.shape}"
+        )
+    X = ensure_dtype(X, data.dtype, name)
+    Y = check_out(out, (size_out,) + X.shape[1:], data.dtype)
+    Y[...] = 0
+    k = X.shape[1] if X.ndim == 2 else 1
     if data.nnz == 0 or k == 0:
         return Y
+    op, tag, kernel = ROUTES[adjoint, fmt.variant, X.ndim == 2]
+    threads = int(fmt.threads or config.runtime.threads)
     t0 = obs_perf.clock() if obs_perf.active else 0.0
-    fn = dispatch.get("cscv_z_spmm", data.dtype)
-    if fn is not None:
-        with span("spmm.z", backend="c", nnz=data.nnz, batch=k,
-                  blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                k,
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.values,
-                data.params.vxg_len,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                X,
-                Y,
-                data.max_ysize,
-                int(threads),
-            )
-        _count_call("z_mm", "c")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmm", "z", "c", data, obs_perf.clock() - t0, k)
-        return Y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_z(data)
-    if threads <= 1 or data.num_blocks < 2 * threads:
-        with span("spmm.z", backend="flat", nnz=data.nnz, batch=k,
-                  blocks=data.num_blocks):
-            _accumulate_z_mm(data, X, Y, rows, 0, data.num_blocks)
-        _count_call("z_mm", "flat")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmm", "z", "flat", data,
-                                 obs_perf.clock() - t0, k)
-        return Y
-    with span("spmm.z", backend="threaded", nnz=data.nnz, batch=k,
-              blocks=data.num_blocks, threads=int(threads)):
-        _threaded(data, X, Y, rows, threads, _accumulate_z_mm)
-    _count_call("z_mm", "threaded")
+    fn = dispatch.get(kernel, data.dtype) if kernel else None
+    backend = "c" if fn is not None else "flat"
+    attrs = {"threads": threads} if fn is not None else {}
+    with span(f"{op}.{fmt.variant}", backend=backend, nnz=data.nnz, batch=k,
+              blocks=data.num_blocks, **attrs):
+        if fn is not None:
+            fn(*_c_args(fmt.variant, data, X, Y, threads))
+        else:
+            contrib, targets = _NUMPY[fmt.variant, adjoint](
+                data, fmt._rows(), X.reshape(size_in, k))
+            Y.reshape(size_out, k)[...] = _scatter(targets, contrib, size_out)
+    obs_metrics.counter(
+        f"spmv.calls.{tag}.{backend}",
+        "CSCV products by variant, direction and execution backend",
+    ).inc()
     if obs_perf.active:
-        obs_perf.record_cscv("spmm", "z", "threaded", data,
+        obs_perf.record_cscv(op, fmt.variant, backend, data,
                              obs_perf.clock() - t0, k)
     return Y
 
 
-def _accumulate_z_mm(data, X, Y, rows, b0, b1):
-    """Reshaped-bincount scatter: row ids fan out to row*k + lane keys."""
-    vxg_len = data.params.vxg_len
+def _c_args(variant: str, data: CSCVData, X, Y, threads: int) -> tuple:
+    """The shared C argument list: head, per-variant middle, tail."""
+    head = (Y.shape[0],) + X.shape[1:] + (
+        data.num_blocks, data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
+    if variant == "z":
+        middle = (data.values, data.params.vxg_len)
+    else:
+        middle = (data.vxg_voff, data.vxg_masks, data.packed,
+                  data.params.s_vxg, data.params.s_vvec)
+    tail = (data.blk_ysize, data.blk_map_ptr, data.ymap, X, Y,
+            data.max_ysize, threads)
+    return head + middle + tail
+
+
+# ---------------------------------------------------------------------- #
+# NumPy accumulators: one per (variant, direction), any k.  Each takes
+# the operand as an (·, k) array and returns the slot-major (S, k)
+# contributions plus their output index shifted by one: index 0 collects
+# the CSCV-Z slots the IOBLR map discards (row -1), so no call masks
+# them out.  Every column is summed in the same order as a k=1 call, so
+# column j of a k-wide product is bit-equal to the same column run alone.
+
+
+def _z_forward(data, rows, X):
+    vals = data.values.reshape(-1, data.params.vxg_len)
+    xg = X[data.vxg_col.astype(np.int64)]                   # (G, k)
+    return (vals[:, :, None] * xg[:, None, :]).reshape(-1, X.shape[1]), rows + 1
+
+
+def _z_adjoint(data, rows, X):
     k = X.shape[1]
-    g0, g1 = int(data.blk_vxg_ptr[b0]), int(data.blk_vxg_ptr[b1])
-    if g0 == g1:
-        return
-    vals = data.values[g0 * vxg_len : g1 * vxg_len].reshape(g1 - g0, vxg_len)
-    xrows = X[data.vxg_col[g0:g1].astype(np.int64)]          # (G, k)
-    contrib = (vals[:, :, None] * xrows[:, None, :]).reshape(-1, k)
-    r = rows[g0 * vxg_len : g1 * vxg_len]
-    valid = r >= 0
-    keys = (r[valid].astype(np.int64)[:, None] * k + np.arange(k)).ravel()
-    Y += np.bincount(
-        keys, weights=contrib[valid].ravel(), minlength=data.shape[0] * k
-    ).reshape(data.shape[0], k).astype(data.dtype, copy=False)
+    Xt = np.zeros((k, X.shape[0] + 1), dtype=X.dtype)       # column 0: discard
+    Xt[:, 1:] = X.T
+    contrib = np.ascontiguousarray(data.values * Xt[:, rows + 1], dtype=np.float64)
+    # each VxG sums over a contiguous axis: the k=1 (pairwise) order
+    per_vxg = contrib.reshape(k, -1, data.params.vxg_len).sum(axis=2)
+    return per_vxg.T, data.vxg_col + 1
 
 
-def spmm_m(data: CSCVData, X: np.ndarray, Y: np.ndarray, *,
-           threads: int | None = None,
-           flat_rows: np.ndarray | None = None) -> np.ndarray:
-    """CSCV-M multi-RHS SpMV over the packed value stream."""
-    threads = threads or config.runtime.threads
-    Y[:] = 0
-    k = X.shape[1]
-    if data.nnz == 0 or k == 0:
-        return Y
-    t0 = obs_perf.clock() if obs_perf.active else 0.0
-    fn = dispatch.get("cscv_m_spmm", data.dtype)
-    if fn is not None:
-        with span("spmm.m", backend="c", nnz=data.nnz, batch=k,
-                  blocks=data.num_blocks, threads=int(threads)):
-            fn(
-                data.shape[0],
-                k,
-                data.num_blocks,
-                data.blk_vxg_ptr,
-                data.vxg_col,
-                data.vxg_start,
-                data.vxg_voff,
-                data.vxg_masks,
-                data.packed,
-                data.params.s_vxg,
-                data.params.s_vvec,
-                data.blk_ysize,
-                data.blk_map_ptr,
-                data.ymap,
-                X,
-                Y,
-                data.max_ysize,
-                int(threads),
-            )
-        _count_call("m_mm", "c")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmm", "m", "c", data, obs_perf.clock() - t0, k)
-        return Y
-    rows = flat_rows if flat_rows is not None else resolve_flat_rows_m(data)
-    if threads <= 1 or data.num_blocks < 2 * threads:
-        with span("spmm.m", backend="flat", nnz=data.nnz, batch=k,
-                  blocks=data.num_blocks):
-            _accumulate_m_mm(data, X, Y, rows, 0, data.num_blocks)
-        _count_call("m_mm", "flat")
-        if obs_perf.active:
-            obs_perf.record_cscv("spmm", "m", "flat", data,
-                                 obs_perf.clock() - t0, k)
-        return Y
-    with span("spmm.m", backend="threaded", nnz=data.nnz, batch=k,
-              blocks=data.num_blocks, threads=int(threads)):
-        _threaded(data, X, Y, rows, threads, _accumulate_m_mm)
-    _count_call("m_mm", "threaded")
-    if obs_perf.active:
-        obs_perf.record_cscv("spmm", "m", "threaded", data,
-                             obs_perf.clock() - t0, k)
-    return Y
+def _m_forward(data, rows, X):
+    return data.packed[:, None] * X[value_cols_m(data)], rows + 1
 
 
-def _accumulate_m_mm(data, X, Y, rows, b0, b1):
-    k = X.shape[1]
-    k0, k1 = int(data.voff[data.blk_e_ptr[b0]]), int(data.voff[data.blk_e_ptr[b1]])
-    if k0 == k1:
-        return
-    e0, e1 = int(data.blk_e_ptr[b0]), int(data.blk_e_ptr[b1])
-    counts = np.diff(data.voff[e0 : e1 + 1])
-    xcols = np.repeat(data.e_col[e0:e1].astype(np.int64), counts)
-    contrib = data.packed[k0:k1, None] * X[xcols]             # (nnz_range, k)
-    r = rows[k0:k1].astype(np.int64)
-    keys = (r[:, None] * k + np.arange(k)).ravel()
-    Y += np.bincount(
-        keys, weights=contrib.ravel(), minlength=data.shape[0] * k
-    ).reshape(data.shape[0], k).astype(data.dtype, copy=False)
+def _m_adjoint(data, rows, X):
+    return data.packed[:, None] * X[rows], value_cols_m(data) + 1
+
+
+_NUMPY = {
+    ("z", False): _z_forward,
+    ("z", True): _z_adjoint,
+    ("m", False): _m_forward,
+    ("m", True): _m_adjoint,
+}
+
+
+def _scatter(targets, contrib, size: int) -> np.ndarray:
+    """Sum (S, k) *contrib* into a (size, k) float64 result.
+
+    One ``bincount`` over ``target * k + j`` keys: each output entry adds
+    its contributions sequentially in stream order.  *targets* are
+    shifted by one; index 0 is dropped.
+    """
+    k = contrib.shape[1]
+    keys = targets if k == 1 else (targets.astype(np.int64) * k)[:, None] + np.arange(k)
+    acc = np.bincount(keys.ravel(), weights=contrib.ravel(), minlength=(size + 1) * k)
+    return acc.reshape(size + 1, k)[1:]

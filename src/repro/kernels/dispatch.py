@@ -50,8 +50,8 @@ def set_omp_threads(n: int) -> bool:
     Returns True when a compiled library was present to receive the
     setting (sharding workers call this with their clamped budget so the
     per-process kernels never oversubscribe the host).  Also updates
-    ``config.runtime.threads`` so the NumPy-threaded drivers and later
-    dispatch syncs agree with the pin.
+    ``config.runtime.threads`` so the blocked CSCV kernels' per-call
+    thread count and later dispatch syncs agree with the pin.
     """
     global _omp_synced
     n = max(1, int(n))

@@ -271,9 +271,9 @@ def record_dispatch(op: str, variant: str, backend: str, *,
                     bytes_written: float, nnz: int, k: int = 1) -> None:
     """Record one kernel dispatch into the tagged perf histograms.
 
-    ``op`` is ``"spmv"`` or ``"spmm"``; ``variant`` names the format
-    (``csr``, ``z``, ``m``); ``backend`` the execution path
-    (``c``/``flat``/``threaded``/``numpy``).  Emits, per dispatch:
+    ``op`` is ``"spmv"``/``"spmm"`` or the adjoint ``"tspmv"``/``"tspmm"``;
+    ``variant`` names the format (``csr``, ``z``, ``m``); ``backend`` the
+    execution path (``c``/``flat``/``numpy``).  Emits, per dispatch:
 
     * ``{op}.achieved_gbs.{variant}.{backend}`` — total traffic rate;
     * ``{op}.nnz_per_s.{variant}`` — useful-work throughput (× k RHS);
@@ -320,11 +320,19 @@ def record_dispatch(op: str, variant: str, backend: str, *,
 
 def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
                 k: int = 1) -> None:
-    """Dispatch recording for the CSCV drivers (layout-exact bytes)."""
+    """Dispatch recording for the CSCV dispatcher (layout-exact bytes).
+
+    Adjoints (``tspmv``/``tspmm``) move the same matrix stream but swap
+    the vector terms: they read ``k * m`` and write ``k * n`` entries.
+    """
     traffic = cscv_z_bytes(data, k) if variant == "z" else cscv_m_bytes(data, k)
-    record_dispatch(op, variant, backend, seconds=seconds,
-                    bytes_read=traffic["read"], bytes_written=traffic["written"],
-                    nnz=data.nnz, k=k)
+    read, written = traffic["read"], traffic["written"]
+    if op.startswith("t"):
+        m, n = data.shape
+        vec = k * data.dtype.itemsize
+        read, written = read + vec * (m - n), float(vec * n)
+    record_dispatch(op, variant, backend, seconds=seconds, bytes_read=read,
+                    bytes_written=written, nnz=data.nnz, k=k)
 
 
 def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1) -> None:

@@ -35,6 +35,7 @@ __all__ = [
     "env_metrics_flush",
     "MetricsServer",
     "MetricsFlusher",
+    "metrics_body",
     "start",
     "stop",
     "is_active",
@@ -46,18 +47,24 @@ __all__ = [
 DEFAULT_FLUSH_INTERVAL = DEFAULT_METRICS_FLUSH_SEC
 
 
+def metrics_body() -> tuple[bytes, str]:
+    """``(body, content type)`` of a ``GET /metrics``: the registry as
+    Prometheus text.  The one owner of the body for every HTTP surface."""
+    from repro.obs.export import prometheus_text
+    from repro.obs.metrics import registry
+
+    return (prometheus_text(registry).encode("utf-8"),
+            "text/plain; version=0.0.4; charset=utf-8")
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Serves /metrics (Prometheus text) and /healthz; silent logs."""
 
     def do_GET(self):  # noqa: N802 (stdlib naming)
         if self.path.split("?")[0] == "/metrics":
-            from repro.obs.export import prometheus_text
-            from repro.obs.metrics import registry
-
-            body = prometheus_text(registry).encode("utf-8")
+            body, ctype = metrics_body()
             self.send_response(200)
-            self.send_header("Content-Type",
-                             "text/plain; version=0.0.4; charset=utf-8")
+            self.send_header("Content-Type", ctype)
         elif self.path.split("?")[0] == "/healthz":
             body = b"ok\n"
             self.send_response(200)

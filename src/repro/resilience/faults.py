@@ -23,7 +23,7 @@ site                             actions understood by the call site
 ``kernel.load``                  ``missing`` (.so vanished), ``corrupt``
                                  (unloadable .so)
 ``pool.task.<subsystem>``        ``raise`` (worker crash); subsystems:
-                                 ``spmv``, ``pack``, ``sweep``
+                                 ``pack``, ``sweep``
 ``dist.worker.task``             ``raise`` (shard-worker task failure,
                                  surfaces as an error reply) or ``exit``
                                  (hard ``os._exit`` — models an OOM

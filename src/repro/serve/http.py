@@ -110,13 +110,9 @@ class _ServeHandler(BaseHTTPRequestHandler):
     def do_GET(self):  # noqa: N802 (stdlib naming)
         path, _, query = self.path.partition("?")
         if path == "/metrics":
-            from repro.obs.export import prometheus_text
-            from repro.obs.metrics import registry
+            from repro.obs.runtime import metrics_body
 
-            self._send_text(
-                200, prometheus_text(registry).encode("utf-8"),
-                "text/plain; version=0.0.4; charset=utf-8",
-            )
+            self._send_text(200, *metrics_body())
             return
         if path == "/healthz":
             self._send_json(200, {"status": "ok", **self.server.runner.stats()})

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.config import normalize_dtype
 from repro.errors import FormatError, ValidationError
-from repro.utils.arrays import check_1d, ensure_dtype
+from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
 _REGISTRY: dict[str, Type["SpMVFormat"]] = {}
 
@@ -127,15 +127,7 @@ class SpMVFormat(abc.ABC):
     def spmv(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Compute and return ``y = A @ x`` (allocating unless *out* given)."""
         x = self._check_x(x)
-        if out is None:
-            out = np.zeros(self._shape[0], dtype=self._dtype)
-        else:
-            out = check_1d(out, self._shape[0], "out")
-            if out.dtype != self._dtype or not out.flags.c_contiguous:
-                raise ValidationError(
-                    f"out must be C-contiguous {self._dtype}, got {out.dtype}"
-                )
-        return self.spmv_into(x, out)
+        return self.spmv_into(x, check_out(out, (self._shape[0],), self._dtype))
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -156,16 +148,8 @@ class SpMVFormat(abc.ABC):
             raise ValidationError(
                 f"X must have shape ({self._shape[1]}, k), got {X.shape}"
             )
-        k = X.shape[1]
         Xc = np.ascontiguousarray(X, dtype=self._dtype)
-        if out is None:
-            out = np.zeros((self._shape[0], k), dtype=self._dtype)
-        elif out.shape != (self._shape[0], k):
-            raise ValidationError(f"out must have shape ({self._shape[0]}, {k})")
-        elif out.dtype != self._dtype or not out.flags.c_contiguous:
-            raise ValidationError(
-                f"out must be C-contiguous {self._dtype}, got {out.dtype}"
-            )
+        out = check_out(out, (self._shape[0], X.shape[1]), self._dtype)
         return self.spmm_into(Xc, out)
 
     def spmm_into(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

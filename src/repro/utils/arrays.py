@@ -77,6 +77,21 @@ def check_1d(arr: np.ndarray, size: int | None = None, name: str = "vector") -> 
     return a
 
 
+def check_out(out, shape: tuple, dtype) -> np.ndarray:
+    """Validated product buffer of *shape*/*dtype* (zeros when *out* is None).
+
+    The one ``out=`` check every product applies: exact shape, the
+    matrix dtype and C-contiguity, else :class:`ValidationError`.
+    """
+    if out is None:
+        return np.zeros(shape, dtype=dtype)
+    if not isinstance(out, np.ndarray) or out.shape != tuple(shape):
+        raise ValidationError(f"out must have shape {tuple(shape)}, got {np.shape(out)}")
+    if out.dtype != dtype or not out.flags.c_contiguous:
+        raise ValidationError(f"out must be C-contiguous {np.dtype(dtype)}, got {out.dtype}")
+    return out
+
+
 def as_column_batch(
     arr: np.ndarray, size: int, name: str, dtype
 ) -> tuple[np.ndarray, bool]:

@@ -1,4 +1,4 @@
-"""Work partitioning helpers used by the multi-threaded SpMV drivers.
+"""Work partitioning helpers: contiguous and weighted splits of work items.
 
 The paper's threading scheme (section IV-E) row-partitions the matrix into
 fixed-size blocks and guarantees every thread receives at least one block.

@@ -1,23 +1,23 @@
-"""Process-wide worker pools shared across hot-path call sites.
+"""Process-wide worker pool for the cold operator build.
 
-Solver loops call SpMV thousands of times and the cold-build sweep fans
-out once per view range; spawning a fresh ``ThreadPoolExecutor`` per call
-costs more than the compute on small work items.  :class:`SharedPool`
-keeps one lazily-created executor per subsystem (SpMV, operator build)
-and resizes it against a config-driven ceiling:
+The cold-build sweep fans out once per view range and the packing stages
+once per block partition; spawning a fresh ``ThreadPoolExecutor`` per
+fan-out costs more than the compute on small work items.
+:class:`SharedPool` keeps one lazily-created executor and resizes it
+against a config-driven ceiling:
 
 * **grow** whenever a caller asks for more workers than the pool has;
 * **shrink** (recreate smaller) when the config ceiling was lowered at
   runtime and the request fits under the new ceiling — so lowering e.g.
-  ``config.runtime.threads`` actually releases the extra OS threads
+  ``config.runtime.build_workers`` actually releases the extra OS threads
   instead of fanning work over a stale oversized pool;
 * **reuse** for explicit larger-than-ceiling requests that the current
-  pool already covers (a caller passing ``threads=3`` against a pool of
+  pool already covers (a caller passing ``workers=3`` against a pool of
   4 keeps the pool of 4).
 
-All pools register an ``atexit`` teardown.
+The pool registers an ``atexit`` teardown.
 
-:func:`run_resilient` is the fan-out entry point the hot paths use: it
+:func:`run_resilient` is the fan-out entry point the build uses: it
 degrades gracefully when a worker task crashes (retry once on the pool,
 then run that task serially on the caller thread), so one bad worker —
 real or injected via ``REPRO_FAULTS`` ``pool.task.*`` rules — costs
@@ -41,7 +41,7 @@ class SharedPool:
         ``thread_name_prefix`` for the executor's workers.
     ceiling : callable
         Returns the config-driven size ceiling (e.g.
-        ``lambda: config.runtime.threads``); re-read on every
+        ``lambda: config.runtime.build_workers``); re-read on every
         :meth:`get` so runtime changes take effect immediately.
     """
 
@@ -102,7 +102,7 @@ def run_resilient(shared: SharedPool, fn, items, workers: int, *, label: str) ->
     Item order (and therefore any downstream reduction order) is
     preserved, so results are bitwise-identical to the fault-free run
     whenever *fn* is idempotent per item — which every repro fan-out
-    (sweep chunks, pack partitions, SpMV block ranges) guarantees.
+    (sweep chunks, pack partitions) guarantees.
     """
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import tracer
@@ -143,16 +143,8 @@ def run_resilient(shared: SharedPool, fn, items, workers: int, *, label: str) ->
     return out
 
 
-# The two process-wide pools: SpMV's NumPy-threaded path (ceiling =
-# config.runtime.threads) and the cold-build sweep/pack workers (ceiling
-# = config.runtime.build_workers).  Imported lazily at the call sites so
-# `repro.config` stays import-light.
-
-
-def _threads_ceiling() -> int:
-    from repro import config
-
-    return config.runtime.threads
+# The cold-build sweep/pack pool (ceiling = config.runtime.build_workers),
+# imported lazily at the call sites so `repro.config` stays import-light.
 
 
 def _build_ceiling() -> int:
@@ -161,5 +153,4 @@ def _build_ceiling() -> int:
     return config.runtime.build_workers
 
 
-spmv_pool = SharedPool("repro-spmv", _threads_ceiling)
 build_pool = SharedPool("repro-build", _build_ceiling)

@@ -181,20 +181,3 @@ class TestSharedPoolResize:
             assert pool.size == 1
         finally:
             pool.shutdown()
-
-    def test_spmv_pool_tracks_lowered_threads(self):
-        from repro.core import spmv as spmv_mod
-        from repro.utils.pool import spmv_pool
-
-        prev = config.runtime.threads
-        try:
-            config.runtime.threads = 4
-            spmv_pool.shutdown()
-            spmv_mod._shared_pool(4)
-            assert spmv_pool.size == 4
-            config.runtime.threads = 2
-            spmv_mod._shared_pool(2)
-            assert spmv_pool.size == 2
-        finally:
-            config.runtime.threads = prev
-            spmv_pool.shutdown()

@@ -10,7 +10,7 @@ from repro.core.builder import build_cscv
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
-from repro.core.spmv import spmv_m, spmv_z
+from repro.core.spmv import product
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.coo import COOMatrix
@@ -119,7 +119,7 @@ class TestThreading:
         data = build_cscv(coo.rows, coo.cols, coo.vals, geom, CSCVParams(8, 8, 2),
                           np.float32)
         y = np.zeros(coo.shape[0], dtype=np.float32)
-        spmv_z(data, x, y, threads=threads)
+        product(CSCVZMatrix(data, threads=threads), x, y)
         rel = np.abs(y - y_ref).max() / np.abs(y_ref).max()
         assert rel < 5e-6
 
@@ -129,9 +129,58 @@ class TestThreading:
         data = build_cscv(coo.rows, coo.cols, coo.vals, geom, CSCVParams(8, 8, 2),
                           np.float32)
         y = np.zeros(coo.shape[0], dtype=np.float32)
-        spmv_m(data, x, y, threads=threads)
+        product(CSCVMMatrix(data, threads=threads), x, y)
         rel = np.abs(y - y_ref).max() / np.abs(y_ref).max()
         assert rel < 5e-6
+
+
+class TestOutValidation:
+    """Every CSCV product validates ``out=`` (shape, dtype, C order)."""
+
+    @pytest.fixture(params=[CSCVZMatrix, CSCVMMatrix], ids=["z", "m"])
+    def fmt(self, request, small_ct_f32):
+        coo, geom = small_ct_f32
+        return request.param.from_ct(coo, geom)
+
+    def test_adjoint_vector_too_short(self, fmt, backend):
+        y = np.ones(fmt.shape[0], dtype=np.float32)
+        with pytest.raises(ValidationError, match="shape"):
+            fmt.transpose_spmv(y, out=np.zeros(fmt.shape[1] - 1, dtype=np.float32))
+
+    def test_adjoint_vector_wrong_dtype(self, fmt, backend):
+        y = np.ones(fmt.shape[0], dtype=np.float32)
+        with pytest.raises(ValidationError, match="float32"):
+            fmt.transpose_spmv(y, out=np.zeros(fmt.shape[1]))
+
+    def test_adjoint_stack_wrong_width(self, fmt, backend):
+        from repro.recon import ProjectionOperator
+
+        Y = np.ones((fmt.shape[0], 3), dtype=np.float32)
+        out = np.zeros((fmt.shape[1], 1), dtype=np.float32)
+        with pytest.raises(ValidationError, match="shape"):
+            fmt.transpose_spmm(Y, out=out)
+        with pytest.raises(ValidationError, match="shape"):
+            ProjectionOperator(fmt).adjoint(Y, out=out)
+
+    def test_adjoint_stack_wrong_dtype(self, fmt, backend):
+        Y = np.ones((fmt.shape[0], 3), dtype=np.float32)
+        with pytest.raises(ValidationError, match="float32"):
+            fmt.transpose_spmm(Y, out=np.zeros((fmt.shape[1], 3)))
+
+    def test_adjoint_stack_not_c_contiguous(self, fmt, backend):
+        Y = np.ones((fmt.shape[0], 3), dtype=np.float32)
+        out = np.zeros((3, fmt.shape[1]), dtype=np.float32).T
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            fmt.transpose_spmm(Y, out=out)
+
+    def test_valid_out_is_filled_in_place(self, fmt, backend):
+        # Multi-threaded C kernels sum per-thread partials in arrival
+        # order; one thread makes the two products bitwise comparable.
+        fmt.threads = 1
+        y = np.ones(fmt.shape[0], dtype=np.float32)
+        out = np.full(fmt.shape[1], 7.0, dtype=np.float32)
+        assert fmt.transpose_spmv(y, out=out) is out
+        np.testing.assert_array_equal(out, fmt.transpose_spmv(y))
 
 
 class TestMemoryModel:

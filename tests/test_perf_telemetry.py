@@ -184,6 +184,36 @@ class TestOffByDefault:
                  if n.startswith("spmv.achieved_gbs.z.")]
         assert names and obs.registry.get(names[0]).count == 1
 
+    @pytest.mark.parametrize("variant", ["z", "m"])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_adjoint_records_one_dispatch(self, clean_metrics, perf_off,
+                                          stream_cache, cscv_data, variant, k):
+        from repro.core.format_m import CSCVMMatrix
+        from repro.core.format_z import CSCVZMatrix
+
+        perf.enable()
+        cls = CSCVZMatrix if variant == "z" else CSCVMMatrix
+        a = cls(cscv_data)
+        m, n = a.shape
+        if k is None:
+            op, width = "tspmv", 1
+            a.transpose_spmv(np.ones(m, dtype=a.dtype))
+        else:
+            op, width = "tspmm", k
+            a.transpose_spmm(np.ones((m, k), dtype=a.dtype))
+        names = [x for x in obs.registry.names()
+                 if x.startswith(f"{op}.achieved_gbs.{variant}.")]
+        assert len(names) == 1 and obs.registry.get(names[0]).count == 1
+        assert obs.registry.get(f"{op}.nnz_per_s.{variant}").count == 1
+        # adjoint byte model: the matrix stream, k*m vector reads, k*n writes
+        fwd = (perf.cscv_z_bytes if variant == "z" else perf.cscv_m_bytes)(
+            cscv_data, width)
+        item = a.dtype.itemsize
+        written = obs.registry.get("perf.bytes_written").value
+        read = obs.registry.get("perf.bytes_read").value
+        assert written == width * n * item
+        assert read == fwd["read"] - width * n * item + width * m * item
+
 
 class TestConvergenceMeter:
     def test_slope_and_tolerance(self, clean_metrics):

@@ -286,23 +286,6 @@ class TestPoolDegradation:
         with pytest.raises(ValueError, match="genuine bug"):
             run_resilient(pool, bad, range(2), 2, label="t")
 
-    def test_threaded_spmv_survives_worker_crashes(self, rng, monkeypatch):
-        # the block-range fan-out must stay bitwise under worker crashes
-        from repro.core.params import CSCVParams
-        from repro.core.spmv import spmv_z
-
-        monkeypatch.setattr(config.runtime, "backend", "numpy")
-        geom = ParallelBeamGeometry.for_image(SIZE, num_views=32)
-        coo, geom = build_ct_matrix(SIZE, geom=geom, dtype=np.float32)
-        fmt = CSCVZMatrix.from_ct(coo, geom, CSCVParams(4, 4, 1))
-        x = rng.random(fmt.shape[1]).astype(np.float32)
-        clean = np.zeros(fmt.shape[0], dtype=np.float32)
-        spmv_z(fmt.data, x, clean, threads=2)
-        again = np.zeros_like(clean)
-        with faults.inject("pool.task.spmv:raise:every=2"):
-            spmv_z(fmt.data, x, again, threads=2)
-        np.testing.assert_array_equal(clean, again)
-
 
 # ---------------------------------------------------------------------- #
 # cache faults

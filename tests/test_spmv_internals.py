@@ -8,11 +8,7 @@ from repro.core.builder import build_cscv
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
-from repro.core.spmv import (
-    _mask_lanes,
-    resolve_flat_rows_m,
-    resolve_flat_rows_z,
-)
+from repro.core.spmv import _mask_lanes, value_rows_m, value_rows_z
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.geometry.projector_strip import strip_area_matrix
 from repro.sparse.coo import COOMatrix
@@ -48,7 +44,7 @@ class TestMaskLanes:
 class TestFlatRows:
     def test_z_rows_cover_all_matrix_rows(self, data):
         d, coo = data
-        rows = resolve_flat_rows_z(d)
+        rows = value_rows_z(d)
         assert rows.size == d.stored_slots
         touched = np.unique(rows[rows >= 0])
         expected = np.unique(coo.rows)
@@ -56,7 +52,7 @@ class TestFlatRows:
 
     def test_m_rows_all_valid(self, data):
         d, coo = data
-        rows = resolve_flat_rows_m(d)
+        rows = value_rows_m(d)
         assert rows.size == d.nnz
         assert rows.min() >= 0
         # multiset of rows matches the original COO rows
@@ -65,7 +61,7 @@ class TestFlatRows:
     def test_z_valid_slots_hold_values(self, data):
         # every nonzero value sits in a slot with a valid row
         d, _ = data
-        rows = resolve_flat_rows_z(d)
+        rows = value_rows_z(d)
         nonzero_slots = d.values != 0
         assert np.all(rows[nonzero_slots] >= 0)
 
