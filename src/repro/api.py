@@ -172,48 +172,6 @@ def operator_cache_key(
     )
 
 
-def _sharded_operator(
-    geom, *, fmt, projector, params, dtype, reference_mode,
-    build_workers, cache, workers, shards,
-):
-    """Assemble the :class:`~repro.dist.sharding.ShardedOperator` the
-    facade returns when sharding is requested (workers > 1 or an
-    explicit ``shards=``)."""
-    from repro import config
-    from repro.dist.sharding import (
-        ShardContext,
-        ShardedOperator,
-        plan_shards,
-        resolve_shards,
-    )
-    from repro.obs import metrics as obs_metrics
-
-    num_shards = resolve_shards(geom.num_views, shards, workers)
-    ctx = ShardContext(
-        geom=geom,
-        fmt=fmt,
-        projector=projector,
-        dtype=str(dtype),
-        params=params,
-        reference_mode=reference_mode,
-        threads=max(1, config.runtime.threads // num_shards),
-        build_workers=build_workers,
-    )
-    specs = plan_shards(geom, num_shards)
-    if cache is not None:
-        for spec in specs:
-            spec.key = ctx.shard_key(spec, num_shards)
-    obs_metrics.counter(
-        "api.operator.sharded", "operator() calls served as sharded operators"
-    ).inc()
-    op = ShardedOperator(ctx, specs, workers=workers, cache=cache)
-    # Same eager semantics as the plain path: the facade returns with the
-    # cache entries built/loaded (a no-op when caching is disabled —
-    # workers then materialize their own shards from the shared COO).
-    op.ensure_cached()
-    return op
-
-
 def operator(
     image_size_or_geom,
     *,
@@ -227,8 +185,6 @@ def operator(
     threads: int | None = None,
     reference_mode: str = "ioblr",
     build_workers: int | None = None,
-    shard_workers: int | None = None,
-    shards: int | None = None,
 ):
     """Build (or load from cache) a ready CT projection operator.
 
@@ -269,24 +225,12 @@ def operator(
         packing); defaults to ``REPRO_BUILD_WORKERS``.  The built
         operator — and its cache entry — is bitwise-identical for any
         value, so this is purely a wall-clock knob.
-    shard_workers : int, optional
-        Worker *processes* for sharded execution (defaults to
-        ``REPRO_SHARD_WORKERS``, i.e. 1).  Any value > 1 returns a
-        :class:`~repro.dist.sharding.ShardedOperator` whose results are
-        bitwise-identical for every worker count at a given shard
-        count — like ``build_workers``, purely a wall-clock knob.
-    shards : int, optional
-        View-range shard count for sharded execution; passing it
-        explicitly forces a sharded operator even at one worker
-        (useful to pin the reduction order).  Defaults to
-        ``REPRO_SHARDS`` (auto: ``max(4, shard_workers)``).
 
     Returns
     -------
     ProjectionOperator
         Wrapping the requested format; ``op.fmt`` is the format
-        instance.  A :class:`~repro.dist.sharding.ShardedOperator`
-        (still a ``ProjectionOperator``) when sharding is requested.
+        instance.
     """
     from repro.core.cache import default_cache
     from repro.obs import metrics as obs_metrics
@@ -305,21 +249,6 @@ def operator(
         store = cache_obj if cache_obj is not None else default_cache()
         if not store.enabled:
             store = None
-
-    from repro import config
-
-    workers = (
-        shard_workers if shard_workers is not None
-        else config.runtime.shard_workers
-    )
-    if workers > 1 or shards is not None:
-        return _sharded_operator(
-            geom, fmt=fmt, projector=projector,
-            params=params if is_cscv else None, dtype=dtype,
-            reference_mode=reference_mode if is_cscv else "ioblr",
-            build_workers=build_workers, cache=store,
-            workers=workers, shards=shards,
-        )
 
     def build() -> SpMVFormat:
         coo = _cached_coo(geom, projector, dtype, store, build_workers)

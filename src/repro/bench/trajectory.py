@@ -182,19 +182,6 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
     )
     cases.extend(serve_cases(serve_recs, size=build_size))
 
-    # sharded execution: worker-process scaling on a pinned partition
-    # (numpy backend by construction, so points compare across hosts)
-    from repro.bench.shard import run_shard_bench, shard_cases
-
-    shard_recs = run_shard_bench(
-        size=build_size,
-        format_names=("csr",),
-        worker_counts=(1, 2) if quick else (1, 2, 4),
-        iterations=5 if quick else 10,
-        quick=quick,
-    )
-    cases.extend(shard_cases(shard_recs))
-
     return {
         "schema": TRAJECTORY_SCHEMA,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

@@ -50,13 +50,6 @@ def _cmd_info(args) -> int:
     print(f"build workers  : {config.runtime.build_workers} "
           f"(REPRO_BUILD_WORKERS; parallel sweep + CSCV packing, "
           f"output identical for any value)")
-    shards = config.runtime.shards
-    print(f"shard workers  : {config.runtime.shard_workers} "
-          f"(REPRO_SHARD_WORKERS; transport: {config.runtime.shard_transport}, "
-          f"shards: {'auto' if shards <= 0 else shards}, "
-          f"output identical for any worker count)")
-    if getattr(args, "shard_topology", None):
-        _print_shard_topology(args)
     print(f"tracing        : {'on' if st['tracing'] else 'off'} "
           f"(REPRO_TRACE; exporter: jsonl -> {st['trace_path']})")
     print(f"metrics        : {'on' if st['metrics'] else 'off'} "
@@ -87,26 +80,6 @@ def _cmd_info(args) -> int:
         print(f"  {name:16s} {ds.image_size}^2 image, {ds.num_views} views "
               f"(paper: {ds.paper.img})")
     return 0
-
-
-def _print_shard_topology(args) -> None:
-    """Shard layout (view ranges, per-shard nnz) for ``repro info``."""
-    from repro import api, config
-    from repro.dist import plan_shards, resolve_shards
-
-    size = int(args.shard_topology)
-    geom = api._resolve_geom(size)
-    workers = config.runtime.shard_workers
-    num_shards = resolve_shards(geom.num_views, None, workers)
-    coo, _ = api.build_ct_matrix(size, cache=True)
-    specs = plan_shards(geom, num_shards)
-    print(f"shard topology : {size}^2 image, {geom.num_views} views -> "
-          f"{num_shards} shards on {workers} worker(s)")
-    for spec in specs:
-        lo = int(np.searchsorted(coo.rows, spec.r0, side="left"))
-        hi = int(np.searchsorted(coo.rows, spec.r1, side="left"))
-        print(f"  shard {spec.index}: views [{spec.v0:4d}, {spec.v1:4d})  "
-              f"rows [{spec.r0:6d}, {spec.r1:6d})  nnz {hi - lo}")
 
 
 def _cmd_spmv(args) -> int:
@@ -222,24 +195,6 @@ def _cmd_bench(args) -> int:
                   f"{top.jobs_per_s / serial.jobs_per_s:.2f}x the serial "
                   f"jobs/s (mean batch width {top.mean_batch_width:.1f})")
         return 1 if any(r.failed for r in records) else 0
-    if args.what == "shard":
-        from repro.bench.shard import render, run_shard_bench
-
-        names = tuple(args.formats.split(",")) if args.formats else ("csr",)
-        workers = tuple(int(w) for w in args.workers.split(","))
-        records = run_shard_bench(
-            size=args.size, format_names=names, worker_counts=workers,
-            dtype=dtype, iterations=args.iterations, quick=args.quick,
-        )
-        print(render(records,
-                     title=f"sharded operator scaling, {args.size}^2 image "
-                           f"({np.dtype(dtype)}, numpy backend)"))
-        bad = [r for r in records if not r.identical]
-        if bad:
-            print("error: sharded output differs across worker counts",
-                  file=sys.stderr)
-            return 1
-        return 0
     if args.what == "compare":
         from repro.bench.trajectory import (
             DEFAULT_TRAJECTORY_PATH,
@@ -269,7 +224,7 @@ def _cmd_bench(args) -> int:
             return 0 if args.report_only else 1
         return 0
     print(f"unknown bench {args.what!r}; options: spmm, cache, build, "
-          f"trajectory, compare, serve, shard", file=sys.stderr)
+          f"trajectory, compare, serve", file=sys.stderr)
     return 2
 
 
@@ -445,8 +400,6 @@ def _cmd_serve(args) -> int:
         max_batch=args.max_batch,
         batch_window_s=args.batch_window,
         default_deadline_s=args.deadline,
-        shard_workers=args.shard_workers,
-        shard_transport=args.shard_transport,
         journal_dir=journal_dir,
         recover=args.recover,
         ckpt_every=args.ckpt_every,
@@ -457,14 +410,11 @@ def _cmd_serve(args) -> int:
     stop_event = _threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop_event.set())
     signal.signal(signal.SIGINT, lambda *_: stop_event.set())
-    shard_note = ""
-    if (config.shard_workers or 0) > 1:
-        shard_note = f", shard_workers={config.shard_workers}"
     journal_note = f", journal={journal_dir}" if journal_dir else ", no journal"
     print(f"repro serve listening on http://{args.host}:{server.port} "
           f"(workers={config.workers}, max_batch={config.max_batch}, "
           f"queue depth {config.max_queue_depth}/tenant"
-          f"{shard_note}{journal_note})")
+          f"{journal_note})")
     print("endpoints: POST /v1/reconstruct, GET /v1/jobs/<id>[/progress], "
           "GET /metrics, GET /healthz, GET /readyz")
     if journal_dir and config.recover:
@@ -570,10 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "one-line messages")
     sub = p.add_subparsers(dest="command", required=True)
 
-    si = sub.add_parser("info", help="environment and registry summary")
-    si.add_argument("--shard-topology", type=int, metavar="SIZE", default=None,
-                    help="also print the shard layout (view ranges, per-shard "
-                         "nnz) for a SIZE^2 operator")
+    sub.add_parser("info", help="environment and registry summary")
 
     sp = sub.add_parser("spmv", help="benchmark SpMV formats")
     sp.add_argument("--dataset", default="clinical-small")
@@ -586,7 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bn = sub.add_parser("bench", help="targeted micro-benchmarks")
     bn.add_argument("what", help="which bench to run (spmm, cache, build, "
-                                 "trajectory, compare, serve, shard)")
+                                 "trajectory, compare, serve)")
     bn.add_argument("--size", type=int, default=256,
                     help="image side length (matrix is ~2*size^2 x size^2)")
     bn.add_argument("--formats", default="", help="comma-separated names")
@@ -600,8 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--projectors", default="strip,pixel,siddon",
                     help="projector sweeps to time (bench build)")
     bn.add_argument("--workers", default="1,2,4",
-                    help="comma-separated worker counts (bench build: "
-                         "build workers; bench shard: shard workers)")
+                    help="comma-separated build worker counts (bench build)")
     bn.add_argument("--repeats", type=int, default=1,
                     help="best-of repeats per cold build (bench build)")
     bn.add_argument("--out", default=None,
@@ -690,11 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seconds a coalescible job waits for key-mates")
     sv.add_argument("--deadline", type=float, default=None,
                     help="default per-job deadline in seconds")
-    sv.add_argument("--shard-workers", type=int, default=None,
-                    help="worker processes per sharded operator "
-                         "(default: REPRO_SHARD_WORKERS; 1 disables)")
-    sv.add_argument("--shard-transport", default=None,
-                    help="shard transport (default: REPRO_SHARD_TRANSPORT)")
     sv.add_argument("--journal-dir", default=None,
                     help="durable job journal directory (default: "
                          "REPRO_JOURNAL_DIR or <cache>/journal; "

@@ -28,25 +28,13 @@ Environment variables
     ``0`` trusts the entry (fastest, still validated structurally).
 ``REPRO_THREADS``
     Default OpenMP thread count of the compiled kernels (default: CPU
-    count).  The NumPy fallback is single-threaded and ignores it.
+    count).  The CSCV kernels give bitwise-identical results for any
+    value.  The NumPy fallback is single-threaded and ignores it.
 ``REPRO_BUILD_WORKERS``
     Default worker count for the parallel cold build — the projector
     sweep over view ranges and the block-partitioned CSCV packing
     (default: CPU count).  Any value produces bitwise-identical
     operators; this knob trades cores for cold-build wall time only.
-``REPRO_SHARD_WORKERS``
-    Worker *processes* for sharded operator execution (default 1 =
-    in-process serial, no processes spawned).  See :mod:`repro.dist`.
-``REPRO_SHARD_TRANSPORT``
-    Transport moving operands/results between shard workers.  Only
-    ``shm`` (POSIX shared memory) ships today; the name is resolved via
-    :data:`repro.dist.transport.TRANSPORTS` so MPI/sockets can register.
-``REPRO_SHARDS``
-    Number of contiguous view-range shards the operator is partitioned
-    into (default 0 = auto: ``max(4, shard workers)``).  The partition —
-    not the worker count — fixes the floating-point reduction order, so
-    results are bitwise-identical for any ``REPRO_SHARD_WORKERS`` at a
-    given shard count.
 ``REPRO_CKPT_EVERY``
     Solver checkpoint cadence for crash-safe serving: persist a resumable
     :class:`~repro.recon.checkpoint.CheckpointState` every N iterations
@@ -140,33 +128,6 @@ def env_build_workers() -> int:
             raise ValueError("REPRO_BUILD_WORKERS must be >= 1")
         return n
     return os.cpu_count() or 1
-
-
-def env_shard_workers() -> int:
-    """Default shard worker processes: ``REPRO_SHARD_WORKERS`` or 1."""
-    raw = os.environ.get("REPRO_SHARD_WORKERS")
-    if raw:
-        n = int(raw)
-        if n < 1:
-            raise ValueError("REPRO_SHARD_WORKERS must be >= 1")
-        return n
-    return 1
-
-
-def env_shard_transport() -> str:
-    """Default shard transport name: ``REPRO_SHARD_TRANSPORT`` or ``shm``."""
-    return os.environ.get("REPRO_SHARD_TRANSPORT", "shm").strip().lower() or "shm"
-
-
-def env_shards() -> int:
-    """Default shard count: ``REPRO_SHARDS`` or 0 (auto)."""
-    raw = os.environ.get("REPRO_SHARDS")
-    if raw:
-        n = int(raw)
-        if n < 0:
-            raise ValueError("REPRO_SHARDS must be >= 0 (0 = auto)")
-        return n
-    return 0
 
 
 #: Accepted numerical guard levels, weakest to strongest.
@@ -340,15 +301,6 @@ class RuntimeConfig:
     #: Fault-injection plan string (``REPRO_FAULTS``); parsed lazily by
     #: :mod:`repro.resilience.faults`, empty = nothing fires.
     faults: str = field(default_factory=env_faults)
-    #: Worker processes for sharded operators (``REPRO_SHARD_WORKERS``);
-    #: 1 = in-process serial execution, no processes spawned.
-    shard_workers: int = field(default_factory=env_shard_workers)
-    #: Shard transport name (``REPRO_SHARD_TRANSPORT``), resolved via
-    #: :data:`repro.dist.transport.TRANSPORTS`.
-    shard_transport: str = field(default_factory=env_shard_transport)
-    #: View-range shard count (``REPRO_SHARDS``); 0 = auto
-    #: (``max(4, shard_workers)``).  Fixes the reduction order.
-    shards: int = field(default_factory=env_shards)
     #: Solver checkpoint cadence in iterations (``REPRO_CKPT_EVERY``);
     #: consumed by the crash-safe serving layer, opt-in per run.
     ckpt_every: int = field(default_factory=env_ckpt_every)

@@ -35,7 +35,9 @@ makes that identity structural rather than best-effort.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -127,10 +129,31 @@ class CSCVData:
     def max_ysize(self) -> int:
         return int(self.blk_ysize.max()) if self.num_blocks else 0
 
+    @cached_property
+    def owner_parts(self) -> dict[bool, tuple[np.ndarray, np.ndarray]]:
+        """``{adjoint: (part_ptr, order)}``: the C drivers' thread partition.
+
+        A part owns a disjoint set of output entries: forward parts are
+        view groups (a group's blocks touch only its sinogram rows),
+        adjoint parts are image tile rows (a tile's blocks touch only its
+        pixels).  ``order[part_ptr[q]:part_ptr[q + 1]]`` lists part *q*'s
+        block indices in ascending block id, the serial order.
+        """
+        tiles_per_side = -(-math.isqrt(self.shape[1]) // self.params.s_imgb)
+        group, tile = np.divmod(self.present_blocks, tiles_per_side**2)
+        return {False: _parts(group), True: _parts(tile // tiles_per_side)}
+
     def padding_per_cscve(self) -> np.ndarray:
         """Padding zeros in each (non-empty) CSCVE — Fig 5 statistic."""
         fill = np.diff(self.voff)
         return self.params.s_vvec - fill
+
+
+def _parts(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group block indices by *owner*, keeping ascending order within each."""
+    order = np.argsort(owner, kind="stable").astype(np.int64)
+    starts = np.flatnonzero(np.diff(owner[order])) + 1
+    return np.concatenate(([0], starts, [order.size])).astype(np.int64), order
 
 
 def build_cscv(

@@ -7,9 +7,12 @@ names the compiled kernel serving it:
 
 * **C blocked** — the faithful pipeline: per block, zero a ``ytilde``
   scratch, stream VxGs as contiguous vector FMAs, scatter-add through the
-  inverse IOBLR map into per-thread private copies of ``y``, reduce
-  (Section IV-E threading scheme) — OpenMP inside the compiled kernel.
-  The adjoint kernel runs the same stream gather-only.
+  inverse IOBLR map straight into ``y``.  The adjoint kernel runs the
+  same stream gather-only.  OpenMP threads take whole owner parts
+  (:attr:`CSCVData.owner_parts <repro.core.builder.CSCVData.owner_parts>`:
+  view groups forward, image tile rows adjoint), so each output entry is
+  summed in the serial order and the result is bitwise the same for any
+  thread count — no private copies, no reduction.
 * **NumPy** — rows without a kernel, and every row when no compiled
   library serves the dtype: one vectorised accumulator per (variant,
   direction) over all ``k`` columns, summed by a single ``bincount``.
@@ -126,7 +129,7 @@ def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
     with span(f"{op}.{fmt.variant}", backend=backend, nnz=data.nnz, batch=k,
               blocks=data.num_blocks, **attrs):
         if fn is not None:
-            fn(*_c_args(fmt.variant, data, X, Y, threads))
+            fn(*_c_args(fmt.variant, adjoint, data, X, Y, threads))
         else:
             contrib, targets = _NUMPY[fmt.variant, adjoint](
                 data, fmt._rows(), X.reshape(size_in, k))
@@ -141,10 +144,12 @@ def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
     return Y
 
 
-def _c_args(variant: str, data: CSCVData, X, Y, threads: int) -> tuple:
+def _c_args(variant: str, adjoint: bool, data: CSCVData, X, Y,
+            threads: int) -> tuple:
     """The shared C argument list: head, per-variant middle, tail."""
-    head = (Y.shape[0],) + X.shape[1:] + (
-        data.num_blocks, data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
+    part_ptr, order = data.owner_parts[adjoint]
+    head = X.shape[1:] + (part_ptr.size - 1, part_ptr, order,
+                          data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
     if variant == "z":
         middle = (data.values, data.params.vxg_len)
     else:

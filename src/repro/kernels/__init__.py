@@ -21,6 +21,6 @@ from repro.kernels import dispatch
 #: Bump both together whenever a kernel signature or array layout changes;
 #: the persistent operator cache keys entries on this value so stale array
 #: layouts can never be fed to newer kernels.
-KERNELS_ABI_VERSION = 6
+KERNELS_ABI_VERSION = 7
 
 __all__ = ["dispatch", "KERNELS_ABI_VERSION"]

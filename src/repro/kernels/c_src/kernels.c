@@ -235,80 +235,6 @@ DEFINE_CSCV_M_BLOCK(f32, float)
 DEFINE_CSCV_M_BLOCK(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* Full CSCV drivers: loop blocks (OpenMP), private y copies, reduce.   */
-/*                                                                      */
-/* Layouts (built by repro.core.builder):                               */
-/*   blk_vxg_ptr[num_blocks+1] : VxG ranges per block                   */
-/*   vxg_col[g]   : global x index of the VxG's column                  */
-/*   vxg_start[g] : offset into the block's ytilde scratch              */
-/*   blk_ysize[b] : ytilde length of block b                            */
-/*   blk_map_ptr[num_blocks+1], map[] : ytilde pos -> global y (or -1)  */
-/* y must hold m zeros on entry.                                        */
-
-#define DEFINE_CSCV_Z_FULL(SUF, T)                                          \
-static void cscv_z_seq_##SUF(                                               \
-        int64_t num_blocks, const int64_t *blk_vxg_ptr,                     \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *x, T *y,   \
-        T *ytilde) {                                                        \
-    for (int64_t b = 0; b < num_blocks; ++b) {                              \
-        const int64_t ysz = blk_ysize[b];                                   \
-        memset(ytilde, 0, (size_t)ysz * sizeof(T));                         \
-        const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];         \
-        cscv_z_block_##SUF(g1 - g0, vxg_len, vxg_col + g0,                  \
-                           vxg_start + g0, values + g0 * vxg_len, x,        \
-                           ytilde);                                         \
-        const int32_t *bmap = map + blk_map_ptr[b];                         \
-        for (int64_t p = 0; p < ysz; ++p) {                                 \
-            const int32_t t = bmap[p];                                      \
-            if (t >= 0) y[t] += ytilde[p];                                  \
-        }                                                                   \
-    }                                                                       \
-}                                                                           \
-EXPORT void cscv_z_spmv_##SUF(                                              \
-        int64_t m, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *x, T *y,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        cscv_z_seq_##SUF(num_blocks, blk_vxg_ptr, vxg_col, vxg_start,       \
-                         values, vxg_len, blk_ysize, blk_map_ptr, map, x,   \
-                         y, ytilde);                                        \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *ylocal = (T *)calloc((size_t)m, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_##SUF(g1 - g0, vxg_len, vxg_col + g0,              \
-                               vxg_start + g0, values + g0 * vxg_len, x,    \
-                               ytilde);                                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) ylocal[t] += ytilde[p];                         \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m; ++i) y[i] += ylocal[i];                  \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_FULL(f32, float)
-DEFINE_CSCV_Z_FULL(f64, double)
-
-/* ------------------------------------------------------------------ */
 /* CSCV-Z SpMM: the VxG stream applied to k RHS at once.                */
 /* X is (n, k) row-major, Y is (m, k) row-major; ytilde holds k lanes   */
 /* per slot (slot-major), so the scatter through the IOBLR map moves    */
@@ -336,121 +262,6 @@ static void cscv_z_block_spmm_##SUF(int64_t num_vxg, int64_t vxg_len,       \
 
 DEFINE_CSCV_Z_SPMM_BLOCK(f32, float)
 DEFINE_CSCV_Z_SPMM_BLOCK(f64, double)
-
-#define DEFINE_CSCV_Z_SPMM_FULL(SUF, T)                                     \
-EXPORT void cscv_z_spmm_##SUF(                                              \
-        int64_t m, int64_t k, int64_t num_blocks,                           \
-        const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
-        const int32_t *vxg_start, const T *values, int64_t vxg_len,         \
-        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
-        const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
-        int nthreads) {                                                     \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_spmm_##SUF(g1 - g0, vxg_len, k, vxg_col + g0,      \
-                                    vxg_start + g0, values + g0 * vxg_len,  \
-                                    X, ytilde);                             \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = Y + (int64_t)t * k;                                 \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        T *ylocal = (T *)calloc((size_t)(m * k), sizeof(T));                \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_z_block_spmm_##SUF(g1 - g0, vxg_len, k, vxg_col + g0,      \
-                                    vxg_start + g0, values + g0 * vxg_len,  \
-                                    X, ytilde);                             \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = ylocal + (int64_t)t * k;                            \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m * k; ++i) Y[i] += ylocal[i];              \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_SPMM_FULL(f32, float)
-DEFINE_CSCV_Z_SPMM_FULL(f64, double)
-
-#define DEFINE_CSCV_M_FULL(SUF, T)                                          \
-EXPORT void cscv_m_spmv_##SUF(                                              \
-        int64_t m, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start,                   \
-        const int64_t *vxg_voff, const uint32_t *vxg_masks,                 \
-        const T *packed, int64_t s_vxg, int64_t s_vvec,                     \
-        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
-        const int32_t *map, const T *x, T *y, int64_t max_ysize,            \
-        int nthreads) {                                                     \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_##SUF(g1 - g0, s_vxg, s_vvec, vxg_col + g0,        \
-                               vxg_start + g0, vxg_voff + g0,               \
-                               vxg_masks + g0 * s_vxg, packed, x, ytilde);  \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) y[t] += ytilde[p];                              \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *ylocal = (T *)calloc((size_t)m, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)ysz * sizeof(T));                     \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_##SUF(g1 - g0, s_vxg, s_vvec, vxg_col + g0,        \
-                               vxg_start + g0, vxg_voff + g0,               \
-                               vxg_masks + g0 * s_vxg, packed, x, ytilde);  \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t >= 0) ylocal[t] += ytilde[p];                         \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m; ++i) y[i] += ylocal[i];                  \
-        free(ytilde);                                                       \
-        free(ylocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_M_FULL(f32, float)
-DEFINE_CSCV_M_FULL(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* CSCV-M SpMM: packed values applied to k RHS at once.                 */
@@ -490,68 +301,126 @@ static void cscv_m_block_spmm_##SUF(int64_t num_vxg, int64_t s_vxg,         \
 DEFINE_CSCV_M_SPMM_BLOCK(f32, float)
 DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
 
-#define DEFINE_CSCV_M_SPMM_FULL(SUF, T)                                     \
-EXPORT void cscv_m_spmm_##SUF(                                              \
-        int64_t m, int64_t k, int64_t num_blocks,                           \
-        const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
-        const int32_t *vxg_start, const int64_t *vxg_voff,                  \
-        const uint32_t *vxg_masks, const T *packed, int64_t s_vxg,          \
-        int64_t s_vvec, const int64_t *blk_ysize,                           \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *X, T *Y,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) { /* no private copies, no reduction */              \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_spmm_##SUF(g1 - g0, s_vxg, s_vvec, k,              \
-                                    vxg_col + g0, vxg_start + g0,           \
-                                    vxg_voff + g0, vxg_masks + g0 * s_vxg,  \
-                                    packed, X, ytilde);                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = Y + (int64_t)t * k;                                 \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
+/* ------------------------------------------------------------------ */
+/* Full CSCV drivers: owner parts (OpenMP), no reduction.               */
+/*                                                                      */
+/* Layouts (built by repro.core.builder):                               */
+/*   blk_vxg_ptr[num_blocks+1] : VxG ranges per block                   */
+/*   vxg_col[g]   : global x index of the VxG's column                  */
+/*   vxg_start[g] : offset into the block's ytilde scratch              */
+/*   blk_ysize[b] : ytilde length of block b                            */
+/*   blk_map_ptr[num_blocks+1], map[] : ytilde pos -> global y (or -1)  */
+/*   part_ptr[num_parts+1], order[] : the blocks of each owner part     */
+/*                                                                      */
+/* Each part owns a disjoint set of output entries: a view group owns   */
+/* its sinogram rows (forward), a tile row owns its pixels (adjoint).   */
+/* A part visits its blocks in ascending block id and writes straight   */
+/* into the output, so every entry gets its sums in the serial order    */
+/* and the result is bitwise the same for any thread count.             */
+/* The output must hold zeros on entry.                                 */
+
+/* Forward body shared by the four forward drivers: per block, zero K   */
+/* ytilde lanes per slot, run the block kernel call passed as the       */
+/* trailing arguments, then scatter-add the lanes through the map.      */
+#define CSCV_FORWARD(T, K, ...)                                             \
     _Pragma("omp parallel num_threads(nthreads)")                           \
     {                                                                       \
-        T *ytilde = (T *)malloc((size_t)(max_ysize * k) * sizeof(T));       \
-        T *ylocal = (T *)calloc((size_t)(m * k), sizeof(T));                \
+        T *ytilde = (T *)malloc((size_t)(max_ysize * (K)) * sizeof(T));     \
         _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            memset(ytilde, 0, (size_t)(ysz * k) * sizeof(T));               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            cscv_m_block_spmm_##SUF(g1 - g0, s_vxg, s_vvec, k,              \
-                                    vxg_col + g0, vxg_start + g0,           \
-                                    vxg_voff + g0, vxg_masks + g0 * s_vxg,  \
-                                    packed, X, ytilde);                     \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                if (t < 0) continue;                                        \
-                T *yr = ylocal + (int64_t)t * k;                            \
-                const T *yt = ytilde + p * k;                               \
-                for (int64_t j = 0; j < k; ++j) yr[j] += yt[j];             \
+        for (int64_t q = 0; q < num_parts; ++q) {                           \
+            for (int64_t i = part_ptr[q]; i < part_ptr[q + 1]; ++i) {       \
+                const int64_t b = order[i];                                 \
+                const int64_t ysz = blk_ysize[b];                           \
+                memset(ytilde, 0, (size_t)(ysz * (K)) * sizeof(T));         \
+                const int64_t g0 = blk_vxg_ptr[b];                          \
+                const int64_t ng = blk_vxg_ptr[b + 1] - g0;                 \
+                __VA_ARGS__;                                                \
+                const int32_t *bmap = map + blk_map_ptr[b];                 \
+                for (int64_t p = 0; p < ysz; ++p) {                         \
+                    const int32_t t = bmap[p];                              \
+                    if (t < 0) continue;                                    \
+                    T *yr = Y + (int64_t)t * (K);                           \
+                    const T *yt = ytilde + p * (K);                         \
+                    for (int64_t j = 0; j < (K); ++j) yr[j] += yt[j];       \
+                }                                                           \
             }                                                               \
         }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < m * k; ++i) Y[i] += ylocal[i];              \
         free(ytilde);                                                       \
-        free(ylocal);                                                       \
+    }
+
+#define CSCV_PARTS                                                          \
+        int64_t num_parts, const int64_t *part_ptr, const int64_t *order,   \
+        const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
+        const int32_t *vxg_start
+#define CSCV_MAPS(T)                                                        \
+        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
+        const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
+        int nthreads
+
+#define DEFINE_CSCV_DRIVERS(SUF, T)                                         \
+EXPORT void cscv_z_spmv_##SUF(CSCV_PARTS, const T *values,                  \
+                              int64_t vxg_len, CSCV_MAPS(T)) {              \
+    CSCV_FORWARD(T, 1, cscv_z_block_##SUF(ng, vxg_len, vxg_col + g0,        \
+                 vxg_start + g0, values + g0 * vxg_len, X, ytilde))         \
+}                                                                           \
+EXPORT void cscv_z_spmm_##SUF(int64_t k, CSCV_PARTS, const T *values,       \
+                              int64_t vxg_len, CSCV_MAPS(T)) {              \
+    CSCV_FORWARD(T, k, cscv_z_block_spmm_##SUF(ng, vxg_len, k,              \
+                 vxg_col + g0, vxg_start + g0, values + g0 * vxg_len, X,    \
+                 ytilde))                                                   \
+}                                                                           \
+EXPORT void cscv_m_spmv_##SUF(CSCV_PARTS, const int64_t *vxg_voff,          \
+                              const uint32_t *vxg_masks, const T *packed,   \
+                              int64_t s_vxg, int64_t s_vvec,                \
+                              CSCV_MAPS(T)) {                               \
+    CSCV_FORWARD(T, 1, cscv_m_block_##SUF(ng, s_vxg, s_vvec, vxg_col + g0,  \
+                 vxg_start + g0, vxg_voff + g0, vxg_masks + g0 * s_vxg,     \
+                 packed, X, ytilde))                                        \
+}                                                                           \
+EXPORT void cscv_m_spmm_##SUF(int64_t k, CSCV_PARTS,                        \
+                              const int64_t *vxg_voff,                      \
+                              const uint32_t *vxg_masks, const T *packed,   \
+                              int64_t s_vxg, int64_t s_vvec,                \
+                              CSCV_MAPS(T)) {                               \
+    CSCV_FORWARD(T, k, cscv_m_block_spmm_##SUF(ng, s_vxg, s_vvec, k,        \
+                 vxg_col + g0, vxg_start + g0, vxg_voff + g0,               \
+                 vxg_masks + g0 * s_vxg, packed, X, ytilde))                \
+}                                                                           \
+/* Transpose SpMV X = A^T Y (CT back-projection): per block, gather     */ \
+/* ytilde through the map (the forward reorder run in reverse), then    */ \
+/* one contiguous dot product per VxG added into its column.            */ \
+EXPORT void cscv_z_tspmv_##SUF(CSCV_PARTS, const T *values,                 \
+                               int64_t vxg_len, CSCV_MAPS(T)) {             \
+    _Pragma("omp parallel num_threads(nthreads)")                           \
+    {                                                                       \
+        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
+        _Pragma("omp for schedule(dynamic, 1)")                             \
+        for (int64_t q = 0; q < num_parts; ++q) {                           \
+            for (int64_t i = part_ptr[q]; i < part_ptr[q + 1]; ++i) {       \
+                const int64_t b = order[i];                                 \
+                const int64_t ysz = blk_ysize[b];                           \
+                const int32_t *bmap = map + blk_map_ptr[b];                 \
+                for (int64_t p = 0; p < ysz; ++p) {                         \
+                    const int32_t t = bmap[p];                              \
+                    ytilde[p] = (t >= 0) ? X[t] : (T)0;                     \
+                }                                                           \
+                for (int64_t g = blk_vxg_ptr[b]; g < blk_vxg_ptr[b + 1];    \
+                     ++g) {                                                 \
+                    const T *v = values + g * vxg_len;                      \
+                    const T *yt = ytilde + vxg_start[g];                    \
+                    T acc = (T)0;                                           \
+                    for (int64_t l = 0; l < vxg_len; ++l)                   \
+                        acc += v[l] * yt[l];                                \
+                    Y[vxg_col[g]] += acc;                                   \
+                }                                                           \
+            }                                                               \
+        }                                                                   \
+        free(ytilde);                                                       \
     }                                                                       \
 }
 
-DEFINE_CSCV_M_SPMM_FULL(f32, float)
-DEFINE_CSCV_M_SPMM_FULL(f64, double)
+DEFINE_CSCV_DRIVERS(f32, float)
+DEFINE_CSCV_DRIVERS(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* SPC5-style beta(1,c) row-block kernel: per block one row id, a       */
@@ -622,74 +491,6 @@ EXPORT void spc5_spmv_##SUF(int64_t num_blocks, const int32_t *blk_row,     \
 
 DEFINE_SPC5(f32, float)
 DEFINE_SPC5(f64, double)
-
-
-/* ------------------------------------------------------------------ */
-/* CSCV-Z transpose SpMV: x = A^T y (CT back-projection).               */
-/* Per block: gather ytilde through the map (the forward reorder run    */
-/* in reverse), then one contiguous dot product per VxG.  Columns repeat*/
-/* across view-group blocks, so threads use private x copies + reduce.  */
-
-#define DEFINE_CSCV_Z_TSPMV(SUF, T)                                         \
-EXPORT void cscv_z_tspmv_##SUF(                                             \
-        int64_t n, int64_t num_blocks, const int64_t *blk_vxg_ptr,          \
-        const int32_t *vxg_col, const int32_t *vxg_start, const T *values,  \
-        int64_t vxg_len, const int64_t *blk_ysize,                          \
-        const int64_t *blk_map_ptr, const int32_t *map, const T *y, T *x,   \
-        int64_t max_ysize, int nthreads) {                                  \
-    if (nthreads <= 1) {                                                    \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                ytilde[p] = (t >= 0) ? y[t] : (T)0;                         \
-            }                                                               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            for (int64_t g = g0; g < g1; ++g) {                             \
-                const T *v = values + g * vxg_len;                          \
-                const T *yt = ytilde + vxg_start[g];                        \
-                T acc = (T)0;                                               \
-                for (int64_t k = 0; k < vxg_len; ++k)                       \
-                    acc += v[k] * yt[k];                                    \
-                x[vxg_col[g]] += acc;                                       \
-            }                                                               \
-        }                                                                   \
-        free(ytilde);                                                       \
-        return;                                                             \
-    }                                                                       \
-    _Pragma("omp parallel num_threads(nthreads)")                           \
-    {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
-        T *xlocal = (T *)calloc((size_t)n, sizeof(T));                      \
-        _Pragma("omp for schedule(dynamic, 1)")                             \
-        for (int64_t b = 0; b < num_blocks; ++b) {                          \
-            const int64_t ysz = blk_ysize[b];                               \
-            const int32_t *bmap = map + blk_map_ptr[b];                     \
-            for (int64_t p = 0; p < ysz; ++p) {                             \
-                const int32_t t = bmap[p];                                  \
-                ytilde[p] = (t >= 0) ? y[t] : (T)0;                         \
-            }                                                               \
-            const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1];     \
-            for (int64_t g = g0; g < g1; ++g) {                             \
-                const T *v = values + g * vxg_len;                          \
-                const T *yt = ytilde + vxg_start[g];                        \
-                T acc = (T)0;                                               \
-                for (int64_t k = 0; k < vxg_len; ++k)                       \
-                    acc += v[k] * yt[k];                                    \
-                xlocal[vxg_col[g]] += acc;                                  \
-            }                                                               \
-        }                                                                   \
-        _Pragma("omp critical")                                             \
-        for (int64_t i = 0; i < n; ++i) x[i] += xlocal[i];                  \
-        free(ytilde);                                                       \
-        free(xlocal);                                                       \
-    }                                                                       \
-}
-
-DEFINE_CSCV_Z_TSPMV(f32, float)
-DEFINE_CSCV_Z_TSPMV(f64, double)
 
 /* ------------------------------------------------------------------ */
 /* Projector sweep kernels: geometry -> COO triplets for a view range.  */
@@ -999,4 +800,4 @@ EXPORT void kernels_set_omp_threads(int nthreads) {
 #endif
 }
 
-EXPORT int kernels_abi_version(void) { return 6; }
+EXPORT int kernels_abi_version(void) { return 7; }

@@ -9,6 +9,7 @@ classes construct their arrays that way).
 from __future__ import annotations
 
 import ctypes
+import os
 import warnings
 
 import numpy as np
@@ -77,6 +78,32 @@ _RESTYPES = {
 }
 
 
+# The five CSCV drivers share one shape (the SpMM ones prepend k, the
+# RHS count): owner parts and block layout, the variant's value arrays,
+# then the ytilde maps, the operands and the thread count.
+def _cscv_sig(fp, variant: str) -> list:
+    if variant == "z":  # values, vxg_len
+        values = [fp, _c_i64]
+    else:  # vxg_voff, vxg_masks, packed, s_vxg, s_vvec
+        values = [_i64, _u32, fp, _c_i64, _c_i64]
+    return [
+        _c_i64,  # num_parts
+        _i64,    # part_ptr
+        _i64,    # order: block indices, part after part
+        _i64,    # blk_vxg_ptr
+        _i32,    # vxg_col
+        _i32,    # vxg_start
+        *values,
+        _i64,    # blk_ysize
+        _i64,    # blk_map_ptr
+        _i32,    # map
+        fp,      # X: the operand, (·,) or (·, k) row-major
+        fp,      # Y: the result, zeroed by the caller
+        _c_i64,  # max_ysize
+        _c_int,  # nthreads
+    ]
+
+
 def _signatures(dtype) -> dict[str, list]:
     fp = _f(dtype)
     return {
@@ -88,95 +115,12 @@ def _signatures(dtype) -> dict[str, list]:
         "csr_spmm": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "csc_spmv": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "ell_spmv": [_c_i64, _c_i64, _i32, fp, fp, fp],
-        "cscv_z_spmv": [
-            _c_i64,  # m
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # x
-            fp,      # y
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_z_spmm": [
-            _c_i64,  # m
-            _c_i64,  # k (RHS count)
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # X (n, k) row-major
-            fp,      # Y (m, k) row-major
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_m_spmv": [
-            _c_i64,  # m
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            _i64,    # vxg_voff
-            _u32,    # vxg_masks
-            fp,      # packed
-            _c_i64,  # s_vxg
-            _c_i64,  # s_vvec
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # x
-            fp,      # y
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
-        "cscv_m_spmm": [
-            _c_i64,  # m
-            _c_i64,  # k (RHS count)
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            _i64,    # vxg_voff
-            _u32,    # vxg_masks
-            fp,      # packed
-            _c_i64,  # s_vxg
-            _c_i64,  # s_vvec
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # X (n, k) row-major
-            fp,      # Y (m, k) row-major
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
+        "cscv_z_spmv": _cscv_sig(fp, "z"),
+        "cscv_z_spmm": [_c_i64, *_cscv_sig(fp, "z")],
+        "cscv_m_spmv": _cscv_sig(fp, "m"),
+        "cscv_m_spmm": [_c_i64, *_cscv_sig(fp, "m")],
+        "cscv_z_tspmv": _cscv_sig(fp, "z"),
         "spc5_spmv": [_c_i64, _i32, _i32, _u32, _i64, fp, _c_i64, fp, fp, _c_i64],
-        "cscv_z_tspmv": [
-            _c_i64,  # n
-            _c_i64,  # num_blocks
-            _i64,    # blk_vxg_ptr
-            _i32,    # vxg_col
-            _i32,    # vxg_start
-            fp,      # values
-            _c_i64,  # vxg_len
-            _i64,    # blk_ysize
-            _i64,    # blk_map_ptr
-            _i32,    # map
-            fp,      # y
-            fp,      # x (output)
-            _c_i64,  # max_ysize
-            _c_int,  # nthreads
-        ],
     }
 
 
@@ -185,6 +129,11 @@ class KernelLibrary:
 
     def __init__(self, path: str):
         self.path = path
+        # Idle OpenMP workers sleep rather than spin, unless the caller set
+        # a policy.  libgomp reads this when the library loads it.  On a
+        # 2-vCPU VM a spinning worker slowed a 0.6 ms two-thread CSCV
+        # product to 4-8 ms; sleeping workers measured no slower at 256^2.
+        os.environ.setdefault("OMP_WAIT_POLICY", "passive")
         self._lib = ctypes.CDLL(path)
         self._fns: dict[tuple[str, np.dtype], object] = {}
         abi = self._lib.kernels_abi_version

@@ -44,30 +44,6 @@ def _sync_omp_threads(lib) -> None:
         _omp_synced = want
 
 
-def set_omp_threads(n: int) -> bool:
-    """Explicitly pin the compiled library's OpenMP thread count.
-
-    Returns True when a compiled library was present to receive the
-    setting (sharding workers call this with their clamped budget so the
-    per-process kernels never oversubscribe the host).  Also updates
-    ``config.runtime.threads`` so the blocked CSCV kernels' per-call
-    thread count and later dispatch syncs agree with the pin.
-    """
-    global _omp_synced
-    n = max(1, int(n))
-    config.runtime.threads = n
-    if config.runtime.backend == "numpy":
-        return False
-    from repro.kernels.cbindings import load_library
-
-    lib = load_library()
-    if lib is None:
-        return False
-    lib.set_omp_threads(n)
-    _omp_synced = n
-    return True
-
-
 def get(name: str, dtype) -> object | None:
     """C kernel callable for *name*/*dtype*, or ``None`` for NumPy fallback."""
     if config.runtime.backend == "numpy":

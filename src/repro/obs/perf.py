@@ -51,8 +51,6 @@ __all__ = [
     "record_cscv",
     "record_format",
     "record_build",
-    "record_shard",
-    "record_reduce",
     "ConvergenceMeter",
     "GBS_BUCKETS",
     "FRACTION_BUCKETS",
@@ -361,39 +359,6 @@ def record_build(*, seconds: float, bytes_written: float, nnz: int) -> None:
     obs_metrics.counter(
         "perf.bytes_written", "theoretical bytes written by accounted dispatches"
     ).inc(bytes_written)
-
-
-# ---------------------------------------------------------------------- #
-# sharded execution (repro.dist) — recorded unconditionally, like the
-# serve metrics: shard dispatch is rare and coarse enough that the
-# histogram cost is noise, and topology-level latency must be visible
-# without flipping the tracing switch.
-
-#: Per-shard SpMV/SpMM wall-time buckets (seconds).
-SHARD_SECONDS_BUCKETS = (1e-4, 2.5e-4, 1e-3, 2.5e-3, 1e-2, 2.5e-2,
-                         0.1, 0.25, 1.0, 2.5, 10.0)
-
-
-def record_shard(op: str, seconds: float) -> None:
-    """Record one shard's forward/adjoint compute time (any mode)."""
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.histogram(
-        f"dist.shard_seconds.{op}",
-        "per-shard SpMV/SpMM wall time in sharded execution (seconds)",
-        buckets=SHARD_SECONDS_BUCKETS,
-    ).observe(seconds)
-
-
-def record_reduce(op: str, seconds: float) -> None:
-    """Record one fixed-order reduction over per-shard partials."""
-    from repro.obs import metrics as obs_metrics
-
-    obs_metrics.histogram(
-        f"dist.reduce_seconds.{op}",
-        "fixed-order reduction time over per-shard partials (seconds)",
-        buckets=SHARD_SECONDS_BUCKETS,
-    ).observe(seconds)
 
 
 # ---------------------------------------------------------------------- #

@@ -19,7 +19,7 @@ from repro.errors import ValidationError
 from repro.resilience import faults
 from repro.resilience.guards import check as guard_check
 from repro.sparse.matrix_base import SpMVFormat
-from repro.utils.arrays import check_1d, ensure_dtype
+from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
 
 class ProjectionOperator:
@@ -77,18 +77,14 @@ class ProjectionOperator:
         if self._adj_fallback is None:
             self._adj_fallback = self._build_fallback()
         res = self._adj_fallback.spmv(
-            ensure_dtype(check_1d(y, self.shape[0], "y"), self.dtype, "y")
+            ensure_dtype(check_1d(y, self.shape[0], "y"), self.dtype, "y"), out
         )
         guard_check(res, "A^T y", where="operator.adjoint", kind="output")
-        if out is None:
-            return res
-        out[:] = res
-        return out
+        return res
 
     def _adjoint_batch(self, Y: np.ndarray, out: np.ndarray | None) -> np.ndarray:
         if Y.shape[0] != self.shape[0]:
             raise ValidationError(f"y must have shape ({self.shape[0]}, k), got {Y.shape}")
-        k = Y.shape[1]
         native_mm = getattr(self.fmt, "transpose_spmm", None)
         if native_mm is not None:
             return native_mm(Y, out)
@@ -98,11 +94,8 @@ class ProjectionOperator:
                 self._adj_fallback = self._build_fallback()
             Yc = np.ascontiguousarray(Y, dtype=self.dtype)
             return self._adj_fallback.spmm(Yc, out)
-        if out is None:
-            out = np.zeros((self.shape[1], k), dtype=self.dtype)
-        elif out.shape != (self.shape[1], k):
-            raise ValidationError(f"out must have shape ({self.shape[1]}, {k})")
-        for j in range(k):
+        out = check_out(out, (self.shape[1], Y.shape[1]), self.dtype)
+        for j in range(Y.shape[1]):
             out[:, j] = native(np.ascontiguousarray(Y[:, j]))
         return out
 

@@ -24,11 +24,6 @@ site                             actions understood by the call site
                                  (unloadable .so)
 ``pool.task.<subsystem>``        ``raise`` (worker crash); subsystems:
                                  ``pack``, ``sweep``
-``dist.worker.task``             ``raise`` (shard-worker task failure,
-                                 surfaces as an error reply) or ``exit``
-                                 (hard ``os._exit`` — models an OOM
-                                 kill; the pool respawns once, then
-                                 degrades to in-process serial)
 ``operator.input.<direction>``   ``nan`` / ``inf`` (poisoned operand);
                                  directions: ``forward``, ``adjoint``
 ``journal.append``               ``oserror`` / ``enospc`` (job-journal

@@ -103,15 +103,6 @@ class ServeConfig:
     max_jobs_history : int
         Finished jobs retained for ``GET /v1/jobs/<id>`` before the
         oldest are dropped.
-    shard_workers : int or None
-        Worker *processes* per operator for sharded execution (process
-        isolation for NumPy-path tenants; see :mod:`repro.dist`).
-        ``None`` (default) inherits ``REPRO_SHARD_WORKERS``; 1 disables
-        sharding.  Sharded operators are held (and their pools kept
-        warm) for the runner's lifetime, keyed by operator hash.
-    shard_transport : str or None
-        Transport for shard workers (``None`` inherits
-        ``REPRO_SHARD_TRANSPORT``).
     journal_dir : str or None
         Directory of the durable job journal
         (:class:`~repro.serve.journal.JobJournal`).  ``None`` (default)
@@ -135,8 +126,6 @@ class ServeConfig:
     default_deadline_s: float | None = None
     cache: bool = True
     max_jobs_history: int = 4096
-    shard_workers: int | None = None
-    shard_transport: str | None = None
     journal_dir: str | None = None
     recover: bool = True
     ckpt_every: int | None = None
@@ -145,8 +134,6 @@ class ServeConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValidationError("workers must be >= 1")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValidationError("shard_workers must be >= 1")
         if self.max_queue_depth < 1:
             raise ValidationError("max_queue_depth must be >= 1")
         if self.max_batch < 1:
@@ -204,11 +191,6 @@ class ReconstructionService:
                 else "disabled"
             )
         }
-        #: sharded operators kept (pools warm) for the service lifetime,
-        #: keyed by operator hash; guarded by a thread lock because
-        #: batches execute on worker threads
-        self._sharded_ops: dict = {}
-        self._ops_lock = threading.Lock()
 
         m = obs_metrics
         self._m_submitted = m.counter("serve.jobs.submitted", "jobs admitted")
@@ -322,10 +304,6 @@ class ReconstructionService:
             await asyncio.gather(*self._inflight, return_exceptions=True)
         async with self._cond:
             self._fail_queued_for_shutdown()
-        with self._ops_lock:
-            ops, self._sharded_ops = list(self._sharded_ops.values()), {}
-        for op in ops:
-            op.close()
         if self.journal is not None:
             try:
                 if not self._draining:  # drain already wrote the marker
@@ -524,7 +502,6 @@ class ReconstructionService:
             "workers": self.config.workers,
             "max_queue_depth": self.config.max_queue_depth,
             "max_batch": self.config.max_batch,
-            "sharding": self._sharding_stats(),
             "ready": self.ready,
             "draining": self._draining,
             "journal": {
@@ -533,25 +510,6 @@ class ReconstructionService:
             },
             "recovery": dict(self.recovery),
         }
-
-    def _sharding_stats(self) -> dict:
-        """Shard topology block for ``/healthz`` / the CLI."""
-        from repro import config as repro_config
-
-        workers = self._resolved_shard_workers()
-        info: dict = {
-            "enabled": workers > 1,
-            "workers": workers,
-            "transport": (
-                self.config.shard_transport
-                or repro_config.runtime.shard_transport
-            ),
-        }
-        with self._ops_lock:
-            ops = list(self._sharded_ops.values())
-        if ops:
-            info["operators"] = [op.topology() for op in ops]
-        return info
 
     # ------------------------------------------------------------------ #
     # restart recovery
@@ -938,7 +896,13 @@ class ReconstructionService:
                     raise _BatchSuspend()
 
         try:
-            op = self._operator(req)
+            op = api.operator(
+                req.geom,
+                fmt=req.fmt,
+                projector=req.projector,
+                dtype=req.dtype,
+                cache=self.config.cache,
+            )
             if req.resume_from is not None:
                 # recovered jobs run solo (resume vetoes coalescing);
                 # column arrays in the checkpoint are (n, 1)
@@ -1029,51 +993,6 @@ class ReconstructionService:
                 self._m_ckpt.inc()
             except OSError:
                 self._m_ckpt_err.inc()
-
-    def _resolved_shard_workers(self) -> int:
-        if self.config.shard_workers is not None:
-            return self.config.shard_workers
-        from repro import config as repro_config
-
-        return repro_config.runtime.shard_workers
-
-    def _operator(self, req):
-        """The batch's operator — sharded (and pooled) when configured.
-
-        Sharded operators are cached per operator hash so their worker
-        pools persist across batches; the plain path stays exactly the
-        facade call it always was (the persistent operator cache makes
-        repeat loads near-free).
-        """
-        from repro import api
-
-        workers = self._resolved_shard_workers()
-        if workers <= 1:
-            return api.operator(
-                req.geom,
-                fmt=req.fmt,
-                projector=req.projector,
-                dtype=req.dtype,
-                cache=self.config.cache,
-            )
-        key = api.operator_cache_key(
-            req.geom, fmt=req.fmt, projector=req.projector, dtype=req.dtype
-        )
-        with self._ops_lock:
-            op = self._sharded_ops.get(key)
-            if op is None:
-                op = api.operator(
-                    req.geom,
-                    fmt=req.fmt,
-                    projector=req.projector,
-                    dtype=req.dtype,
-                    cache=self.config.cache,
-                    shard_workers=workers,
-                )
-                if self.config.shard_transport is not None:
-                    op.transport_name = self.config.shard_transport
-                self._sharded_ops[key] = op
-        return op
 
     def _trim_history(self) -> None:
         """Drop the oldest finished jobs beyond ``max_jobs_history``."""

@@ -95,10 +95,9 @@ class CSCMatrix(SpMVFormat):
     def transpose_spmv(self, y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x = A^T y``: for CSC this is a clean per-column dot product."""
         from repro.sparse.csr import segment_sum
-        from repro.utils.arrays import check_1d, ensure_dtype
+        from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
         y_in = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=self.dtype)
+        out = check_out(out, (self.shape[1],), self.dtype)
         products = self.vals * y_in[self.row_idx]
         return segment_sum(products, self.col_ptr, out)

@@ -19,6 +19,7 @@ from repro.kernels import dispatch
 from repro.obs import perf as obs_perf
 from repro.sparse.coo import COOMatrix
 from repro.sparse.matrix_base import SpMVFormat, register_format
+from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
 
 def segment_sum(products: np.ndarray, ptr: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -139,13 +140,9 @@ class CSRMatrix(SpMVFormat):
 
     def transpose_spmv(self, y_in: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``x = A^T y`` — the back-projection direction (paper future work)."""
-        from repro.utils.arrays import check_1d, ensure_dtype
-
         y_in = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
-        if out is None:
-            out = np.zeros(self.shape[1], dtype=self.dtype)
-        else:
-            out[:] = 0
+        out = check_out(out, (self.shape[1],), self.dtype)
+        out[:] = 0
         contrib = self.vals * np.repeat(y_in, np.diff(self.row_ptr))
         np.add.at(out, self.col_idx, contrib)
         return out
@@ -156,11 +153,8 @@ class CSRMatrix(SpMVFormat):
         if Y_in.ndim != 2 or Y_in.shape[0] != self.shape[0]:
             raise ValidationError(f"Y must have shape ({self.shape[0]}, k)")
         Yc = np.ascontiguousarray(Y_in, dtype=self.dtype)
-        k = Yc.shape[1]
-        if out is None:
-            out = np.zeros((self.shape[1], k), dtype=self.dtype)
-        else:
-            out[:] = 0
+        out = check_out(out, (self.shape[1], Yc.shape[1]), self.dtype)
+        out[:] = 0
         contrib = self.vals[:, None] * np.repeat(Yc, np.diff(self.row_ptr), axis=0)
         np.add.at(out, self.col_idx, contrib)
         return out

@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from repro.config import INDEX_DTYPE
 from repro.sparse.matrix_base import SpMVFormat, coo_validate, register_format
+from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
 
 class _ScipyBacked(SpMVFormat):
@@ -70,10 +71,9 @@ class MKLLikeCSR(_ScipyBacked):
 
     def transpose_spmv(self, y_in, out=None):
         """``x = A^T y`` through scipy's transposed product."""
-        res = self._m.T @ np.ascontiguousarray(y_in, dtype=self.dtype)
-        if out is None:
-            return res.astype(self.dtype, copy=False)
-        out[:] = res
+        y = ensure_dtype(check_1d(y_in, self.shape[0], "y"), self.dtype, "y")
+        out = check_out(out, (self.shape[1],), self.dtype)
+        out[:] = self._m.T @ y
         return out
 
 

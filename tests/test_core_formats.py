@@ -1,5 +1,5 @@
 """Tests for the CSCV-Z / CSCV-M execution formats: SpMV correctness,
-transpose, memory model, threading — under both backends."""
+transpose, memory model, threading, ``out=`` validation — under both backends."""
 
 import numpy as np
 import pytest
@@ -174,9 +174,6 @@ class TestOutValidation:
             fmt.transpose_spmm(Y, out=out)
 
     def test_valid_out_is_filled_in_place(self, fmt, backend):
-        # Multi-threaded C kernels sum per-thread partials in arrival
-        # order; one thread makes the two products bitwise comparable.
-        fmt.threads = 1
         y = np.ones(fmt.shape[0], dtype=np.float32)
         out = np.full(fmt.shape[1], 7.0, dtype=np.float32)
         assert fmt.transpose_spmv(y, out=out) is out

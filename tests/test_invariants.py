@@ -3,7 +3,7 @@
 Every row of :data:`repro.core.spmv.ROUTES` — CSCV-Z and CSCV-M, forward
 and adjoint, 1-D and ``(·, k)`` — is checked at float32 and float64, on
 the C kernels and the NumPy fallback, for k in {1, 3, 8}, on an odd
-(33²) and an even (64²) operator, at one kernel thread:
+(33²) and an even (64²) operator, at the default kernel thread count:
 
 (a) ``<A x, y> == <x, A^T y>`` up to rounding;
 (b) C == NumPy within :data:`C_VS_NUMPY_TOL` — the NumPy fallback
@@ -11,7 +11,10 @@ the C kernels and the NumPy fallback, for k in {1, 3, 8}, on an odd
     matrix dtype; at any thread count;
 (c) column j of a k-wide product is bit-equal to the ``(·, 1)`` product
     of that column alone (batched == solo);
-(d) the 1-D NumPy product is bit-equal to the ``(·, 1)`` NumPy product.
+(d) the 1-D NumPy product is bit-equal to the ``(·, 1)`` NumPy product;
+(e) every row with a C kernel is bit-equal at any kernel thread count:
+    each thread owns whole view groups (forward) or image tile rows
+    (adjoint), so no output entry is summed in thread arrival order.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ def _row_id(row) -> str:
     return f"{variant}-{'adj' if adjoint else 'fwd'}-{'2d' if two_d else '1d'}"
 
 
+#: The :data:`CASES` whose row is served by a C kernel.
+C_CASES = [(row, k) for row, k in CASES if ROUTES[row][2] is not None]
+
+
 @pytest.fixture(scope="module",
                 params=[(s, np.dtype(d)) for s in SIZES for d in DTYPES],
                 ids=lambda p: f"{p[0]}-{p[1].name}")
@@ -67,7 +74,7 @@ def kernels(request, monkeypatch):
     return request.param
 
 
-def _fmt(data, variant: str, threads: int = 1):
+def _fmt(data, variant: str, threads: int | None = None):
     cls = CSCVZMatrix if variant == "z" else CSCVMMatrix
     return cls(data, threads=threads)
 
@@ -143,12 +150,26 @@ def test_d_vector_equals_single_column(data, monkeypatch, row):
                                   _bits(_apply(fmt, adjoint, v[:, None])[:, 0]))
 
 
+@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("row,k", C_CASES,
+                         ids=[f"{_row_id(r)}-k{k}" for r, k in C_CASES])
+def test_e_thread_count_bit_equal(data, monkeypatch, row, k, threads):
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() != "c":
+        pytest.skip("compiled kernels unavailable")
+    adjoint, variant, _ = row
+    v = _operand(_fmt(data, variant), adjoint, k, 7)
+    serial = _apply(_fmt(data, variant, 1), adjoint, v)
+    got = _apply(_fmt(data, variant, threads), adjoint, v)
+    np.testing.assert_array_equal(_bits(got), _bits(serial))
+
+
 def test_sirt_stack_column_equals_solo_float64(kernels):
     """End to end: a float64 CSCV-Z SIRT stack reproduces its solo runs."""
     from repro.recon import ProjectionOperator, sirt_reconstruct
 
     coo, geom = build_ct_matrix(48, dtype=np.float64)
-    op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom, threads=1))
+    op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom))
     rng = np.random.default_rng(6)
     sino = op.forward(rng.random((op.shape[1], 4)))
     stack = sirt_reconstruct(op, sino, iterations=5)

@@ -344,9 +344,7 @@ class TestLoadCscvDirEviction:
     def saved(self, geom, tmp_path):
         from repro.core.io import save_cscv_dir
 
-        # a monolithic (unsharded) format: this class tests the on-disk
-        # CSCV entry layout, which sharded facades don't expose
-        fmt = operator(geom, fmt="cscv-z", cache=False, shard_workers=1).fmt
+        fmt = operator(geom, fmt="cscv-z", cache=False).fmt
         d = tmp_path / "entry"
         save_cscv_dir(d, fmt.data)
         return d
@@ -696,9 +694,7 @@ class TestWatchdogInSolvers:
         # of the budget from the best iterate with relax backed off: it
         # must be bitwise the fresh run from that iterate
         geom = ParallelBeamGeometry.for_image(24, num_views=36)
-        # one kernel thread: threaded C reductions sum in arrival order,
-        # which would make two runs differ regardless of the solver
-        op = operator(geom, cache=False, threads=1)
+        op = operator(geom, cache=False)
         sino = op.forward(shepp_logan(24).ravel().astype(op.dtype))
         solve = {
             "sirt": lambda **kw: sirt_reconstruct(op, sino, **kw),

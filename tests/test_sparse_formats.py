@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ValidationError
 from repro.sparse import (
     BSRMatrix,
     COOMatrix,
@@ -148,8 +149,6 @@ class TestFormatAgainstDense:
         np.testing.assert_allclose(out, fmt.spmv(x))
 
     def test_input_validation(self, cls, rng):
-        from repro.errors import ValidationError
-
         rows, cols, vals = random_coo(rng, 5, 5)
         fmt = cls.from_coo((5, 5), rows, cols, vals)
         with pytest.raises(ValidationError):
@@ -220,3 +219,105 @@ def test_property_linearity(seed):
     lhs = fmt.spmv(a * x + b * z)
     rhs = a * fmt.spmv(x) + b * fmt.spmv(z)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+
+
+# ---------------------------------------------------------------------- #
+# ``out=`` validation on the non-CSCV adjoints: every native transpose and
+# every ProjectionOperator fallback rejects a mis-shaped, mis-typed or
+# non-C-contiguous buffer with ValidationError instead of resizing,
+# casting or failing deep inside NumPy.
+
+
+@pytest.fixture(scope="module")
+def ct16():
+    from repro.api import build_ct_matrix
+
+    coo, _ = build_ct_matrix(16, dtype=np.float32)
+    return coo
+
+
+def _adjoint_vector(kind, coo):
+    from repro.recon import ProjectionOperator
+
+    cls = {"csr": CSRMatrix, "csc": CSCMatrix, "mkl-csr": MKLLikeCSR,
+           "op-fallback": ELLMatrix}[kind]
+    fmt = cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
+    return ProjectionOperator(fmt).adjoint if kind == "op-fallback" else fmt.transpose_spmv
+
+
+def _adjoint_stack(kind, coo):
+    from repro.recon import ProjectionOperator
+
+    if kind == "csr":
+        return CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).transpose_spmm
+    cls = {"op-columns": CSCMatrix, "op-fallback": ELLMatrix}[kind]
+    return ProjectionOperator(cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)).adjoint
+
+
+VECTOR_ADJOINTS = ["csr", "csc", "mkl-csr", "op-fallback"]
+STACK_ADJOINTS = ["csr", "op-columns", "op-fallback"]
+
+
+class TestAdjointOutValidation:
+    @pytest.mark.parametrize("kind", VECTOR_ADJOINTS)
+    @pytest.mark.parametrize("delta", [1, -1], ids=["long", "short"])
+    def test_vector_wrong_length(self, ct16, kind, delta):
+        adjoint = _adjoint_vector(kind, ct16)
+        y = np.ones(ct16.shape[0], dtype=np.float32)
+        out = np.zeros(ct16.shape[1] + delta, dtype=np.float32)
+        with pytest.raises(ValidationError, match="shape"):
+            adjoint(y, out)
+
+    @pytest.mark.parametrize("kind", VECTOR_ADJOINTS)
+    def test_vector_wrong_dtype(self, ct16, kind):
+        adjoint = _adjoint_vector(kind, ct16)
+        y = np.ones(ct16.shape[0], dtype=np.float32)
+        with pytest.raises(ValidationError, match="float32"):
+            adjoint(y, np.zeros(ct16.shape[1]))
+
+    @pytest.mark.parametrize("kind", VECTOR_ADJOINTS)
+    def test_vector_not_c_contiguous(self, ct16, kind):
+        adjoint = _adjoint_vector(kind, ct16)
+        y = np.ones(ct16.shape[0], dtype=np.float32)
+        out = np.zeros(2 * ct16.shape[1], dtype=np.float32)[::2]
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            adjoint(y, out)
+
+    @pytest.mark.parametrize("kind", VECTOR_ADJOINTS)
+    def test_vector_valid_out_is_filled_in_place(self, ct16, kind):
+        adjoint = _adjoint_vector(kind, ct16)
+        y = np.linspace(0.5, 1.5, ct16.shape[0]).astype(np.float32)
+        out = np.full(ct16.shape[1], 7.0, dtype=np.float32)
+        assert adjoint(y, out) is out
+        np.testing.assert_array_equal(out, adjoint(y))
+
+    @pytest.mark.parametrize("kind", STACK_ADJOINTS)
+    def test_stack_wrong_width(self, ct16, kind):
+        adjoint = _adjoint_stack(kind, ct16)
+        Y = np.ones((ct16.shape[0], 3), dtype=np.float32)
+        with pytest.raises(ValidationError, match="shape"):
+            adjoint(Y, np.zeros((ct16.shape[1], 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("kind", STACK_ADJOINTS)
+    def test_stack_wrong_dtype(self, ct16, kind):
+        adjoint = _adjoint_stack(kind, ct16)
+        Y = np.ones((ct16.shape[0], 3), dtype=np.float32)
+        with pytest.raises(ValidationError, match="float32"):
+            adjoint(Y, np.zeros((ct16.shape[1], 3)))
+
+    @pytest.mark.parametrize("kind", STACK_ADJOINTS)
+    def test_stack_fortran_order(self, ct16, kind):
+        adjoint = _adjoint_stack(kind, ct16)
+        Y = np.ones((ct16.shape[0], 3), dtype=np.float32)
+        out = np.zeros((ct16.shape[1], 3), dtype=np.float32, order="F")
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            adjoint(Y, out)
+
+    @pytest.mark.parametrize("kind", STACK_ADJOINTS)
+    def test_stack_valid_out_is_filled_in_place(self, ct16, kind):
+        adjoint = _adjoint_stack(kind, ct16)
+        rng = np.random.default_rng(3)
+        Y = rng.random((ct16.shape[0], 3)).astype(np.float32)
+        out = np.full((ct16.shape[1], 3), 7.0, dtype=np.float32)
+        assert adjoint(Y, out) is out
+        np.testing.assert_array_equal(out, adjoint(Y))
