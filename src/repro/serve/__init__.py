@@ -1,4 +1,4 @@
-"""repro.serve — the asyncio batch-aggregating reconstruction service.
+"""repro.serve — the batch-aggregating reconstruction service.
 
 The serving layer ties together everything the library already provides
 for multi-tenant traffic: the persistent operator cache shares one
@@ -28,8 +28,8 @@ between — a service that
   **bitwise-identical** to never-interrupted runs; SIGTERM triggers a
   graceful **drain** (stop admitting, checkpoint in-flight work).
 
-Entry points: ``repro serve`` (CLI), :class:`ServiceRunner` (embedded,
-thread-safe), :class:`ReconstructionService` (pure asyncio).
+Entry points: ``repro serve`` (CLI) and :class:`ServiceRunner` (the
+embedded, thread-safe service the HTTP layer and CLI drive).
 """
 
 from repro.serve.jobs import (
@@ -40,11 +40,7 @@ from repro.serve.jobs import (
     parse_job,
 )
 from repro.serve.journal import JobJournal, JournalReplay
-from repro.serve.service import (
-    ReconstructionService,
-    ServeConfig,
-    ServiceRunner,
-)
+from repro.serve.service import ServeConfig, ServiceRunner
 from repro.serve.http import serve_http
 
 __all__ = [
@@ -55,7 +51,6 @@ __all__ = [
     "QueueFullError",
     "ServiceUnavailableError",
     "parse_job",
-    "ReconstructionService",
     "ServeConfig",
     "ServiceRunner",
     "serve_http",

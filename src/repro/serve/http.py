@@ -25,8 +25,7 @@ A ``POST`` during drain/recovery gets 503 with a ``Retry-After`` header
 and a structured retryable body.
 
 Built on ``ThreadingHTTPServer`` only: handler threads call the
-thread-safe :class:`~repro.serve.service.ServiceRunner` bridge, so no
-async code leaks into the HTTP layer.
+thread-safe :class:`~repro.serve.service.ServiceRunner` directly.
 """
 
 from __future__ import annotations
@@ -68,7 +67,10 @@ class _ServeHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0))
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            raise ValidationError("Content-Length must be an integer") from None
         if length <= 0:
             raise ValidationError("request body is required")
         if length > _MAX_BODY:

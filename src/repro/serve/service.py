@@ -1,42 +1,49 @@
 """The batch-aggregating reconstruction service.
 
-:class:`ReconstructionService` is the pure-asyncio core: per-tenant FIFO
-queues behind admission control, a round-robin scheduler that coalesces
-key-compatible jobs into SpMM batches, and a bounded worker pool running
-solves in threads (NumPy/C kernels release the GIL; the event loop stays
-responsive).  :class:`ServiceRunner` wraps it for synchronous callers —
-it owns a dedicated event-loop thread and bridges via
-``run_coroutine_threadsafe`` — and is what the HTTP front-end
-(:mod:`repro.serve.http`), the CLI and the tests use.
+:class:`ServiceRunner` is the whole service: per-tenant FIFO queues
+behind admission control, one scheduler thread that coalesces
+key-compatible jobs into SpMM batches, and a pool of exactly ``workers``
+threads running the solves (NumPy/C kernels release the GIL).  Every
+public method is thread-safe, so the HTTP front-end
+(:mod:`repro.serve.http`), the CLI and the tests call it directly.  One
+``threading.Condition`` guards the queues, the job and idempotency maps
+and the lifecycle flags.
 
 Scheduling walk-through
 -----------------------
 1. ``submit`` validates the payload (:func:`~repro.serve.jobs.parse_job`),
-   applies admission control (tenant queue depth), enqueues and notifies.
+   applies admission control (tenant queue depth), journals, enqueues
+   and notifies.
 2. The scheduler picks the next job **round-robin across tenants** so a
    saturating tenant cannot starve the others, then — if the job's solver
    is batch-capable and its parameters don't veto coalescing — waits one
    ``batch_window_s`` and drains up to ``max_batch - 1`` queued jobs with
    the **same batch key** (operator hash + solver + canonical params)
    from any tenant into the batch.
-3. A worker slot is acquired (``workers`` concurrent batches at most) and
-   the batch runs in a thread: one operator (served by the persistent
-   cache), the k sinograms stacked to an (m, k) array, one call to
-   :func:`repro.api.reconstruct`.  Column-separable solver recurrences
-   make every column bitwise-identical to its solo run.
+3. The scheduler waits for a free worker (``workers`` concurrent batches
+   at most) and hands the batch to the pool: one operator (served by the
+   persistent cache), the k sinograms stacked to an (m, k) array, one
+   call to :func:`repro.api.reconstruct`.  Column-separable solver
+   recurrences make every column bitwise-identical to its solo run.
 4. The solver's :class:`~repro.recon.events.IterationEvent` stream feeds
    each job's progress log and enforces mid-run deadlines; a batch whose
    jobs have all expired aborts early.
+
+``stop`` and ``drain`` wake both scheduler waits (the batch window and
+the wait for a worker).  A batch the scheduler still holds then goes
+back to the front of its tenant queues and fails with the other queued
+jobs.
 """
 
 from __future__ import annotations
 
-import asyncio
+import functools
 import itertools
 import os
 import threading
 import time
 from collections import OrderedDict, deque
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +68,7 @@ from repro.serve.jobs import (
     request_payload,
 )
 
-__all__ = ["ServeConfig", "ReconstructionService", "ServiceRunner"]
+__all__ = ["ServeConfig", "ServiceRunner"]
 
 #: Buckets sized for batch widths rather than durations.
 _WIDTH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0)
@@ -115,7 +122,7 @@ class ServeConfig:
         Persist a solver checkpoint every N iterations for journaled
         jobs; ``None`` inherits ``REPRO_CKPT_EVERY``.
     drain_timeout_s : float
-        How long :meth:`ReconstructionService.drain` waits for in-flight
+        How long :meth:`ServiceRunner.drain` waits for in-flight
         batches to finish or checkpoint before giving up on them.
     """
 
@@ -150,11 +157,13 @@ class ServeConfig:
             raise ValidationError("drain_timeout_s must be > 0")
 
 
-class ReconstructionService:
-    """Asyncio core: queues, scheduler, coalescer, worker pool.
+class ServiceRunner:
+    """The reconstruction service: queues, scheduler, coalescer, worker
+    pool.  Thread-safe; synchronous callers use it directly::
 
-    Use from inside a running event loop (``await service.start()``), or
-    through :class:`ServiceRunner` from synchronous code.
+        with ServiceRunner(ServeConfig(workers=4)) as runner:
+            job = runner.submit(payload)           # may raise 400/429 errors
+            job = runner.wait(job.id, timeout=60)
     """
 
     def __init__(self, config: ServeConfig | None = None):
@@ -162,10 +171,12 @@ class ReconstructionService:
         self._jobs: dict[str, Job] = {}
         self._queues: "OrderedDict[str, deque]" = OrderedDict()
         self._rr: deque = deque()               # tenant rotation order
-        self._cond: asyncio.Condition | None = None
-        self._sem: asyncio.Semaphore | None = None
-        self._scheduler: asyncio.Task | None = None
-        self._inflight: set = set()
+        #: guards the queues, _jobs, _idem, _inflight and lifecycle flags
+        self._cond = threading.Condition()
+        self._pool: futures.ThreadPoolExecutor | None = None
+        self._scheduler: threading.Thread | None = None
+        self._boot: threading.Thread | None = None
+        self._inflight: set = set()             # futures of solving batches
         self._batch_ids = itertools.count(1)
         self._stopping = False
         self._draining = False
@@ -182,7 +193,6 @@ class ReconstructionService:
         self._idem: dict[str, str] = {}
         #: readiness: false until start() (and recovery replay) completes
         self._ready = False
-        self._recovery_task: asyncio.Task | None = None
         #: what recovery found/did, surfaced in stats() and /healthz
         self.recovery: dict = {
             "state": (
@@ -241,86 +251,90 @@ class ReconstructionService:
     # ------------------------------------------------------------------ #
     # lifecycle
 
-    async def start(self, *, run_scheduler: bool = True) -> None:
-        """Create loop-bound primitives and launch the scheduler.
+    def start(self, *, run_scheduler: bool = True) -> "ServiceRunner":
+        """Create the worker pool and launch the scheduler thread (and,
+        with a journal and ``recover``, the recovery boot thread).
 
         ``run_scheduler=False`` admits and queues jobs without ever
         dispatching them — the deterministic mode the admission-control
         tests use.
         """
-        if self._scheduler is not None or self._cond is not None:
-            return
-        self._cond = asyncio.Condition()
-        self._sem = asyncio.Semaphore(self.config.workers)
-        self._stopping = False
-        self._draining = False
-        self._drain_event.clear()
-        if self.journal is not None and self.config.recover:
-            # readiness stays false until the replay finishes; submits
-            # in the meantime get 503 "recovering"
-            self._recovery_task = asyncio.create_task(
-                self._recover(), name="repro-serve-recovery"
+        with self._cond:
+            if self._pool is not None:
+                return self
+            self._pool = futures.ThreadPoolExecutor(
+                self.config.workers, thread_name_prefix="repro-serve-worker"
             )
-        else:
-            self._ready = True
+            self._stopping = self._draining = False
+            self._drain_event.clear()
+            # readiness stays false until the journal replay finishes;
+            # submits in the meantime get 503 "recovering"
+            recover = self.journal is not None and self.config.recover
+            self._ready = not recover
+            self._cond.notify_all()
+        if recover:
+            self._boot = self._spawn(self._recover, "repro-serve-recovery")
         if run_scheduler:
-            self._scheduler = asyncio.create_task(
-                self._schedule_loop(), name="repro-serve-scheduler"
-            )
+            self._scheduler = self._spawn(self._schedule_loop, "repro-serve-scheduler")
+        return self
+
+    @staticmethod
+    def _spawn(target, name: str) -> threading.Thread:
+        thread = threading.Thread(target=target, name=name, daemon=True)
+        thread.start()
+        return thread
+
+    def __enter__(self) -> "ServiceRunner":
+        return self.start()
+
+    def __exit__(self, *exc) -> None:
+        self.stop()
 
     @property
     def ready(self) -> bool:
         """Readiness (the ``/readyz`` answer): started, recovery replay
         done, and not draining.  Liveness is separate — a recovering or
         draining service is alive but not ready."""
-        return self._ready and not self._draining and not self._stopping
+        return (self._pool is not None and self._ready
+                and not self._draining and not self._stopping)
 
-    async def stop(self) -> None:
-        """Cancel the scheduler, drain running batches, fail queued jobs.
+    def wait_ready(self, timeout: float = 30.0) -> bool:
+        """Block until the service is ready (recovery replay finished)."""
+        with self._cond:
+            return self._cond.wait_for(lambda: self.ready, timeout)
+
+    def stop(self) -> None:
+        """Stop the scheduler, wait for running batches, fail queued jobs.
 
         Queued jobs are failed **retryable** (``error: "shutdown"``) —
         with journaling on they carry no finish record, so a restart
         with recovery re-enqueues and completes them.
         """
-        if self._cond is None:
-            return
-        self._stopping = True
-        self._ready = False
-        if self._recovery_task is not None:
-            self._recovery_task.cancel()
-            try:
-                await self._recovery_task
-            except asyncio.CancelledError:
-                pass
-            self._recovery_task = None
-        if self._scheduler is not None:
-            self._scheduler.cancel()
-            try:
-                await self._scheduler
-            except asyncio.CancelledError:
-                pass
-            self._scheduler = None
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
-        async with self._cond:
+        with self._cond:
+            pool, self._pool = self._pool, None
+            if pool is None:
+                return
+            self._stopping = True
+            self._cond.notify_all()
+        self._join_threads()
+        pool.shutdown(wait=True)
+        with self._cond:
             self._fail_queued_for_shutdown()
         if self.journal is not None:
-            try:
-                if not self._draining:  # drain already wrote the marker
-                    self.journal.log_shutdown()
-                    self._m_journal.inc()
-            except OSError:
-                self._m_journal_err.inc()
+            if not self._draining:  # drain already wrote the marker
+                self._journal(lambda journal: journal.log_shutdown())
             self.journal.close()
 
-    def _fail_queued_for_shutdown(self) -> None:
-        """Fail every queued job retryable-at-shutdown (hold ``_cond``).
+    def _fail_queued_for_shutdown(self) -> int:
+        """Fail every queued job retryable-at-shutdown (hold ``_cond``);
+        returns how many.
 
         Deliberately NOT journaled as finished: with the journal on,
         these jobs stay pending in the log and restart recovery re-runs
         them — the structured error tells the client either outcome is
         safe to retry.
         """
+        failed = 0
         for q in self._queues.values():
             while q:
                 job = q.popleft()
@@ -333,9 +347,19 @@ class ReconstructionService:
                     "retryable": True,
                 })
                 self._m_failed.inc()
+                failed += 1
         self._gauge_depth()
+        return failed
 
-    async def drain(self, timeout: float | None = None) -> dict:
+    def _join_threads(self) -> None:
+        """Wait out the boot and scheduler threads once ``_stopping`` or
+        ``_draining`` is raised; the scheduler requeues what it holds."""
+        for thread in (self._boot, self._scheduler):
+            if thread is not None:
+                thread.join()
+        self._boot = self._scheduler = None
+
+    def drain(self, timeout: float | None = None) -> dict:
         """Graceful shutdown, phase one: stop admitting, settle in-flight.
 
         New submissions get 503 (``ServiceUnavailableError``) the moment
@@ -348,46 +372,27 @@ class ReconstructionService:
         A clean-shutdown marker is journaled when nothing was left
         hanging.  Returns a summary dict.
         """
-        if self._cond is None:
-            return {"drained": False}
-        budget = self.config.drain_timeout_s if timeout is None else timeout
-        self._draining = True
-        self._ready = False
+        with self._cond:
+            if self._pool is None:
+                return {"drained": False}
+            self._draining = True
+            self._cond.notify_all()
         self._drain_event.set()
-        if self._recovery_task is not None:
-            self._recovery_task.cancel()
-            try:
-                await self._recovery_task
-            except asyncio.CancelledError:
-                pass
-            self._recovery_task = None
-        if self._scheduler is not None:
-            self._scheduler.cancel()
-            try:
-                await self._scheduler
-            except asyncio.CancelledError:
-                pass
-            self._scheduler = None
-        abandoned = 0
-        if self._inflight:
-            done, pending = await asyncio.wait(
-                list(self._inflight), timeout=budget
+        self._join_threads()
+        budget = self.config.drain_timeout_s if timeout is None else timeout
+        with self._cond:
+            inflight = list(self._inflight)
+        _, pending = futures.wait(inflight, timeout=budget)
+        abandoned = len(pending)  # still solving; we stop waiting
+        with self._cond:
+            suspended = sum(
+                1 for j in self._jobs.values()
+                if j.state == QUEUED and j.batch_id is not None
             )
-            abandoned = len(pending)  # still solving; we stop waiting
-        suspended = sum(
-            1 for j in self._jobs.values()
-            if j.state == QUEUED and j.batch_id is not None
-        )
-        async with self._cond:
-            queued_failed = sum(len(q) for q in self._queues.values())
-            self._fail_queued_for_shutdown()
+            queued_failed = self._fail_queued_for_shutdown()
         clean = abandoned == 0
-        if self.journal is not None and clean:
-            try:
-                self.journal.log_shutdown()
-                self._m_journal.inc()
-            except OSError:
-                self._m_journal_err.inc()
+        if clean:
+            self._journal(lambda journal: journal.log_shutdown())
         return {
             "drained": True,
             "clean": clean,
@@ -399,7 +404,7 @@ class ReconstructionService:
     # ------------------------------------------------------------------ #
     # submission & lookup
 
-    async def submit(self, payload) -> Job:
+    def submit(self, payload) -> Job:
         """Validate, admit, journal and enqueue one job.
 
         Raises :class:`~repro.errors.ValidationError` on a bad payload,
@@ -413,9 +418,11 @@ class ReconstructionService:
         request = parse_job(
             payload, default_deadline_s=self.config.default_deadline_s
         )
-        async with self._cond:
+        with self._cond:
             if self._stopping:
                 raise ValidationError("service is shutting down; not accepting jobs")
+            if self._pool is None:
+                raise RuntimeError("ServiceRunner is not started")
             if self._draining:
                 raise ServiceUnavailableError(reason="draining")
             if not self._ready:
@@ -426,84 +433,97 @@ class ReconstructionService:
                 if existing is not None and existing in self._jobs:
                     self._m_idem_hits.inc()
                     return self._jobs[existing]
-            q = self._queues.get(request.tenant)
-            if q is None:
-                q = self._queues[request.tenant] = deque()
-                self._rr.append(request.tenant)
-            if len(q) >= self.config.max_queue_depth:
+            depth = len(self._queues.get(request.tenant, ()))
+            if depth >= self.config.max_queue_depth:
                 self._m_rejected.inc()
                 raise QueueFullError(
-                    request.tenant, len(q), self.config.max_queue_depth
+                    request.tenant, depth, self.config.max_queue_depth
                 )
             job = new_job(request)
-            if self.journal is not None:
-                # write-ahead: the submit record is durable before the
-                # job becomes runnable (holding the condition keeps the
-                # idempotency check and the record append atomic)
-                await asyncio.to_thread(self._journal_submit, job)
+            # write-ahead: the submit record is durable before the job
+            # becomes runnable (holding the condition keeps the
+            # idempotency check and the record append atomic)
+            self._journal(lambda journal: journal.log_submit(
+                job.id, request_payload(request),
+                journal.spill_array(request.sinogram), key,
+            ))
             if key is not None:
                 self._idem[key] = job.id
             self._jobs[job.id] = job
             self._trim_history()
-            q.append(job)
+            self._enqueue(job)
             self._m_submitted.inc()
             self._gauge_depth()
             self._cond.notify_all()
         return job
 
-    def _journal_submit(self, job: Job) -> None:
-        """Durably record a submit (degrades on journal failure)."""
-        try:
-            ref = self.journal.spill_array(job.request.sinogram)
-            self.journal.log_submit(
-                job.id, request_payload(job.request), ref,
-                job.request.idempotency_key,
-            )
-            self._m_journal.inc()
-        except OSError:
-            self._m_journal_err.inc()
+    def _enqueue(self, job: Job, *, front: bool = False) -> None:
+        """Put *job* on its tenant's FIFO (hold ``_cond``)."""
+        tenant = job.request.tenant
+        q = self._queues.get(tenant)
+        if q is None:
+            q = self._queues[tenant] = deque()
+            self._rr.append(tenant)
+        if front:
+            q.appendleft(job)
+        else:
+            q.append(job)
 
-    def _journal_start(self, job: Job) -> None:
+    def _journal(self, write) -> None:
+        """Run ``write(journal)`` when journaling is on; a persistence
+        failure degrades to a counted error, never a failed job."""
+        if self.journal is None:
+            return
         try:
-            self.journal.log_start(
-                job.id, batch_id=job.batch_id, batch_width=job.batch_width
-            )
+            write(self.journal)
             self._m_journal.inc()
         except OSError:
             self._m_journal_err.inc()
 
     def _journal_finish(self, job: Job) -> None:
-        """Durably record a terminal transition (degrades on failure)."""
-        try:
+        """Durably record a terminal transition."""
+        def write(journal):
             result_ref = None
             if job.state == DONE and job.result is not None:
-                result_ref = self.journal.spill_array(job.result)
-            self.journal.log_finish(
+                result_ref = journal.spill_array(job.result)
+            journal.log_finish(
                 job.id, job.state, error=job.error, result_ref=result_ref,
                 iterations=job.iterations, stop_reason=job.stop_reason,
             )
-            self._m_journal.inc()
-        except OSError:
-            self._m_journal_err.inc()
+
+        self._journal(write)
 
     def get_job(self, job_id: str) -> Job | None:
         """Look up a job by id (safe from any thread: plain dict read)."""
         return self._jobs.get(job_id)
 
+    def wait(self, job_id: str, timeout: float | None = None) -> Job:
+        """Block until the job reaches a terminal state (or timeout)."""
+        job = self._jobs.get(job_id)
+        if job is None:
+            raise ValidationError(f"unknown job id {job_id!r}")
+        job.done.wait(timeout)
+        return job
+
     def stats(self) -> dict:
         """Queue/lifecycle counts for ``/healthz`` and the CLI."""
+        with self._cond:
+            jobs = list(self._jobs.values())
+            queues = list(self._queues.items())
+            ready, draining = self.ready, self._draining
         states: dict[str, int] = {}
-        for job in list(self._jobs.values()):
+        for job in jobs:
             states[job.state] = states.get(job.state, 0) + 1
+        tenants = {t: len(q) for t, q in queues}
         return {
-            "tenants": {t: len(q) for t, q in self._queues.items()},
-            "queued_total": sum(len(q) for q in self._queues.values()),
+            "tenants": tenants,
+            "queued_total": sum(tenants.values()),
             "jobs": states,
             "workers": self.config.workers,
             "max_queue_depth": self.config.max_queue_depth,
             "max_batch": self.config.max_batch,
-            "ready": self.ready,
-            "draining": self._draining,
+            "ready": ready,
+            "draining": draining,
             "journal": {
                 "enabled": self.journal is not None,
                 "dir": self.config.journal_dir,
@@ -514,8 +534,8 @@ class ReconstructionService:
     # ------------------------------------------------------------------ #
     # restart recovery
 
-    async def _recover(self) -> None:
-        """Replay the journal and recover interrupted jobs (boot task).
+    def _recover(self) -> None:
+        """Replay the journal and recover interrupted jobs (boot thread).
 
         Readiness stays false until this finishes; submissions meanwhile
         get 503 "recovering".  A recovery failure degrades — the service
@@ -524,32 +544,29 @@ class ReconstructionService:
         rec = self.recovery
         rec["state"] = "replaying"
         try:
-            to_enqueue = await asyncio.to_thread(self._recover_sync)
-        except asyncio.CancelledError:
-            rec["state"] = "cancelled"
-            raise
+            jobs, idem, to_enqueue = self._replay_journal()
         except Exception as exc:  # degraded boot beats no boot
             rec["state"] = "error"
             rec["error"] = f"{type(exc).__name__}: {exc}"
-            self._ready = True
-            return
-        rec["state"] = "done"
-        async with self._cond:
+            jobs, idem, to_enqueue = {}, {}, []
+        else:
+            rec["state"] = "done"
+        with self._cond:
+            self._idem.update(idem)
+            self._jobs.update(jobs)
+            self._trim_history()
             for job in to_enqueue:
-                q = self._queues.get(job.request.tenant)
-                if q is None:
-                    q = self._queues[job.request.tenant] = deque()
-                    self._rr.append(job.request.tenant)
-                q.append(job)
+                self._enqueue(job)
             self._ready = True
             self._gauge_depth()
             self._cond.notify_all()
 
-    def _recover_sync(self) -> list:
-        """Blocking half of recovery (runs in a thread): replay, restore
-        finished jobs to history, rebuild interrupted ones, compact.
+    def _replay_journal(self) -> tuple:
+        """Blocking half of recovery: replay, restore finished jobs to
+        history, rebuild interrupted ones, compact.
 
-        Returns the jobs to re-enqueue.  Re-enqueued jobs are NOT
+        Returns ``(jobs, idempotency map, jobs to re-enqueue)`` for
+        :meth:`_recover` to install.  Re-enqueued jobs are NOT
         re-journaled: :meth:`JobJournal.compact` atomically rewrites the
         log with their submit records, so there is no crash window.
         """
@@ -563,20 +580,22 @@ class ReconstructionService:
             duplicates=replay.duplicates,
             clean_shutdown=replay.clean_shutdown,
         )
+        jobs: dict[str, Job] = {}
+        idem: dict[str, str] = {}
         to_enqueue: list = []
         restored = resumed = restarted = failed = 0
         for rj in replay.jobs.values():
             if rj.idempotency_key:
-                self._idem[rj.idempotency_key] = rj.job_id
+                idem[rj.idempotency_key] = rj.job_id
             if not rj.live:
                 job = self._restore_finished(rj)
                 if job is not None:
-                    self._jobs[rj.job_id] = job
+                    jobs[rj.job_id] = job
                     restored += 1
                     self._m_rec_restored.inc()
                 continue
             job, mode = self._rebuild_live(rj)
-            self._jobs[rj.job_id] = job
+            jobs[rj.job_id] = job
             if mode == "failed":
                 # drop it from the compacted journal — re-running on
                 # every boot would fail identically forever
@@ -600,33 +619,37 @@ class ReconstructionService:
             rec["compacted"] = journal.compact(replay)
         except OSError:
             self._m_journal_err.inc()
-        self._trim_history()
-        return to_enqueue
+        return jobs, idem, to_enqueue
+
+    def _replayed_job(self, rj, *, finished: bool) -> Job:
+        """Rebuild a journaled job from its submit payload and spilled
+        sinogram; raises when either is gone or no longer parses."""
+        payload = dict(rj.payload)
+        payload["sinogram"] = encode_array(self.journal.load_array(rj.sinogram_ref))
+        if finished:
+            payload.pop("deadline_s", None)  # already ran; no new clock
+        job = new_job(parse_job(payload), job_id=rj.job_id)
+        job.submitted_at = rj.submitted_at
+        return job
 
     def _restore_finished(self, rj) -> Job | None:
         """Rebuild a terminal job from the journal for the history map
         (``GET /v1/jobs/<id>`` keeps answering across one restart)."""
         try:
-            sino = self.journal.load_array(rj.sinogram_ref)
-            payload = dict(rj.payload)
-            payload["sinogram"] = encode_array(sino)
-            payload.pop("deadline_s", None)  # already ran; no new clock
-            request = parse_job(payload)
-            job = new_job(request, job_id=rj.job_id)
-            job.submitted_at = rj.submitted_at
-            job.state = rj.state
-            job.error = rj.error
-            job.iterations = rj.iterations
-            job.stop_reason = rj.stop_reason
-            if rj.result_ref:
-                try:
-                    job.result = self.journal.load_array(rj.result_ref)
-                except (OSError, ValueError):
-                    pass  # the history entry survives without its image
-            job.done.set()
-            return job
+            job = self._replayed_job(rj, finished=True)
         except Exception:
             return None  # unreadable history entry: drop, don't brick boot
+        job.state = rj.state
+        job.error = rj.error
+        job.iterations = rj.iterations
+        job.stop_reason = rj.stop_reason
+        if rj.result_ref:
+            try:
+                job.result = self.journal.load_array(rj.result_ref)
+            except (OSError, ValueError):
+                pass  # the history entry survives without its image
+        job.done.set()
+        return job
 
     def _rebuild_live(self, rj) -> tuple:
         """Rebuild one interrupted job.
@@ -641,10 +664,7 @@ class ReconstructionService:
         from repro.recon.checkpoint import load_checkpoint, solver_params_hash
 
         try:
-            sino = self.journal.load_array(rj.sinogram_ref)
-            payload = dict(rj.payload)
-            payload["sinogram"] = encode_array(sino)
-            request = parse_job(payload)
+            job = self._replayed_job(rj, finished=False)
         except Exception as exc:
             job = Job(id=rj.job_id, request=self._dead_request(rj))
             job.submitted_at = rj.submitted_at
@@ -657,24 +677,20 @@ class ReconstructionService:
                 "retryable": True,
             })
             return job, "failed"
-        mode = "restarted"
+        request = job.request
         try:
             state = load_checkpoint(self.journal.checkpoint_path(rj.job_id))
             expected = solver_params_hash(request.solver, request.params)
             if state.params_hash and state.params_hash != expected:
                 raise FormatError("checkpoint parameterisation mismatch")
-            request.resume_from = state
-            # resuming mid-recurrence cannot join a fresh batch bitwise
-            request.coalescible = False
-            request.no_batch_reason = "resumed from checkpoint"
-            mode = "resumed"
-        except FileNotFoundError:
-            pass  # never checkpointed: restart from scratch
         except (OSError, FormatError):
-            pass  # corrupt or mismatched checkpoint: restart from scratch
-        job = new_job(request, job_id=rj.job_id)
-        job.submitted_at = rj.submitted_at
-        return job, mode
+            # never checkpointed, or a corrupt or mismatched checkpoint
+            return job, "restarted"
+        request.resume_from = state
+        # resuming mid-recurrence cannot join a fresh batch bitwise
+        request.coalescible = False
+        request.no_batch_reason = "resumed from checkpoint"
+        return job, "resumed"
 
     def _dead_request(self, rj):
         """Degenerate request for an unrecoverable job's tombstone."""
@@ -697,34 +713,57 @@ class ReconstructionService:
         )
 
     # ------------------------------------------------------------------ #
-    # scheduling
+    # scheduling (the scheduler thread)
 
-    async def _schedule_loop(self) -> None:
+    def _halted(self) -> bool:
+        return self._stopping or self._draining
+
+    def _schedule_loop(self) -> None:
         cfg = self.config
-        while True:
-            async with self._cond:
-                while not any(self._queues.values()):
-                    await self._cond.wait()
+        with self._cond:
+            while True:
+                self._cond.wait_for(
+                    lambda: self._halted() or any(self._queues.values())
+                )
+                if self._halted():
+                    return
                 seed = self._pop_next()
-                if seed is not None and seed.request.coalescible:
-                    ready = self._count_matching(seed)
-                else:
-                    ready = 0
-            if seed is None:
-                continue
-            want_mates = seed.request.coalescible and cfg.max_batch > 1
-            if (want_mates and cfg.batch_window_s > 0
-                    and ready < cfg.max_batch - 1):
-                # hold the seed open for late-arriving key-mates
-                await asyncio.sleep(cfg.batch_window_s)
-            batch = [seed]
-            if want_mates:
-                async with self._cond:
+                if seed is None:
+                    continue
+                batch = [seed]
+                want_mates = seed.request.coalescible and cfg.max_batch > 1
+                if (want_mates and cfg.batch_window_s > 0
+                        and self._count_matching(seed) < cfg.max_batch - 1):
+                    # hold the seed open for late-arriving key-mates
+                    self._cond.wait_for(self._halted, timeout=cfg.batch_window_s)
+                if want_mates:
                     batch.extend(self._take_matching(seed))
-            await self._sem.acquire()
-            task = asyncio.create_task(self._dispatch(batch))
-            self._inflight.add(task)
-            task.add_done_callback(self._inflight.discard)
+                self._cond.wait_for(
+                    lambda: self._halted() or len(self._inflight) < cfg.workers
+                )
+                if self._halted():
+                    # the held batch fails with the other queued jobs
+                    for job in reversed(batch):
+                        self._enqueue(job, front=True)
+                    self._gauge_depth()
+                    return
+                future = self._pool.submit(self._execute_batch, batch)
+                self._inflight.add(future)
+                future.add_done_callback(functools.partial(self._settle, batch))
+
+    def _settle(self, batch: list, future) -> None:
+        """Done-callback of a batch future: free its worker slot, and
+        fail what a worker bug left unfinished instead of stranding it."""
+        exc = future.exception()
+        if exc is not None:
+            err = {"error": type(exc).__name__, "message": str(exc)}
+            for job in batch:
+                if job.state not in TERMINAL_STATES:
+                    job.finish(FAILED, error=err)
+                    self._m_failed.inc()
+        with self._cond:
+            self._inflight.discard(future)
+            self._cond.notify_all()
 
     def _pop_next(self) -> Job | None:
         """Next queued job, round-robin over tenants (hold ``_cond``)."""
@@ -785,26 +824,13 @@ class ReconstructionService:
         })
         self._m_cancelled.inc()
         self._m_deadline.inc()
-        if self.journal is not None:
-            self._journal_finish(job)
+        self._journal_finish(job)
 
     def _gauge_depth(self) -> None:
         self._m_queue_depth.set(sum(len(q) for q in self._queues.values()))
 
     # ------------------------------------------------------------------ #
     # execution (worker threads)
-
-    async def _dispatch(self, batch: list) -> None:
-        try:
-            await asyncio.to_thread(self._execute_batch, batch)
-        except Exception as exc:  # defense: a worker bug must not kill the loop
-            err = {"error": type(exc).__name__, "message": str(exc)}
-            for job in batch:
-                if job.state not in TERMINAL_STATES:
-                    job.finish(FAILED, error=err)
-                    self._m_failed.inc()
-        finally:
-            self._sem.release()
 
     def _execute_batch(self, batch: list) -> None:
         from repro import api
@@ -843,9 +869,10 @@ class ReconstructionService:
         spec = get_solver(req.solver)
         spec_iterative = spec.supports("iterative")
 
-        if self.journal is not None:
-            for job in live:
-                self._journal_start(job)
+        for job in live:
+            self._journal(lambda journal: journal.log_start(
+                job.id, batch_id=job.batch_id, batch_width=job.batch_width
+            ))
 
         # checkpoint every N iterations when the journal is on and the
         # solver can resume; a recovered job's prior iterations resumed
@@ -939,8 +966,7 @@ class ReconstructionService:
                 if job.state not in TERMINAL_STATES:
                     job.finish(FAILED, error=err)
                     self._m_failed.inc()
-                    if self.journal is not None:
-                        self._journal_finish(job)
+                    self._journal_finish(job)
         else:
             image = res.image if res.image.ndim == 2 else res.image[:, None]
             wall = time.time() - t_start
@@ -954,8 +980,7 @@ class ReconstructionService:
                 job.finish(DONE)
                 self._m_completed.inc()
                 self._m_latency.observe(job.finished_at - job.submitted_at)
-                if self.journal is not None:
-                    self._journal_finish(job)
+                self._journal_finish(job)
         finally:
             self._m_inflight.inc(-1)
 
@@ -1003,103 +1028,3 @@ class ReconstructionService:
             jid for jid, j in self._jobs.items() if j.state in TERMINAL_STATES
         ][:excess]:
             del self._jobs[jid]
-
-
-class ServiceRunner:
-    """Thread-safe front door: owns an event-loop thread for the service.
-
-    Synchronous callers (HTTP handler threads, the CLI, tests) talk to
-    the asyncio service through ``run_coroutine_threadsafe``::
-
-        with ServiceRunner(ServeConfig(workers=4)) as runner:
-            job = runner.submit(payload)           # may raise 400/429 errors
-            job = runner.wait(job.id, timeout=60)
-    """
-
-    def __init__(self, config: ServeConfig | None = None):
-        self.service = ReconstructionService(config)
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._thread: threading.Thread | None = None
-
-    @property
-    def config(self) -> ServeConfig:
-        return self.service.config
-
-    def start(self, *, run_scheduler: bool = True) -> "ServiceRunner":
-        if self._loop is not None:
-            return self
-        self._loop = asyncio.new_event_loop()
-        ready = threading.Event()
-
-        def run():
-            asyncio.set_event_loop(self._loop)
-            self._loop.call_soon(ready.set)
-            self._loop.run_forever()
-
-        self._thread = threading.Thread(
-            target=run, name="repro-serve-loop", daemon=True
-        )
-        self._thread.start()
-        ready.wait(timeout=10.0)
-        self._call(self.service.start(run_scheduler=run_scheduler))
-        return self
-
-    def _call(self, coro, timeout: float = 60.0):
-        if self._loop is None:
-            raise RuntimeError("ServiceRunner is not started")
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(timeout)
-
-    def submit(self, payload) -> Job:
-        """Thread-safe :meth:`ReconstructionService.submit`."""
-        return self._call(self.service.submit(payload))
-
-    def get_job(self, job_id: str) -> Job | None:
-        return self.service.get_job(job_id)
-
-    def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        """Block until the job reaches a terminal state (or timeout)."""
-        job = self.service.get_job(job_id)
-        if job is None:
-            raise ValidationError(f"unknown job id {job_id!r}")
-        job.done.wait(timeout)
-        return job
-
-    def stats(self) -> dict:
-        return self.service.stats()
-
-    @property
-    def ready(self) -> bool:
-        """Readiness of the underlying service (``/readyz``)."""
-        return self._loop is not None and self.service.ready
-
-    def wait_ready(self, timeout: float = 30.0) -> bool:
-        """Block until the service is ready (recovery replay finished)."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.ready:
-                return True
-            time.sleep(0.02)
-        return self.ready
-
-    def drain(self, timeout: float | None = None) -> dict:
-        """Thread-safe :meth:`ReconstructionService.drain`."""
-        budget = self.config.drain_timeout_s if timeout is None else timeout
-        return self._call(self.service.drain(timeout), timeout=budget + 30.0)
-
-    def stop(self) -> None:
-        if self._loop is None:
-            return
-        try:
-            self._call(self.service.stop(), timeout=120.0)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
-            self._loop.close()
-            self._loop = None
-            self._thread = None
-
-    def __enter__(self) -> "ServiceRunner":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()

@@ -28,8 +28,9 @@ class ELLMatrix(SpMVFormat):
 
     name = "ell"
 
-    #: rows whose nnz exceeds ``max_width_factor * mean`` trigger a build
-    #: error rather than silently exploding memory.
+    #: padding beyond ``max_width_factor * max(nnz, rows)`` slots (for
+    #: ``nnz >= rows``: a row wider than ``max_width_factor * mean``)
+    #: triggers a build error rather than silently exploding memory.
     max_width_factor = 16.0
 
     def __init__(self, shape, cols, vals, nnz):
@@ -48,10 +49,10 @@ class ELLMatrix(SpMVFormat):
         m, _ = shape
         counts = coo.row_nnz()
         width = int(counts.max()) if counts.size else 0
-        mean = counts.mean() if m else 0.0
-        if mean > 0 and width > cls.max_width_factor * mean:
+        if width * m > cls.max_width_factor * max(coo.nnz, m):
             raise FormatError(
-                f"row width {width} is {width / mean:.1f}x the mean nnz; "
+                f"row width {width} pads {coo.nnz} nonzeros to {width * m} "
+                f"slots, over {cls.max_width_factor:g}x max(nnz, rows); "
                 "matrix is too irregular for ELL"
             )
         ell_cols = np.full((width, m), -1, dtype=INDEX_DTYPE)
