@@ -19,12 +19,16 @@ Commands
 ``calibrate``    measure this host and validate the performance model
 ``trace``        render a JSONL trace (or this process's spans) as a report
 ``metrics``      dump the metrics registry in Prometheus text format
+``serve``        run the reconstruction service over HTTP (``/v1/*``,
+                 ``/readyz``, JSON ``/healthz``, ``/metrics``)
 
 Set ``REPRO_TRACE=1`` (or ``REPRO_TRACE=/path/to.jsonl``) to record spans
 during any command and dump them as JSON lines on exit.  Set
 ``REPRO_METRICS_PORT`` to serve live Prometheus metrics at ``/metrics``
-(and/or ``REPRO_METRICS_FLUSH=<path>`` for periodic JSONL snapshots)
-while a command runs.
+and JSON liveness at ``/healthz`` (and/or ``REPRO_METRICS_FLUSH=<path>``
+for periodic JSONL snapshots) while a command runs.  That exporter is the
+``serve`` command's HTTP surface without a service runner, so its
+``/readyz`` and ``/v1/*`` answer 404.
 """
 
 from __future__ import annotations

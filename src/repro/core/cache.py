@@ -36,6 +36,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,13 @@ LOCK_TIMEOUT = float(os.environ.get("REPRO_CACHE_LOCK_TIMEOUT", "120"))
 
 _ENTRY_JSON = "entry.json"
 _STAMP = "stamp"
+
+# np.load parses each .npy header with ast.literal_eval.  CPython 3.11
+# keeps the AST conversion's recursion counter per interpreter, so a
+# thread switch mid-parse (a GC finalizer can force one) lets two loading
+# threads corrupt it: SystemError "AST constructor recursion depth
+# mismatch".  Parsing is microseconds; the arrays stay memory-mapped.
+_NPY_HEADER_LOCK = threading.Lock()
 
 
 def _abi_version() -> int:
@@ -304,7 +312,8 @@ class OperatorCache:
                     f = path / f"{name}.npy"
                     if self.verify and _sha256_file(f) != info["sha256"]:
                         raise FormatError(f"checksum mismatch in {f.name}")
-                    arrays[name] = np.load(f, mmap_mode="r")
+                    with _NPY_HEADER_LOCK:
+                        arrays[name] = np.load(f, mmap_mode="r")
                 fmt = cls.from_cache_state(entry["meta"], arrays, threads=threads)
             except (OSError, ValueError, KeyError, EOFError, FormatError):
                 # corrupt, truncated or unreadable: evict, caller rebuilds

@@ -4,27 +4,21 @@ The Fig 7 pipeline's conversion step costs hundreds of milliseconds to
 seconds; production CT reconstructors convert once per scanner geometry
 and reuse the matrix across patients.  This module persists a
 :class:`~repro.core.builder.CSCVData` (plus its parameter triple and
-shape) in two layouts:
+shape) as a single compressed ``.npz`` (:func:`save_cscv` /
+:func:`load_cscv`) for hand-managed files — compact, but decompressed
+into fresh arrays on every load.  The persistent operator cache
+(:mod:`repro.core.cache`) writes its own memory-mappable layout; the
+CSCV formats' cache hooks share :func:`cscv_meta_array` and
+:func:`cscv_data_from_arrays` with the ``.npz`` loader.
 
-* a single compressed ``.npz`` (:func:`save_cscv` / :func:`load_cscv`)
-  for hand-managed files — compact, but decompressed into fresh arrays
-  on every load;
-* a directory of raw ``.npy`` files (:func:`save_cscv_dir` /
-  :func:`load_cscv_dir`) — the persistent operator cache's layout, where
-  every array loads with ``np.load(..., mmap_mode="r")``: zero-copy,
-  lazily paged, and shared read-only across worker processes through the
-  OS page cache.
-
-Both writers are atomic *and durable* (temp name + fsync +
-``os.replace`` + directory fsync via :mod:`repro.utils.durable`) so a
-killed process — or a power cut — can never leave a truncated entry
-behind.
+The writer is atomic *and durable* (temp name + fsync + ``os.replace`` +
+directory fsync via :mod:`repro.utils.durable`) so a killed process — or
+a power cut — can never leave a truncated file behind.
 """
 
 from __future__ import annotations
 
 import os
-import shutil
 import tempfile
 from pathlib import Path
 
@@ -33,7 +27,7 @@ import numpy as np
 from repro.core.builder import CSCVData
 from repro.core.params import CSCVParams
 from repro.errors import FormatError
-from repro.utils.durable import fsync_file, replace_durable
+from repro.utils.durable import replace_durable
 
 #: bump when the array layout changes
 FORMAT_VERSION = 1
@@ -242,96 +236,4 @@ def load_cscv(path) -> CSCVData:
         if missing:
             raise FormatError(f"CSCV file missing arrays: {missing}")
         arrays = {name: z[name] for name in _ARRAYS}
-    return cscv_data_from_arrays(meta, arrays, source=path)
-
-
-# ---------------------------------------------------------------------- #
-# directory layout (persistent operator cache; zero-copy mmap loads)
-
-#: file name of the meta header inside a CSCV directory
-META_FILE = "_meta.npy"
-
-
-def save_cscv_dir(path, data: CSCVData) -> Path:
-    """Write *data* as a directory of raw ``.npy`` files (atomically).
-
-    Arrays are staged into a sibling temp directory (each file fsynced)
-    and the whole directory is ``os.replace``d into place with the
-    parent directory fsynced, so concurrent readers see either no entry
-    or a complete one — and the entry survives a power cut.  Returns
-    the final path.
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = Path(
-        tempfile.mkdtemp(prefix=path.name + ".", suffix=".tmp", dir=path.parent)
-    )
-    try:
-        np.save(tmp / META_FILE, cscv_meta_array(data))
-        for name in _ARRAYS:
-            np.save(tmp / f"{name}.npy", getattr(data, name))
-        for staged in tmp.iterdir():
-            fsync_file(staged)
-        if path.exists():
-            shutil.rmtree(path)
-        replace_durable(tmp, path)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    return path
-
-
-def load_cscv_dir(path, *, mmap_mode: str | None = "r") -> CSCVData:
-    """Restore a :class:`CSCVData` saved by :func:`save_cscv_dir`.
-
-    With the default ``mmap_mode="r"`` every array is memory-mapped
-    read-only: loading costs a handful of page faults instead of a full
-    decompress, and any number of processes mapping the same entry share
-    one physical copy through the page cache.  Pass ``mmap_mode=None``
-    for private in-memory copies.
-
-    A partially-written entry (an array file missing or truncated) can
-    only come from tooling that bypassed the atomic writer; it is evicted
-    (the directory removed) before :class:`FormatError` is raised, so the
-    broken entry cannot shadow a future rebuild.
-
-    Raises
-    ------
-    FormatError
-        On missing files, truncated arrays, version mismatch, or internal
-        inconsistency (same validation as :func:`load_cscv`).
-    """
-    path = Path(path)
-    meta_path = path / META_FILE
-    if not meta_path.is_file():
-        raise FormatError(f"{path} is not a CSCV directory (no {META_FILE})")
-
-    def _evict(reason: str) -> FormatError:
-        shutil.rmtree(path, ignore_errors=True)
-        return FormatError(f"{reason} (evicted partial entry {path})")
-
-    try:
-        meta = np.load(meta_path)
-    except (OSError, ValueError, EOFError) as exc:
-        raise _evict(f"{meta_path}: unreadable meta header: {exc}") from exc
-    if meta.size < 1:
-        raise FormatError(f"{path} is not a CSCV directory (empty meta)")
-    if int(meta.flat[0]) != FORMAT_VERSION:
-        raise FormatError(
-            f"CSCV dir version {int(meta.flat[0])} != supported {FORMAT_VERSION}"
-        )
-    arrays = {}
-    missing = []
-    for name in _ARRAYS:
-        f = path / f"{name}.npy"
-        if not f.is_file():
-            missing.append(name)
-            continue
-        try:
-            arrays[name] = np.load(f, mmap_mode=mmap_mode)
-        except (OSError, ValueError, EOFError) as exc:
-            # np.load raises EOFError/ValueError on a truncated .npy
-            raise _evict(f"{f}: unreadable array: {exc}") from exc
-    if missing:
-        raise _evict(f"CSCV dir missing arrays: {missing}")
     return cscv_data_from_arrays(meta, arrays, source=path)

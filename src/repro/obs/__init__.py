@@ -12,7 +12,11 @@ makes every run of the library produce the same kinds of evidence:
 * :mod:`repro.obs.export` — JSON-lines trace dumps, Prometheus text, and
   the human ``repro trace`` stage report;
 * :mod:`repro.obs.profile` — opt-in cProfile hooks for drilling into a
-  single stage.
+  single stage;
+* :mod:`repro.obs.runtime` — the live transports: ``/metrics`` and a
+  JSON ``/healthz`` over the package's one HTTP surface
+  (:mod:`repro.serve.http`, without a service runner) and a JSONL
+  flusher, controlled with ``obs.runtime.start/stop/is_active``.
 
 Everything is off by default and costs one branch per call site when
 disabled.  Enable via ``REPRO_TRACE=1`` (or ``REPRO_TRACE=/path/to.jsonl``
@@ -79,9 +83,6 @@ __all__ = [
     "status",
     "perf",
     "runtime",
-    "start_metrics_runtime",
-    "stop_metrics_runtime",
-    "metrics_runtime_active",
 ]
 
 #: Fallback dump path when ``REPRO_TRACE=1`` names no file.
@@ -114,12 +115,6 @@ def reset() -> None:
     """Clear recorded spans and all metric instruments."""
     tracer.reset()
     registry.reset()
-
-
-#: Start the live metrics runtime (HTTP /metrics exporter + JSONL flusher).
-start_metrics_runtime = runtime.start
-stop_metrics_runtime = runtime.stop
-metrics_runtime_active = runtime.is_active
 
 
 def init_from_env() -> bool:

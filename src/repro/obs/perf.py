@@ -13,7 +13,7 @@ in the process-wide registry.
 Accounting is **off by default** and costs one module-attribute load and
 one branch per dispatch when off.  It turns on together with tracing
 (``REPRO_TRACE`` / ``obs.enable()``) or with the live metrics runtime
-(``REPRO_METRICS_PORT`` / ``obs.start_metrics_runtime()``), so benchmark
+(``REPRO_METRICS_PORT`` / ``obs.runtime.start()``), so benchmark
 numbers are unchanged unless somebody is looking.
 
 The STREAM-bandwidth denominator comes from

@@ -2,12 +2,15 @@
 
 Long-running work (a big reconstruction, the serving layer) needs
 its telemetry *while it runs*, not in a post-mortem dump.  This module
-provides the two standard transports, built purely on the stdlib:
+owns the two standard transports' lifecycle:
 
-* **HTTP exporter** — a daemon-thread ``ThreadingHTTPServer`` serving
-  the registry in the Prometheus exposition format at ``/metrics``
-  (plus ``/healthz``).  Opt in with ``REPRO_METRICS_PORT=<port>`` (0
-  picks an ephemeral port) or :func:`start`.
+* **HTTP exporter** — the package's one HTTP surface,
+  :func:`repro.serve.http.serve_http`, started without a service
+  runner: the registry in the Prometheus exposition format at
+  ``/metrics`` and JSON liveness ``{"status": "ok"}`` at ``/healthz``;
+  ``/readyz`` and ``/v1/*`` answer 404.  Opt in with
+  ``REPRO_METRICS_PORT=<port>`` (0 picks an ephemeral port) or
+  :func:`start`.
 * **JSONL flusher** — a daemon thread appending one
   ``{"ts": ..., "metrics": {...}}`` snapshot line to a file every
   ``REPRO_METRICS_FLUSH_SEC`` seconds (default 10), with a final flush
@@ -26,16 +29,11 @@ import atexit
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.config import DEFAULT_METRICS_FLUSH_SEC, env_metrics_flush, env_metrics_port
 
 __all__ = [
-    "env_metrics_port",
-    "env_metrics_flush",
-    "MetricsServer",
     "MetricsFlusher",
-    "metrics_body",
     "start",
     "stop",
     "is_active",
@@ -43,71 +41,11 @@ __all__ = [
     "start_from_env",
 ]
 
-#: Default seconds between JSONL metric snapshots (re-exported from config).
-DEFAULT_FLUSH_INTERVAL = DEFAULT_METRICS_FLUSH_SEC
-
-
-def metrics_body() -> tuple[bytes, str]:
-    """``(body, content type)`` of a ``GET /metrics``: the registry as
-    Prometheus text.  The one owner of the body for every HTTP surface."""
-    from repro.obs.export import prometheus_text
-    from repro.obs.metrics import registry
-
-    return (prometheus_text(registry).encode("utf-8"),
-            "text/plain; version=0.0.4; charset=utf-8")
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Serves /metrics (Prometheus text) and /healthz; silent logs."""
-
-    def do_GET(self):  # noqa: N802 (stdlib naming)
-        if self.path.split("?")[0] == "/metrics":
-            body, ctype = metrics_body()
-            self.send_response(200)
-            self.send_header("Content-Type", ctype)
-        elif self.path.split("?")[0] == "/healthz":
-            body = b"ok\n"
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-        else:
-            body = b"not found; try /metrics\n"
-            self.send_response(404)
-            self.send_header("Content-Type", "text/plain; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # pragma: no cover - silence stderr
-        pass
-
-
-class MetricsServer:
-    """Background HTTP server exposing the metrics registry."""
-
-    def __init__(self, port: int = 0, host: str = "127.0.0.1"):
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-metrics-http",
-            daemon=True,
-        )
-        self._thread.start()
-
-    @property
-    def port(self) -> int:
-        """The actually-bound port (resolves port 0 requests)."""
-        return self._httpd.server_address[1]
-
-    def stop(self) -> None:
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        self._thread.join(timeout=5.0)
-
 
 class MetricsFlusher:
     """Periodic JSONL snapshots of the registry, with a final atexit flush."""
 
-    def __init__(self, path: str, interval: float = DEFAULT_FLUSH_INTERVAL):
+    def __init__(self, path: str, interval: float = DEFAULT_METRICS_FLUSH_SEC):
         if interval <= 0:
             raise ValueError("flush interval must be > 0")
         self.path = path
@@ -150,13 +88,13 @@ class MetricsFlusher:
             self._thread.join(timeout=5.0)
 
 
-_server: MetricsServer | None = None
+_server = None  # repro.serve.http.ServeHTTPServer while running
 _flusher: MetricsFlusher | None = None
 _lock = threading.Lock()
 
 
 def start(*, port: int | None = None, flush_path: str | None = None,
-          flush_interval: float = DEFAULT_FLUSH_INTERVAL) -> int | None:
+          flush_interval: float = DEFAULT_METRICS_FLUSH_SEC) -> int | None:
     """Start the requested transports; returns the bound HTTP port (or None).
 
     Idempotent per transport: an already-running server/flusher is kept.
@@ -167,7 +105,9 @@ def start(*, port: int | None = None, flush_path: str | None = None,
     global _server, _flusher
     with _lock:
         if port is not None and _server is None:
-            _server = MetricsServer(port)
+            from repro.serve.http import serve_http
+
+            _server = serve_http(None, port=port)
         if flush_path is not None and _flusher is None:
             _flusher = MetricsFlusher(flush_path, flush_interval)
         if _server is not None or _flusher is not None:

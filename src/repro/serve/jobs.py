@@ -149,6 +149,12 @@ def decode_sinogram(value, m: int, dtype: np.dtype) -> np.ndarray:
             raw = base64.b64decode(b64, validate=True)
         except (binascii.Error, ValueError) as exc:
             raise ValidationError(f"sinogram b64 payload is invalid: {exc}") from exc
+        itemsize = np.dtype(src_dtype).itemsize
+        if len(raw) % itemsize:
+            raise ValidationError(
+                f"sinogram b64 payload is {len(raw)} bytes, not a whole "
+                f"number of {src_dtype} samples ({itemsize} bytes each)"
+            )
         flat = np.frombuffer(raw, dtype=np.dtype(src_dtype))
     elif isinstance(value, (list, tuple)):
         try:

@@ -383,22 +383,6 @@ class TestIOPersistence:
         assert target.read_bytes() == good  # old file untouched
         assert list(tmp_path.glob("*.tmp*")) == []  # no droppings
 
-    def test_save_load_cscv_dir_roundtrip(self, geom, tmp_path):
-        from repro.core.io import load_cscv_dir, save_cscv_dir
-
-        fmt = operator(geom, cache=False).fmt
-        d = tmp_path / "entry"
-        save_cscv_dir(d, fmt.data)
-        back = load_cscv_dir(d)
-        assert isinstance(back.values, np.memmap)
-        np.testing.assert_array_equal(back.values, fmt.data.values)
-        x = np.linspace(0, 1, fmt.shape[1], dtype=np.float32)
-        np.testing.assert_array_equal(
-            CSCVZMatrix(back).spmv(x), fmt.spmv(x)
-        )
-        with pytest.raises(FormatError):
-            load_cscv_dir(tmp_path / "nowhere")
-
 
 # ---------------------------------------------------------------------- #
 # autotune persistence

@@ -275,9 +275,9 @@ class TestMetricsRuntime:
                                                 stream_cache, small_ct_f32):
         from repro.core.format_z import CSCVZMatrix
 
-        port = obs.start_metrics_runtime(port=0)
+        port = obs_runtime.start(port=0)
         try:
-            assert port and obs.metrics_runtime_active()
+            assert port and obs_runtime.is_active()
             assert perf.is_active()  # runtime start enables accounting
             coo, geom = small_ct_f32
             a = CSCVZMatrix.from_ct(coo, geom)
@@ -288,12 +288,12 @@ class TestMetricsRuntime:
             assert status == 200
             assert "repro_spmv_achieved_gbs" in body
             status, body = self._get(port, "/healthz")
-            assert status == 200 and body == "ok\n"
+            assert status == 200 and json.loads(body) == {"status": "ok"}
             with pytest.raises(urllib.error.HTTPError):
                 self._get(port, "/nope")
         finally:
-            obs.stop_metrics_runtime()
-        assert not obs.metrics_runtime_active()
+            obs_runtime.stop()
+        assert not obs_runtime.is_active()
         assert not perf.is_active()  # tracer off -> accounting off again
 
     def test_start_is_idempotent(self, perf_off):

@@ -336,47 +336,6 @@ class TestCacheFaults:
 
 
 # ---------------------------------------------------------------------- #
-# load_cscv_dir partial-entry regression (satellite)
-
-
-class TestLoadCscvDirEviction:
-    @pytest.fixture
-    def saved(self, geom, tmp_path):
-        from repro.core.io import save_cscv_dir
-
-        fmt = operator(geom, fmt="cscv-z", cache=False).fmt
-        d = tmp_path / "entry"
-        save_cscv_dir(d, fmt.data)
-        return d
-
-    def test_missing_array_file(self, saved):
-        from repro.core.io import load_cscv_dir
-
-        (saved / "values.npy").unlink()
-        with pytest.raises(FormatError, match="evicted partial entry"):
-            load_cscv_dir(saved)
-        assert not saved.exists()
-
-    def test_truncated_array_file(self, saved):
-        from repro.core.io import load_cscv_dir
-
-        vals = saved / "values.npy"
-        vals.write_bytes(vals.read_bytes()[:16])  # header cut mid-magic
-        with pytest.raises(FormatError):
-            load_cscv_dir(saved)
-        assert not saved.exists()
-
-    def test_truncated_meta_file(self, saved):
-        from repro.core.io import META_FILE, load_cscv_dir
-
-        meta = saved / META_FILE
-        meta.write_bytes(meta.read_bytes()[:8])
-        with pytest.raises(FormatError):
-            load_cscv_dir(saved)
-        assert not saved.exists()
-
-
-# ---------------------------------------------------------------------- #
 # kernel build / load degradation (satellite)
 
 

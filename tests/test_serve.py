@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.errors import ValidationError
+from repro.errors import ReproError, ValidationError
 from repro.geometry import ParallelBeamGeometry
 from repro.geometry.phantom import shepp_logan
 from repro.serve import (
@@ -63,6 +63,10 @@ def payload(sino, *, tenant="default", solver="sirt", params=None, **extra):
     }
     body.update(extra)
     return body
+
+
+#: a b64 sinogram whose 3 decoded bytes are not a whole float32 sample
+PARTIAL_SAMPLE = {"b64": "AAAA", "dtype": "float32"}
 
 
 def http_json(url, data=None, expect_error=False):
@@ -136,6 +140,15 @@ class TestParseJob:
     def test_deadline_validated(self, sinos):
         with pytest.raises(ValidationError, match="deadline_s"):
             parse_job(payload(sinos[0], deadline_s=-1))
+
+    def test_partial_sample_sinogram_is_a_structured_error(self, sinos):
+        # "AAAA" decodes to 3 bytes: not a whole float32 sample
+        runner = ServiceRunner(ServeConfig()).start(run_scheduler=False)
+        try:
+            with pytest.raises(ReproError, match="whole number of float32"):
+                runner.submit(payload(sinos[0]) | {"sinogram": PARTIAL_SAMPLE})
+        finally:
+            runner.stop()
 
 
 # --------------------------------------------------------------------- #
@@ -411,6 +424,14 @@ class TestHTTPAPI:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(req, timeout=10)
         assert exc_info.value.code == 400
+
+    def test_partial_sample_sinogram_is_400(self, served, sinos):
+        status, body = http_json(
+            served + "/v1/reconstruct",
+            payload(sinos[0]) | {"sinogram": PARTIAL_SAMPLE},
+            expect_error=True)
+        assert status == 400 and body["error"] == "validation"
+        assert "whole number of float32" in body["message"]
 
     def test_unknown_job_is_404(self, served):
         status, body = http_json(served + "/v1/jobs/job-999999",
