@@ -52,7 +52,7 @@ def main(image_size: int = 48) -> None:
     x_art = art_reconstruct(op, sino, iterations=30, relax=0.8)
     t_art = time.perf_counter() - t0
     t0 = time.perf_counter()
-    x_icd = icd_reconstruct(csc, sino, sweeps=6)
+    x_icd = icd_reconstruct(ProjectionOperator(csc), sino, iterations=6)
     t_icd = time.perf_counter() - t0
     print(f"  ART x30 sweeps: {relative_error(x_art, truth):.4f}  ({t_art:.2f}s)")
     print(f"  ICD x6 sweeps : {relative_error(x_icd, truth):.4f}  ({t_icd:.2f}s)")

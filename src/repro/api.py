@@ -412,7 +412,7 @@ def reconstruct(
 ) -> ReconstructionResult:
     """Run any registered solver on *op* — the unified reconstruction API.
 
-    One facade over the four iterative solvers plus FBP::
+    One facade over the five iterative solvers plus FBP::
 
         op = repro.operator(256)
         res = repro.reconstruct(op, sino, solver="cgls", iterations=25)
@@ -429,7 +429,7 @@ def reconstruct(
         SpMM pass).
     solver : str
         A :data:`repro.recon.registry.SOLVERS` name — ``"sirt"``,
-        ``"cgls"``, ``"art"``, ``"os-sart"`` or ``"fbp"``.
+        ``"cgls"``, ``"art"``, ``"os-sart"``, ``"icd"`` or ``"fbp"``.
     geom : ParallelBeamGeometry, optional
         Required by solvers with the ``needs_geom`` capability
         (OS-SART's view subsets, FBP's ramp filter).

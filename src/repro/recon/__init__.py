@@ -8,11 +8,12 @@ run at high frequency with a fixed matrix.  This package provides:
   :class:`~repro.sparse.SpMVFormat` as forward/adjoint operator;
 * ART/Kaczmarz (:mod:`repro.recon.art`), SIRT (:mod:`repro.recon.sirt`),
   CGLS (:mod:`repro.recon.cgls`), OS-SART (:mod:`repro.recon.os_sart`) —
-  row-action and gradient solvers that consume CSR-style access, all run
-  by one iteration driver (:mod:`repro.recon.driver`);
-* ICD — Iterative Coordinate Descent (:mod:`repro.recon.icd`), the
+  row-action and gradient solvers that consume CSR-style access — and
+  ICD, Iterative Coordinate Descent (:mod:`repro.recon.icd`), the
   column-action solver whose access pattern is *why* CSC-style formats
-  (and hence CSCV) matter (Section III);
+  (and hence CSCV) matter (Section III); all five run on one iteration
+  driver (:mod:`repro.recon.driver`) behind one registry
+  (:mod:`repro.recon.registry`);
 * FBP (:mod:`repro.recon.fbp`) as the analytic reference;
 * image metrics (:mod:`repro.recon.metrics`).
 """

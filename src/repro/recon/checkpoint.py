@@ -1,6 +1,6 @@
 """Solver checkpoint/resume: crash-safe iterative reconstruction.
 
-A long SIRT/CGLS/OS-SART run that dies at iteration 40 of 50 should not
+A long SIRT/CGLS/OS-SART/ICD run that dies at iteration 40 of 50 should not
 restart from zero.  This module defines the resumable unit of solver
 state and the machinery around it:
 
@@ -28,8 +28,8 @@ state and the machinery around it:
   solo.  Valid because every batch-capable solver here keeps each column
   bitwise equal to its solo run.
 
-What the state arrays are per solver (all shapes are the solvers'
-internal 2-D batch forms; ``k_cols`` is the batch width):
+What the state arrays are per solver (the batch solvers' shapes are
+their internal 2-D batch forms; ``k_cols`` is the batch width):
 
 =========  =============================================================
 solver     arrays
@@ -39,6 +39,9 @@ cgls       ``x, r, s, p`` (2-D float64), ``gamma, gamma0`` (k_cols,)
            float64, ``active`` (k_cols,) bool — the full CG recurrence,
            from which the resumed run re-derives every later step
 os-sart    ``x`` (n, k_cols) float64
+icd        ``x`` (n,) and ``r`` (m,) float64 — the residual after
+           thousands of rank-1 updates, which ``y - A x`` does not
+           reproduce bitwise (no batch: a single sinogram)
 =========  =============================================================
 """
 

@@ -1,7 +1,7 @@
-"""The iteration driver: one loop behind SIRT, CGLS, OS-SART and ART.
+"""The iteration driver: one loop behind SIRT, CGLS, OS-SART, ART and ICD.
 
-Every iterative solver here runs the same loop — a forward projection,
-a back-projection and a vector update per iteration — inside the same
+Every iterative solver here runs the same loop — one iteration of its
+arithmetic per step, a sweep over the pixels for ICD — inside the same
 scaffolding: sinogram coercion and guard, schema validation of the
 parameters, ``x0``/``resume_from`` validation, the divergence watchdog,
 the ``<solver>.iter`` span, the ``<solver>.residual``/``.iterations``
@@ -32,7 +32,8 @@ else None).  Each iteration the driver then calls
 
 :attr:`Iteration.arrays` names the checkpointed state arrays with their
 shapes over ``m``, ``n`` and the batch width ``k``; restoring exactly
-those arrays resumes a run bitwise.  :attr:`Iteration.name` is the
+those arrays resumes a run bitwise.  :attr:`Iteration.start` holds the
+iterations a resumed run continues past.  :attr:`Iteration.name` is the
 solver string of events, checkpoints, spans and metrics.
 """
 
@@ -74,6 +75,9 @@ class Iteration:
     meaning = RESIDUAL
     #: set by :func:`run` when a watchdog judges every step
     watched = False
+    #: set by :func:`run`: iterations completed before the first step
+    #: (a resumed run's checkpoint ``k + 1``)
+    start = 0
 
     def __init__(self, op, y, x, params):
         self.op, self.y, self.x = op, y, x
@@ -167,7 +171,7 @@ def run(solver: type[Iteration], op, sinogram, *, geom=None, x0=None,
                 f"{resume_from.params_hash} != {expected}); "
                 "resuming would not continue the same run"
             )
-        dims = {"m": m, "n": n, "k": y.shape[1]}
+        dims = {"m": m, "n": n, "k": y.shape[1] if y.ndim == 2 else None}
         for name, axes in solver.arrays.items():
             want, got = tuple(dims[a] for a in axes), np.shape(resumed[name])
             if got != want:
@@ -189,7 +193,7 @@ def run(solver: type[Iteration], op, sinogram, *, geom=None, x0=None,
         x = x.reshape((n,) + y.shape[1:]).copy()
 
     it = solver(op, y, x, params, geom, resumed)
-    it.watched = wd is not None
+    it.watched, it.start = wd is not None, start
     x_init = x.copy() if wd is not None else None
     provider = it.state if spec.supports("resume") else None
     name = solver.name

@@ -1,12 +1,9 @@
 """Unified solver registry: one schema-checked entry point per solver.
 
-The four reconstruction entry points grew up separately and diverged:
-``sirt_reconstruct(op, y, relax=...)``, ``cgls_reconstruct(op, y,
-damping=...)``, ``art_reconstruct(op, y, relax=...)`` and
-``os_sart_reconstruct(csr, geom, y, num_subsets=...)`` each accept a
-different parameter set, and nothing rejected a parameter the chosen
-solver silently ignores.  This module puts them behind one registry of
-:class:`SolverSpec` objects carrying
+Each reconstruction entry point (``sirt_reconstruct(op, y, relax=...)``,
+``cgls_reconstruct(op, y, damping=...)``, ``icd_reconstruct(op, y,
+order=...)``, ...) accepts its own parameter set.  This module puts every
+solver behind one registry of :class:`SolverSpec` objects carrying
 
 * a **parameter schema** — name, type, default, bounds — used to
   validate caller parameters *by name* (unknown or out-of-range
@@ -41,6 +38,7 @@ from repro.errors import ValidationError
 from repro.recon.art import Art
 from repro.recon.cgls import Cgls
 from repro.recon.fbp import fbp_reconstruct
+from repro.recon.icd import Icd
 from repro.recon.os_sart import OsSart
 from repro.recon.sirt import Sirt
 
@@ -270,6 +268,21 @@ SOLVERS: dict[str, SolverSpec] = {
             capabilities=frozenset(
                 {"iterative", "batch", "relax", "needs_geom", "resume"}
             ),
+        ),
+        SolverSpec(
+            name="icd",
+            doc="Iterative coordinate descent (column action)",
+            solver=Icd,
+            params=(
+                Param("iterations", int, 5, low=1, doc="full sweeps"),
+                Param("order", str, "sequential",
+                      choices=("sequential", "random"),
+                      doc="column visit order per sweep"),
+                Param("seed", int, 0, low=0,
+                      doc="random-order permutation seed"),
+                _NONNEG,
+            ),
+            capabilities=frozenset({"iterative", "resume"}),
         ),
         SolverSpec(
             name="fbp",

@@ -29,6 +29,11 @@ unknown path when none is (the metrics-only exporter that
   drain is in progress.  Load balancers and ``repro bench serve`` gate
   on this, not on ``/healthz``.
 
+Any other exception while handling a request answers
+``500 {"error": "internal"}`` (the traceback goes to this module's
+logger, not the body) and counts in ``serve.http_internal_errors``; the
+server keeps serving.
+
 Built on ``ThreadingHTTPServer`` only: handler threads call the
 thread-safe :class:`~repro.serve.service.ServiceRunner` directly.
 """
@@ -36,12 +41,13 @@ thread-safe :class:`~repro.serve.service.ServiceRunner` directly.
 from __future__ import annotations
 
 import json
+import logging
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import ReproError, ValidationError
 from repro.obs.export import prometheus_text
-from repro.obs.metrics import registry
+from repro.obs.metrics import counter, registry
 from repro.serve.jobs import QueueFullError, ServiceUnavailableError
 from repro.serve.service import ServiceRunner
 
@@ -52,6 +58,7 @@ _JSON = "application/json; charset=utf-8"
 _PROMETHEUS = "text/plain; version=0.0.4; charset=utf-8"
 # serve_forever checks for shutdown once per poll; keep stop() prompt
 _POLL_S = 0.05
+_log = logging.getLogger(__name__)
 
 
 class _ServeHandler(BaseHTTPRequestHandler):
@@ -93,10 +100,28 @@ class _ServeHandler(BaseHTTPRequestHandler):
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"request body is not valid JSON: {exc}") from exc
 
+    def _guarded(self, route) -> None:
+        """Run *route*; the last resort for an unexpected exception is a
+        structured 500 instead of a dropped connection, with the traceback
+        logged server-side only."""
+        try:
+            route()
+        except Exception:  # noqa: BLE001 - anything else is a server bug
+            _log.exception("unhandled error serving %s %s", self.command, self.path)
+            counter("serve.http_internal_errors",
+                    "HTTP requests answered 500 by an unexpected exception").inc()
+            self._send(500, {"error": "internal"})
+
     # ---------------------------------------------------------------- #
     # routes
 
     def do_POST(self):  # noqa: N802 (stdlib naming)
+        self._guarded(self._post)
+
+    def do_GET(self):  # noqa: N802 (stdlib naming)
+        self._guarded(self._get)
+
+    def _post(self) -> None:
         path = self.path.split("?")[0]
         runner = self.server.runner
         if runner is None or path != "/v1/reconstruct":
@@ -116,7 +141,7 @@ class _ServeHandler(BaseHTTPRequestHandler):
         else:
             self._send(202, job.snapshot(include_image=False))
 
-    def do_GET(self):  # noqa: N802 (stdlib naming)
+    def _get(self) -> None:
         path, _, query = self.path.partition("?")
         runner = self.server.runner
         if path == "/metrics":

@@ -42,9 +42,9 @@ import itertools
 import os
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from concurrent import futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -169,9 +169,14 @@ class ServiceRunner:
     def __init__(self, config: ServeConfig | None = None):
         self.config = config or ServeConfig()
         self._jobs: dict[str, Job] = {}
+        #: per-state job counts and finished job ids in finish order, so
+        #: stats() and _trim_history never walk the history
+        self._states: Counter = Counter()
+        self._finished: deque = deque()
         self._queues: "OrderedDict[str, deque]" = OrderedDict()
         self._rr: deque = deque()               # tenant rotation order
-        #: guards the queues, _jobs, _idem, _inflight and lifecycle flags
+        #: guards the queues, _jobs, _states, _finished, _idem, _inflight
+        #: and lifecycle flags
         self._cond = threading.Condition()
         self._pool: futures.ThreadPoolExecutor | None = None
         self._scheduler: threading.Thread | None = None
@@ -235,18 +240,12 @@ class ServiceRunner:
         self._m_suspended = m.counter(
             "serve.jobs.suspended", "in-flight jobs checkpointed and re-queued by drain"
         )
-        self._m_rec_resumed = m.counter(
-            "serve.recovery.resumed", "jobs recovered mid-solve from a checkpoint"
-        )
-        self._m_rec_restarted = m.counter(
-            "serve.recovery.restarted", "jobs recovered by restarting from scratch"
-        )
-        self._m_rec_restored = m.counter(
-            "serve.recovery.restored", "finished jobs restored to history from the journal"
-        )
-        self._m_rec_failed = m.counter(
-            "serve.recovery.failed", "journaled jobs that could not be recovered"
-        )
+        self._m_rec = {mode: m.counter(f"serve.recovery.{mode}", doc) for mode, doc in (
+            ("resumed", "jobs recovered mid-solve from a checkpoint"),
+            ("restarted", "jobs recovered by restarting from scratch"),
+            ("restored", "finished jobs restored to history from the journal"),
+            ("failed", "journaled jobs that could not be recovered"),
+        )}
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -339,14 +338,13 @@ class ServiceRunner:
             while q:
                 job = q.popleft()
                 job.stop_reason = "shutdown"
-                job.finish(FAILED, error={
+                self._move(job, FAILED, error={
                     "error": "shutdown",
                     "message": "service shut down before the job ran; "
                                "safe to retry (or wait for restart "
                                "recovery when the journal is enabled)",
                     "retryable": True,
                 })
-                self._m_failed.inc()
                 failed += 1
         self._gauge_depth()
         return failed
@@ -450,6 +448,7 @@ class ServiceRunner:
             if key is not None:
                 self._idem[key] = job.id
             self._jobs[job.id] = job
+            self._states[QUEUED] += 1
             self._trim_history()
             self._enqueue(job)
             self._m_submitted.inc()
@@ -508,13 +507,9 @@ class ServiceRunner:
     def stats(self) -> dict:
         """Queue/lifecycle counts for ``/healthz`` and the CLI."""
         with self._cond:
-            jobs = list(self._jobs.values())
-            queues = list(self._queues.items())
+            tenants = {t: len(q) for t, q in self._queues.items()}
+            states = {state: n for state, n in self._states.items() if n}
             ready, draining = self.ready, self._draining
-        states: dict[str, int] = {}
-        for job in jobs:
-            states[job.state] = states.get(job.state, 0) + 1
-        tenants = {t: len(q) for t, q in queues}
         return {
             "tenants": tenants,
             "queued_total": sum(tenants.values()),
@@ -554,6 +549,9 @@ class ServiceRunner:
         with self._cond:
             self._idem.update(idem)
             self._jobs.update(jobs)
+            self._states.update(job.state for job in jobs.values())
+            self._finished.extend(jid for jid, job in jobs.items()
+                                  if job.state in TERMINAL_STATES)
             self._trim_history()
             for job in to_enqueue:
                 self._enqueue(job)
@@ -583,38 +581,27 @@ class ServiceRunner:
         jobs: dict[str, Job] = {}
         idem: dict[str, str] = {}
         to_enqueue: list = []
-        restored = resumed = restarted = failed = 0
+        modes = Counter({mode: 0 for mode in self._m_rec})
         for rj in replay.jobs.values():
             if rj.idempotency_key:
                 idem[rj.idempotency_key] = rj.job_id
-            if not rj.live:
-                job = self._restore_finished(rj)
-                if job is not None:
-                    jobs[rj.job_id] = job
-                    restored += 1
-                    self._m_rec_restored.inc()
-                continue
-            job, mode = self._rebuild_live(rj)
+            if rj.live:
+                job, mode = self._rebuild_live(rj)
+            else:
+                job, mode = self._restore_finished(rj), "restored"
+                if job is None:
+                    continue
             jobs[rj.job_id] = job
+            modes[mode] += 1
+            self._m_rec[mode].inc()
             if mode == "failed":
                 # drop it from the compacted journal — re-running on
                 # every boot would fail identically forever
                 rj.state = "failed"
-                failed += 1
-                self._m_rec_failed.inc()
                 self._m_failed.inc()
-            else:
+            elif mode != "restored":
                 to_enqueue.append(job)
-                if mode == "resumed":
-                    resumed += 1
-                    self._m_rec_resumed.inc()
-                else:
-                    restarted += 1
-                    self._m_rec_restarted.inc()
-        rec.update(
-            restored=restored, resumed=resumed,
-            restarted=restarted, failed=failed,
-        )
+        rec.update(modes)
         try:
             rec["compacted"] = journal.compact(replay)
         except OSError:
@@ -758,9 +745,7 @@ class ServiceRunner:
         if exc is not None:
             err = {"error": type(exc).__name__, "message": str(exc)}
             for job in batch:
-                if job.state not in TERMINAL_STATES:
-                    job.finish(FAILED, error=err)
-                    self._m_failed.inc()
+                self._move(job, FAILED, error=err)
         with self._cond:
             self._inflight.discard(future)
             self._cond.notify_all()
@@ -817,12 +802,11 @@ class ServiceRunner:
 
     def _expire(self, job: Job) -> None:
         job.stop_reason = "deadline"
-        job.finish(CANCELLED, error={
+        self._move(job, CANCELLED, error={
             "error": "deadline_exceeded",
             "message": f"deadline of {job.request.deadline_s}s expired "
                        f"before the job finished",
         })
-        self._m_cancelled.inc()
         self._m_deadline.inc()
         self._journal_finish(job)
 
@@ -849,7 +833,7 @@ class ServiceRunner:
         batch_id = next(self._batch_ids)
         t_start = time.time()
         for job in live:
-            job.state = RUNNING
+            self._move(job, RUNNING)
             job.started_at = t_start
             job.queue_wait_s = t_start - job.submitted_at
             job.batch_id = batch_id
@@ -931,8 +915,8 @@ class ServiceRunner:
                 cache=self.config.cache,
             )
             if req.resume_from is not None:
-                # recovered jobs run solo (resume vetoes coalescing);
-                # column arrays in the checkpoint are (n, 1)
+                # recovered jobs run solo (resume vetoes coalescing); a
+                # batch solver's checkpoint holds (n, 1) columns
                 y = req.sinogram
             elif req.coalescible:
                 # always a 2-D (m, k) stack — even k=1 — so a job's column
@@ -955,17 +939,13 @@ class ServiceRunner:
             # drain checkpointed this batch: jobs go back to queued with
             # no journal finish record — restart recovery resumes them
             for job in live:
-                if job.state in TERMINAL_STATES:
-                    continue
-                job.state = QUEUED
-                job.stop_reason = "suspended"
-                self._m_suspended.inc()
+                if self._move(job, QUEUED):
+                    job.stop_reason = "suspended"
+                    self._m_suspended.inc()
         except ReproError as exc:
             err = {"error": type(exc).__name__, "message": str(exc)}
             for job in live:
-                if job.state not in TERMINAL_STATES:
-                    job.finish(FAILED, error=err)
-                    self._m_failed.inc()
+                if self._move(job, FAILED, error=err):
                     self._journal_finish(job)
         else:
             image = res.image if res.image.ndim == 2 else res.image[:, None]
@@ -977,8 +957,7 @@ class ServiceRunner:
                 job.result = np.ascontiguousarray(image[:, idx])
                 job.iterations = res.iterations
                 job.stop_reason = res.stop_reason
-                job.finish(DONE)
-                self._m_completed.inc()
+                self._move(job, DONE)
                 self._m_latency.observe(job.finished_at - job.submitted_at)
                 self._journal_finish(job)
         finally:
@@ -986,7 +965,8 @@ class ServiceRunner:
 
     def _store_batch_checkpoints(self, event, live, params_hash) -> None:
         """Persist one per-job checkpoint for every non-terminal job of a
-        batch, sliced out of the (possibly batched) solver state.
+        batch: its column of a batched solver state, or the whole state
+        of a solver without the ``batch`` capability (a solo job).
 
         Runs inside the solver callback (worker thread); persistence
         failures degrade — counted, never fatal to the solve.
@@ -997,34 +977,42 @@ class ServiceRunner:
             save_checkpoint,
         )
 
-        state = CheckpointState(
-            solver=event.solver,
-            k=event.k,
-            params_hash=params_hash,
-            arrays=event.state_provider(),
-            residuals=(),
-        )
+        state = CheckpointState(solver=event.solver, k=event.k,
+                                params_hash=params_hash,
+                                arrays=event.state_provider())
+        batched = np.ndim(state.arrays["x"]) == 2
         for idx, job in enumerate(live):
             if job.state in TERMINAL_STATES:
                 continue
-            per = column_state(state, idx)
-            per = CheckpointState(
-                solver=per.solver, k=per.k, params_hash=per.params_hash,
-                arrays=per.arrays,
-                residuals=tuple(p["residual"] for p in job.progress),
-            )
+            per = replace(column_state(state, idx) if batched else state,
+                          residuals=tuple(p["residual"] for p in job.progress))
             try:
                 save_checkpoint(per, self.journal.checkpoint_path(job.id))
                 self._m_ckpt.inc()
             except OSError:
                 self._m_ckpt_err.inc()
 
+    def _move(self, job: Job, state: str, *, error: dict | None = None) -> bool:
+        """Move a live *job* to *state*, keeping the per-state counts and
+        the terminal-state counters; False, changing nothing, when it is
+        already terminal."""
+        with self._cond:
+            old = job.state
+            if old in TERMINAL_STATES:
+                return False
+            if state in TERMINAL_STATES:
+                job.finish(state, error=error)
+                self._finished.append(job.id)
+                {DONE: self._m_completed, FAILED: self._m_failed,
+                 CANCELLED: self._m_cancelled}[state].inc()
+            else:
+                job.state = state
+            self._states[old] -= 1
+            self._states[state] += 1
+            return True
+
     def _trim_history(self) -> None:
-        """Drop the oldest finished jobs beyond ``max_jobs_history``."""
-        excess = len(self._jobs) - self.config.max_jobs_history
-        if excess <= 0:
-            return
-        for jid in [
-            jid for jid, j in self._jobs.items() if j.state in TERMINAL_STATES
-        ][:excess]:
-            del self._jobs[jid]
+        """Drop the earliest-finished jobs beyond ``max_jobs_history``
+        (hold ``_cond``)."""
+        while len(self._jobs) > self.config.max_jobs_history and self._finished:
+            self._states[self._jobs.pop(self._finished.popleft()).state] -= 1

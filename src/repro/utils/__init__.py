@@ -1,4 +1,4 @@
-"""Shared utilities: array helpers, timing, partitioning, ASCII tables."""
+"""Shared utilities: array helpers, durable writes, timing, ASCII tables."""
 
 from repro.utils.arrays import (
     aligned_zeros,
@@ -14,11 +14,6 @@ from repro.utils.durable import (
     write_json_durable,
     write_text_durable,
 )
-from repro.utils.partition import (
-    chunk_ranges,
-    greedy_balance,
-    split_evenly,
-)
 from repro.utils.tables import Table, render_grid
 from repro.utils.timing import Timer, min_time
 
@@ -33,9 +28,6 @@ __all__ = [
     "write_bytes_durable",
     "write_json_durable",
     "write_text_durable",
-    "chunk_ranges",
-    "greedy_balance",
-    "split_evenly",
     "Table",
     "render_grid",
     "Timer",

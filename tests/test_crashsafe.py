@@ -58,10 +58,15 @@ def sino_stack(op, sino):
     return np.stack(cols, axis=1)
 
 
-SOLVER_CASES = [
+BATCH_CASES = [
     ("sirt", {"iterations": 12, "relax": 1.2}),
     ("cgls", {"iterations": 12, "damping": 1e-3}),
     ("os-sart", {"iterations": 10, "num_subsets": 4}),
+]
+# ICD has no batch capability: single-sinogram state only
+SOLVER_CASES = BATCH_CASES + [
+    ("icd", {"iterations": 9}),
+    ("icd", {"iterations": 9, "order": "random", "seed": 3}),
 ]
 
 
@@ -116,7 +121,7 @@ class TestResumeBitwise:
         )
         assert np.array_equal(resumed.image, full.image)
 
-    @pytest.mark.parametrize("solver,params", SOLVER_CASES)
+    @pytest.mark.parametrize("solver,params", BATCH_CASES)
     def test_batched_checkpoint_column_resumes_solo(
         self, op, geom, sino_stack, solver, params
     ):
@@ -531,6 +536,42 @@ class TestServiceRecovery:
             assert job.iterations == iters
         direct = api.reconstruct(op, sino, solver="sirt", geom=geom,
                                  iterations=iters)
+        assert np.array_equal(job.result, direct.image)
+
+    @pytest.mark.parametrize("order", ["sequential", "random"])
+    def test_icd_job_drained_then_resumed_bitwise(
+        self, op, geom, sino, tmp_path, order
+    ):
+        # ICD has no batch capability: its checkpoint is stored whole
+        # (1-D x and r), not sliced per column
+        jd = str(tmp_path / "j")
+        params = {"iterations": 120, "order": order, "seed": 5}
+        cfg = ServeConfig(workers=1, journal_dir=jd, ckpt_every=2,
+                          batch_window_s=0.0)
+        runner = ServiceRunner(cfg).start()
+        assert runner.wait_ready(10)
+        job = runner.submit(serve_payload(sino, solver="icd", params=params))
+        jid = job.id
+        assert not job.request.coalescible
+        deadline = time.monotonic() + 30.0
+        while not job.progress and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert job.progress, "solve never started"
+        summary = runner.drain(timeout=20.0)
+        assert summary["suspended"] == 1 and job.state == "queued"
+        runner.stop()
+        (path,) = (tmp_path / "j").rglob(f"{jid}.ckpt")
+        saved = load_checkpoint(path)
+        assert saved.solver == "icd"
+        assert saved.arrays["x"].shape == (op.shape[1],)
+        assert saved.arrays["r"].shape == (op.shape[0],)
+        with ServiceRunner(ServeConfig(workers=1, journal_dir=jd)) as runner:
+            assert runner.wait_ready(10)
+            assert runner.stats()["recovery"]["resumed"] == 1
+            job = runner.wait(jid, timeout=120)
+            assert job.state == "done", job.error
+            assert job.iterations == params["iterations"]
+        direct = api.reconstruct(op, sino, solver="icd", **params)
         assert np.array_equal(job.result, direct.image)
 
     def test_unrecoverable_job_fails_structured(self, sino, tmp_path):

@@ -5,7 +5,9 @@ service runner attached.
 ``obs.runtime.start(port=...)`` (and ``REPRO_METRICS_PORT``) serves the
 same handler without one.  Both answer ``/metrics`` and a JSON
 ``/healthz`` the same way; only the runner-attached one routes
-``/readyz`` and ``/v1/*``.  Stopping an idle server returns promptly.
+``/readyz`` and ``/v1/*``.  Stopping an idle server returns promptly,
+and an unexpected exception in a route is a JSON 500, not a dropped
+connection.
 """
 
 import json
@@ -94,3 +96,26 @@ def test_idle_stop_returns_promptly(surface):
     stop()
     elapsed = time.perf_counter() - t0
     assert elapsed < 0.25, f"idle stop() took {elapsed:.2f} s"
+
+
+def test_unexpected_exception_is_a_json_500(perf_restored, monkeypatch):
+    runner = ServiceRunner(ServeConfig()).start(run_scheduler=False)
+    server = serve_http(runner)
+    try:
+        def boom(*args, **kwargs):
+            raise RuntimeError("secret internals")
+
+        monkeypatch.setattr(runner, "submit", boom)
+        monkeypatch.setattr(runner, "get_job", boom)
+        errors = obs.counter("serve.http_internal_errors")
+        before = errors.value
+        for path, data in (("/v1/reconstruct", b"{}"), ("/v1/jobs/job-1", None)):
+            status, ctype, body = request(server.port, path, data=data)
+            assert status == 500 and ctype.startswith("application/json")
+            assert json.loads(body) == {"error": "internal"}
+            # the handler survived: the next request on the server works
+            assert request(server.port, "/healthz")[0] == 200
+        assert errors.value == before + 2
+    finally:
+        server.stop()
+        runner.stop()

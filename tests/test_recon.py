@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import build_ct_matrix
+from repro.api import build_ct_matrix, operator
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
 from repro.geometry.parallel_beam import ParallelBeamGeometry
@@ -150,43 +150,78 @@ class TestICD:
         truth = disk_phantom(16, radius_frac=0.5).ravel()
         csc = CSCMatrix.from_coo_matrix(coo)
         sino = csc.spmv(truth)
-        return csc, truth, sino
+        return ProjectionOperator(csc), truth, sino
 
     def test_residual_decreases_per_sweep(self, csc_problem):
-        csc, truth, sino = csc_problem
-        rs = []
-        icd_reconstruct(csc, sino, sweeps=4, callback=lambda s, x, r: rs.append(r))
+        op, truth, sino = csc_problem
+        events = []
+        icd_reconstruct(op, sino, iterations=4, callback=events.append)
+        assert [e.k for e in events] == [0, 1, 2, 3]
+        assert all(e.solver == "icd" and e.meaning == "residual" for e in events)
+        rs = [e.norm for e in events]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(rs, rs[1:]))
 
     def test_converges(self, csc_problem):
-        csc, truth, sino = csc_problem
-        x = icd_reconstruct(csc, sino, sweeps=8)
+        op, truth, sino = csc_problem
+        x = icd_reconstruct(op, sino, iterations=8)
         assert relative_error(x, truth) < 0.4
 
     def test_single_update_is_exact_minimiser(self, csc_problem):
         # after updating coordinate j, the residual is orthogonal to a_j
-        csc, truth, sino = csc_problem
+        op, truth, sino = csc_problem
+        csc = op.fmt
         x = np.zeros(csc.shape[1])
         r = sino.astype(np.float64).copy()
-        norms = np.zeros(csc.shape[1])
-        np.add.at(norms, np.repeat(np.arange(csc.shape[1]), np.diff(csc.col_ptr)),
-                  csc.vals.astype(np.float64) ** 2)
+        norms = op.col_norms_sq()
         j = csc.shape[1] // 2
         icd_single_update(csc, x, r, j, norms)
         a, b = int(csc.col_ptr[j]), int(csc.col_ptr[j + 1])
         assert abs(csc.vals[a:b] @ r[csc.row_idx[a:b]]) < 1e-8
 
+    def test_single_update_clamps_at_nonneg(self, csc_problem):
+        # a step that would drive x_j below zero stops at zero exactly
+        op, _, sino = csc_problem
+        csc = op.fmt
+        j = csc.shape[1] // 2
+        x = np.zeros(csc.shape[1])
+        r = -sino.astype(np.float64)
+        norms = op.col_norms_sq()
+        r_before = r.copy()
+        free = icd_single_update(csc, x.copy(), r.copy(), j, norms)
+        assert free < 0.0
+        assert icd_single_update(csc, x, r, j, norms, nonneg=True) == 0.0
+        assert x[j] == 0.0 and np.array_equal(r, r_before)
+
     def test_random_order_also_converges(self, csc_problem):
-        csc, truth, sino = csc_problem
-        x = icd_reconstruct(csc, sino, sweeps=8, order="random", seed=1)
+        op, truth, sino = csc_problem
+        x = icd_reconstruct(op, sino, iterations=8, order="random", seed=1)
         assert relative_error(x, truth) < 0.6
 
     def test_invalid_order(self, csc_problem):
         from repro.errors import ValidationError
 
-        csc, _, sino = csc_problem
-        with pytest.raises(ValidationError):
-            icd_reconstruct(csc, sino, order="spiral")
+        op, _, sino = csc_problem
+        with pytest.raises(ValidationError, match="order"):
+            icd_reconstruct(op, sino, order="spiral")
+        with pytest.raises(ValidationError, match="iterations"):
+            icd_reconstruct(op, sino, iterations=0)
+
+    @pytest.mark.parametrize("order", ["sequential", "random"])
+    @pytest.mark.parametrize("fmt", ["cscv-z", "cscv-m", "csr"])
+    def test_every_format_equals_csc_bitwise(self, fmt, order):
+        # ICD reads columns from a CSC copy of any other format; the copy
+        # of the same float32 matrix is the CSC itself, so images match
+        geom = ParallelBeamGeometry.for_image(16, num_views=24)
+        ref = operator(geom, fmt="csc", cache=False)
+        other = operator(geom, fmt=fmt, cache=False)
+        assert ref.dtype == other.dtype == np.float32
+        sino = ref.forward(disk_phantom(16, radius_frac=0.5).ravel()
+                           .astype(ref.dtype))
+        kw = dict(iterations=3, order=order, seed=2)
+        want = icd_reconstruct(ref, sino, **kw)
+        got = icd_reconstruct(other, sino, **kw)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestFBP:

@@ -30,6 +30,7 @@ from repro.recon import (
     ProjectionOperator,
     art_reconstruct,
     cgls_reconstruct,
+    icd_reconstruct,
     sirt_reconstruct,
 )
 from repro.recon.os_sart import os_sart_reconstruct
@@ -647,7 +648,7 @@ class TestWatchdogInSolvers:
         assert wd.restarts == 1
         assert self._rnorm(op, sino, x) < 0.1 * float(np.linalg.norm(sino))
 
-    @pytest.mark.parametrize("solver", ["sirt", "art", "os_sart", "cgls"])
+    @pytest.mark.parametrize("solver", ["sirt", "art", "os_sart", "cgls", "icd"])
     def test_restart_equals_fresh_run_from_best_iterate(self, solver):
         # a restart at iteration 3 discards that sweep and runs the rest
         # of the budget from the best iterate with relax backed off: it
@@ -661,6 +662,7 @@ class TestWatchdogInSolvers:
             "os_sart": lambda **kw: os_sart_reconstruct(
                 op.to_csr(), geom, sino, num_subsets=4, **kw),
             "cgls": lambda **kw: cgls_reconstruct(op, sino, **kw),
+            "icd": lambda **kw: icd_reconstruct(op, sino, **kw),
         }[solver]
 
         class RestartAt3(ResidualWatchdog):
@@ -670,7 +672,7 @@ class TestWatchdogInSolvers:
                     return self._diverged(iteration, residual)
                 return super().observe(iteration, residual, x)
 
-        relax = {} if solver == "cgls" else {"relax": 1.0}
+        relax = {} if solver in ("cgls", "icd") else {"relax": 1.0}
         wd = RestartAt3(solver=solver)
         guarded = solve(iterations=10, watchdog=wd, **relax)
         assert wd.restarts == 1

@@ -354,6 +354,17 @@ class TestFacadeEquivalence:
         assert np.array_equal(res.image, direct)
         assert res.stop_reason == "analytic"
 
+    def test_icd_matches_direct_call(self, op, sinos):
+        from repro.recon import icd_reconstruct
+
+        res = repro.reconstruct(op, sinos[0], solver="icd", iterations=2,
+                                order="random", seed=4)
+        direct = icd_reconstruct(op, sinos[0], iterations=2, order="random",
+                                 seed=4)
+        assert np.array_equal(res.image, direct)
+        assert res.iterations == 2 and res.stop_reason == "max_iterations"
+        assert [e.k for e in res.history] == [0, 1]
+
     def test_underscore_alias(self, op, geom, sinos):
         res = repro.reconstruct(op, sinos[0], solver="os_sart", geom=geom,
                                 iterations=1, num_subsets=2)

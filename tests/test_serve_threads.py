@@ -14,6 +14,8 @@ import socket
 import sys
 import threading
 import time
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ import pytest
 import repro
 from repro import api
 from repro.serve import ServeConfig, ServiceRunner, serve_http
-from repro.serve.jobs import DONE, FAILED, encode_array
+from repro.errors import SolverError
+from repro.serve.jobs import CANCELLED, DONE, FAILED, QUEUED, encode_array
 
 SIZE = 8
 
@@ -166,6 +169,81 @@ def test_stats_is_safe_while_new_tenants_arrive(sino):
         runner.stop()
     assert not errors, f"{len(errors)} stats() failures, first: {errors[0]}"
     assert runner.stats()["jobs"] == {FAILED: 3000}
+
+
+def recount(runner):
+    """``(stats()["jobs"], a recount over the job history)``."""
+    with runner._cond:
+        counted = Counter(job.state for job in runner._jobs.values())
+        return runner.stats()["jobs"], dict(counted)
+
+
+def test_stats_counts_equal_a_recount_under_mixed_traffic(
+    sino, tmp_path, monkeypatch
+):
+    """done, failed (solver error and worker bug), cancelled (queued and
+    mid-run deadline), suspended by drain, failed at shutdown, recovered
+    from the journal and trimmed past max_jobs_history: the per-state
+    counts stats() keeps always equal a walk over the history."""
+    real = api.reconstruct
+
+    def faulty(op, y, *, solver, **kwargs):
+        if solver == "cgls":
+            raise SolverError("injected solver failure")
+        if solver == "art":
+            raise RuntimeError("injected worker bug")
+        return real(op, y, solver=solver, **kwargs)
+
+    monkeypatch.setattr(api, "reconstruct", faulty)
+    jd = str(tmp_path / "journal")
+    config = ServeConfig(workers=1, max_batch=1, batch_window_s=0.0,
+                         journal_dir=jd, ckpt_every=1)
+    runner = ServiceRunner(config).start()
+    assert runner.wait_ready(10)
+    try:
+        for solver in ("sirt", "sirt", "cgls", "art"):
+            body = payload(sino) | {"solver": solver}
+            runner.wait(runner.submit(body).id, 30)
+        slow = {"iterations": 10**6}
+        aborted = runner.submit(payload(sino, params=slow) | {"deadline_s": 0.3})
+        expired = runner.submit(payload(sino) | {"deadline_s": 0.05})
+        assert runner.wait(expired.id, 30).state == CANCELLED
+        assert runner.wait(aborted.id, 30).state == CANCELLED
+        suspended = runner.submit(payload(sino, params=slow))
+        assert wait_until(lambda: suspended.progress)
+        shut = runner.submit(payload(sino, tenant="other"))
+        stats, counted = recount(runner)
+        assert stats == counted
+        runner.drain(timeout=10.0)
+        assert suspended.state == QUEUED
+        assert shut.state == FAILED
+        stats, counted = recount(runner)
+        assert stats == counted
+        assert stats == {DONE: 2, FAILED: 3, CANCELLED: 2, QUEUED: 1}
+    finally:
+        runner.stop()
+
+    monkeypatch.setattr(api, "reconstruct", real)
+    runner = ServiceRunner(replace(config, max_jobs_history=5)).start()
+    try:
+        assert runner.wait_ready(10)
+        rec = runner.stats()["recovery"]
+        assert rec["resumed"] == 1 and rec["restarted"] == 2
+        stats, counted = recount(runner)
+        assert stats == counted and sum(stats.values()) == 5
+        # expire every job, so the resumed million-iteration solve is
+        # cancelled at its next iteration instead of running on
+        for job in list(runner._jobs.values()):
+            job.deadline_at = 0.0
+        for i in range(8):
+            runner.wait(runner.submit(payload(sino, tenant=f"t{i}")).id, 30)
+            stats, counted = recount(runner)
+            assert stats == counted
+            assert sum(stats.values()) <= 5
+    finally:
+        runner.stop()
+    stats, counted = recount(runner)
+    assert stats == counted
 
 
 def test_every_job_runs_in_exactly_one_batch_under_preemption(sino):

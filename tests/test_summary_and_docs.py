@@ -18,7 +18,7 @@ class TestSummaryExperiment:
 
 
 class TestCLIReconstruct:
-    @pytest.mark.parametrize("solver", ["sirt", "cgls", "art", "fbp"])
+    @pytest.mark.parametrize("solver", ["sirt", "cgls", "art", "icd", "fbp"])
     def test_each_solver(self, solver, capsys):
         from repro.cli import main
 

@@ -1,12 +1,8 @@
-"""Tests for repro.utils timing, partitioning and table rendering."""
+"""Tests for repro.utils timing and table rendering."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.errors import ValidationError
-from repro.utils.partition import chunk_ranges, greedy_balance, imbalance, split_evenly
 from repro.utils.tables import Table, render_grid
 from repro.utils.timing import Timer, gflops, min_time
 
@@ -56,66 +52,6 @@ class TestMinTime:
     def test_gflops_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             gflops(1, 0.0)
-
-
-class TestSplitEvenly:
-    def test_tiles_range(self):
-        parts = split_evenly(10, 3)
-        assert parts == [(0, 4), (4, 7), (7, 10)]
-
-    def test_more_parts_than_items(self):
-        parts = split_evenly(2, 4)
-        assert len(parts) == 4
-        assert parts[-1][0] == parts[-1][1]  # trailing empties
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(ValidationError):
-            split_evenly(-1, 2)
-        with pytest.raises(ValidationError):
-            split_evenly(3, 0)
-
-    @given(st.integers(0, 500), st.integers(1, 32))
-    @settings(max_examples=50, deadline=None)
-    def test_property_cover_and_disjoint(self, n, parts):
-        ranges = split_evenly(n, parts)
-        assert len(ranges) == parts
-        covered = [i for a, b in ranges for i in range(a, b)]
-        assert covered == list(range(n))
-
-
-class TestChunkRanges:
-    def test_basic(self):
-        assert chunk_ranges(7, 3) == [(0, 3), (3, 6), (6, 7)]
-
-    def test_rejects_zero_chunk(self):
-        with pytest.raises(ValidationError):
-            chunk_ranges(5, 0)
-
-
-class TestGreedyBalance:
-    def test_all_assigned_once(self):
-        w = [5, 3, 3, 2, 2, 1]
-        bins = greedy_balance(w, 3)
-        flat = sorted(i for b in bins for i in b)
-        assert flat == list(range(6))
-
-    def test_balances_better_than_naive(self):
-        w = np.array([8, 1, 1, 1, 1, 1, 1, 1, 1])
-        bins = greedy_balance(w, 2)
-        assert imbalance(w, bins) < 0.5
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValidationError):
-            greedy_balance([-1.0], 1)
-
-    @given(
-        st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=40),
-        st.integers(1, 8),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_property_partition(self, w, parts):
-        bins = greedy_balance(w, parts)
-        assert sorted(i for b in bins for i in b) == list(range(len(w)))
 
 
 class TestTable:
