@@ -9,17 +9,16 @@ that every worker count produced the *same* matrix (nnz and a value
 checksum), which is the determinism contract the operator cache relies
 on.
 
-Run via ``python -m repro bench build``; records land in
-``BENCH_build.json`` (one JSON object per measurement, PerfRecord-style)
-so CI can diff scaling regressions.
+Run via ``python -m repro bench build``: it prints the scaling table
+and exits 1 when a worker count changed the matrix.  The trajectory
+ledger (:mod:`repro.bench.trajectory`) keeps the single-worker strip
+build as its ``build/strip`` case.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -133,49 +132,6 @@ def run_build_bench(
             "single-worker cold build time over best multi-worker time",
         ).set(first.total_seconds / best if best else 0.0)
     return records
-
-
-#: Bumped when the per-record shape changes; every appended record is
-#: tagged so mixed-schema files stay interpretable.
-BUILD_BENCH_SCHEMA = 2
-
-
-def save_records(
-    records: list[BuildBenchRecord],
-    path: str = "BENCH_build.json",
-    *,
-    fresh: bool = False,
-) -> str:
-    """Append *records* to *path* (schema-tagged, trajectory-style).
-
-    Appending is the default so worker-ladder runs accumulate into one
-    file; ``fresh=True`` restores the old truncate-and-write behavior.
-    """
-    from repro.bench.trajectory import git_rev
-    from repro.obs.perf import host_fingerprint
-
-    payload = {"bench": "build", "schema": BUILD_BENCH_SCHEMA, "records": []}
-    if not fresh:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                existing = json.load(fh)
-            if isinstance(existing, dict) and existing.get("bench") == "build":
-                payload["records"] = list(existing.get("records", []))
-        except (FileNotFoundError, ValueError):
-            pass
-    stamp = {
-        "schema": BUILD_BENCH_SCHEMA,
-        "host": host_fingerprint(),
-        "git_rev": git_rev(),
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-    payload["records"].extend({**asdict(r), **stamp} for r in records)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    os.replace(tmp, path)
-    return path
 
 
 def render(records: list[BuildBenchRecord], *, title: str = "") -> str:

@@ -1,12 +1,25 @@
-"""Benchmark trajectory: a pinned suite appended to a committed JSON file.
+"""Benchmark trajectory: the repo's one micro-benchmark ledger.
 
-Every ROADMAP rung from here on (OpenMP driver, GPU backend, serving)
-needs a baseline to be measured against; this module provides it.
-``repro bench trajectory`` runs a *pinned* suite — SpMV and batched SpMM
-per format across fixed sizes, one cold build, one warm cache load —
-and appends a schema-versioned point (host fingerprint, STREAM GB/s,
-git rev, kernels ABI version, per-case seconds/GB/s/R_EM/noise) to
-``BENCH_trajectory.json``, which is committed to the repository.
+``repro bench trajectory`` runs a *pinned* suite at the paper's scale
+(256², 19.1M nnz, an operator beyond the LLC) and appends a
+schema-versioned point (host fingerprint, STREAM GB/s, git rev, kernels
+ABI version, per-case seconds/GB/s/R_EM/noise) to the committed
+``BENCH_trajectory.json``.  The suite is
+
+* one case per row of the CSCV dispatcher's
+  :data:`~repro.core.spmv.ROUTES` table, forward and adjoint: a 1-D row
+  is timed on a vector, a 2-D row on an ``(·, 1)`` and an ``(·, 8)``
+  stack, so the suite follows the table when rows change;
+* the ``csr`` forward product on a vector and an ``(·, 8)`` stack, the
+  paper's baseline;
+* one cold build (``build/strip``), one warm cache load
+  (``cache-warm/cscv-z``) and one 10-iteration single-slice SIRT solve
+  (``solve/sirt``) split into forward, adjoint and update seconds.
+
+Product case keys name the direction, format, size, layout (``1d``,
+``n1``, ``n8``) and thread count, e.g. ``adj/cscv-z/256/n1/t2``.  Their
+bytes come from :func:`repro.obs.perf.cscv_bytes`, the model the
+dispatch telemetry records, so both report the same ``R_EM``.
 
 ``repro bench compare`` diffs two points of that file with noise-aware
 thresholds: a case regresses when its new time exceeds the old by more
@@ -42,12 +55,18 @@ TRAJECTORY_SCHEMA = 1
 
 DEFAULT_TRAJECTORY_PATH = "BENCH_trajectory.json"
 
-#: The pinned suite: formats and the SpMM batch width never change, so
-#: points stay comparable across the whole trajectory.
-SUITE_FORMATS = ("csr", "cscv-z", "cscv-m")
-SUITE_SPMM_BATCH = 8
+#: The pinned suite: the stack width of the wide cases and the solve's
+#: iteration count never change, so points stay comparable.
+SUITE_WIDTH = 8
+SOLVE_ITERATIONS = 10
 QUICK_SIZES = (32,)
-FULL_SIZES = (48, 64)
+FULL_SIZES = (256,)
+
+#: Operand layouts as (key tag, stack width or None): a 1-D ROUTES row
+#: is timed on a vector, a 2-D row on an (·, 1) and an (·, 8) stack.
+VECTOR = ("1d", None)
+NARROW = ("n1", 1)
+WIDE = (f"n{SUITE_WIDTH}", SUITE_WIDTH)
 
 #: Regression slack: at least this much headroom always ...
 MIN_SLACK = 0.25
@@ -72,7 +91,7 @@ def git_rev() -> str:
 
 def _case(name: str, kind: str, fmt_name: str, size: int, stats, *,
           nnz: int, traffic_bytes: float | None, batch: int = 1,
-          stream_gbs: float | None) -> dict:
+          stream_gbs: float | None, **extra) -> dict:
     """One suite case record from a :class:`TimingStats`-like object."""
     t = stats.min
     gbs = traffic_bytes / t / 1e9 if (traffic_bytes and t > 0) else None
@@ -86,14 +105,16 @@ def _case(name: str, kind: str, fmt_name: str, size: int, stats, *,
         "mean_seconds": stats.mean,
         "noise": stats.std / stats.mean if stats.mean else 0.0,
         "gflops": 2.0 * nnz * batch / t / 1e9 if t > 0 else None,
+        "bytes": traffic_bytes,
         "achieved_gbs": gbs,
         "r_em": gbs / stream_gbs if (gbs and stream_gbs) else None,
         "nnz": int(nnz),
+        **extra,
     }
 
 
 class _OneShot:
-    """TimingStats stand-in for single-run cases (build, cache load)."""
+    """TimingStats stand-in for single-run cases (build, cache, solve)."""
 
     def __init__(self, seconds: float):
         self.min = self.mean = self.p50 = seconds
@@ -101,14 +122,117 @@ class _OneShot:
         self.iterations = 1
 
 
+def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
+    """Every ROUTES row at each of its layouts, then the csr baseline."""
+    from repro import config
+    from repro.api import operator
+    from repro.core import spmv
+
+    rng = np.random.default_rng(0)
+    fmts: dict = {}
+    cases = []
+    for (adjoint, variant, two_d), (op, _, _) in spmv.ROUTES.items():
+        if variant not in fmts:
+            fmts[variant] = operator(size, fmt=f"cscv-{variant}",
+                                     dtype=np.float32).fmt
+        fmt = fmts[variant]
+        threads = int(fmt.threads or config.runtime.threads)
+        m, n = fmt.shape
+        size_in, size_out = (m, n) if adjoint else (n, m)
+        for tag, width in ((NARROW, WIDE) if two_d else (VECTOR,)):
+            tail = () if width is None else (width,)
+            X = rng.random((size_in,) + tail, dtype=np.float32)
+            out = np.empty((size_out,) + tail, dtype=np.float32)
+            stats = timed(lambda: spmv.product(fmt, X, out, adjoint=adjoint))
+            k = width or 1
+            cases.append(_case(
+                f"{'adj' if adjoint else 'fwd'}/{fmt.name}/{size}/{tag}/t{threads}",
+                op, fmt.name, size, stats, nnz=fmt.nnz, batch=k,
+                traffic_bytes=obs_perf.cscv_bytes(
+                    fmt.data, variant, k, adjoint=adjoint)["total"],
+                stream_gbs=stream_gbs, threads=threads,
+            ))
+    fmts.clear()  # free the CSCV operators before the csr one loads
+
+    csr = operator(size, fmt="csr", dtype=np.float32).fmt
+    threads = int(config.runtime.threads)
+    m, n = csr.shape
+    for tag, width in (VECTOR, WIDE):
+        tail = () if width is None else (width,)
+        X = rng.random((n,) + tail, dtype=np.float32)
+        out = np.empty((m,) + tail, dtype=np.float32)
+        into = csr.spmv_into if width is None else csr.spmm_into
+        stats = timed(lambda: into(X, out))
+        k = width or 1
+        cases.append(_case(
+            f"fwd/csr/{size}/{tag}/t{threads}", "spmv" if width is None else "spmm",
+            "csr", size, stats, nnz=csr.nnz, batch=k,
+            traffic_bytes=obs_perf.format_bytes(csr, k)["total"],
+            stream_gbs=stream_gbs, threads=threads,
+        ))
+    return cases
+
+
+def _traced(fn) -> list:
+    """Spans recorded while *fn* runs; the tracer is left as it was."""
+    from repro.obs.trace import tracer
+
+    was_on, first = tracer.enabled, len(tracer.finished())
+    tracer.enable()
+    try:
+        fn()
+    finally:
+        spans = tracer.finished()[first:]
+        if not was_on:
+            tracer.disable()
+            del tracer.spans[first:]
+    return spans
+
+
+def _solve_split(spans) -> dict:
+    """Iteration seconds of one traced SIRT solve, split by the
+    dispatcher's product spans: ``forward_s`` + ``adjoint_s`` + ``update_s``."""
+    from repro.core.spmv import ROUTES
+
+    names = {adjoint: {f"{op}.{v}" for (a, v, _), (op, _, _) in ROUTES.items()
+                       if a == adjoint}
+             for adjoint in (False, True)}
+    iters = {s.id: s for s in spans if s.name == "sirt.iter"}
+    inside = [s for s in spans if s.parent in iters]
+    total = sum(s.seconds for s in iters.values())
+    forward = sum(s.seconds for s in inside if s.name in names[False])
+    adjoint = sum(s.seconds for s in inside if s.name in names[True])
+    return {"seconds": total, "forward_s": forward, "adjoint_s": adjoint,
+            "update_s": total - forward - adjoint, "iterations": len(iters)}
+
+
+def _solve_case(size: int, repeats: int, stream_gbs) -> dict:
+    """``solve/sirt/<size>``: the best of *repeats* traced solves."""
+    from repro import api
+    from repro.geometry.phantom import shepp_logan
+
+    op = api.operator(size)
+    y = op.forward(shepp_logan(size).ravel().astype(op.dtype))
+    best = min(
+        (_solve_split(_traced(lambda: api.reconstruct(
+            op, y, solver="sirt", iterations=SOLVE_ITERATIONS)))
+         for _ in range(repeats)),
+        key=lambda split: split["seconds"],
+    )
+    return _case(
+        f"solve/sirt/{size}", "solve", op.fmt.name, size,
+        _OneShot(best.pop("seconds")), nnz=0, traffic_bytes=None,
+        stream_gbs=stream_gbs, **best,
+    )
+
+
 def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
     """Run the pinned suite; returns one schema-versioned trajectory point.
 
     Measures (and persists) the host's STREAM bandwidth first, so every
-    case carries an ``r_em`` and later dispatch accounting finds the
-    cached denominator.
+    product case carries an ``r_em`` and later dispatch accounting finds
+    the cached denominator.
     """
-    from repro.api import operator
     from repro.bench.build import run_build_bench
     from repro.bench.cache import run_cache_bench
     from repro.kernels import KERNELS_ABI_VERSION, dispatch
@@ -117,70 +241,34 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
     sizes = tuple(sizes) if sizes else (QUICK_SIZES if quick else FULL_SIZES)
     iterations = 10 if quick else 30
     max_seconds = 0.5 if quick else 2.0
+    repeats = 1 if quick else 2
     stream_gbs = obs_perf.stream_bandwidth(
         measure=True, size_mb=64 if quick else 256
     )
 
+    def timed(fn):
+        return time_stats(fn, iterations=iterations, max_seconds=max_seconds)
+
     cases: list[dict] = []
     for size in sizes:
-        for name in SUITE_FORMATS:
-            fmt = operator(size, fmt=name, dtype=np.float32).fmt
-            m, n = fmt.shape
-            x = np.linspace(0.5, 1.5, n).astype(fmt.dtype)
-            y = np.zeros(m, dtype=fmt.dtype)
-            stats = time_stats(lambda: fmt.spmv_into(x, y),
-                               iterations=iterations, max_seconds=max_seconds)
-            cases.append(_case(
-                f"spmv/{name}/{size}", "spmv", name, size, stats,
-                nnz=fmt.nnz, traffic_bytes=obs_perf.format_bytes(fmt)["total"],
-                stream_gbs=stream_gbs,
-            ))
-            k = SUITE_SPMM_BATCH
-            rng = np.random.default_rng(0)
-            X = np.ascontiguousarray(rng.random((n, k)), dtype=fmt.dtype)
-            Y = np.zeros((m, k), dtype=fmt.dtype)
-            stats = time_stats(lambda: fmt.spmm_into(X, Y),
-                               iterations=iterations, max_seconds=max_seconds)
-            cases.append(_case(
-                f"spmm/{name}/{size}/k{k}", "spmm", name, size, stats,
-                nnz=fmt.nnz, batch=k,
-                traffic_bytes=obs_perf.format_bytes(fmt, k)["total"],
-                stream_gbs=stream_gbs,
-            ))
+        cases.extend(_product_cases(size, timed, stream_gbs))
 
-    build_size = sizes[0]
-    build_recs = run_build_bench(
-        size=build_size, projectors=("strip",), worker_counts=(1,),
-        repeats=1 if quick else 2,
-    )
-    for rec in build_recs:
+    size = sizes[0]
+    for rec in run_build_bench(size=size, projectors=("strip",),
+                               worker_counts=(1,), repeats=repeats):
         cases.append(_case(
-            f"build/strip/{build_size}", "build", "cscv", build_size,
+            f"build/strip/{size}", "build", "cscv", size,
             _OneShot(rec.total_seconds), nnz=rec.nnz,
             traffic_bytes=None, stream_gbs=stream_gbs,
         ))
-
-    cache_recs = run_cache_bench(
-        size=build_size, format_names=("cscv-z",), warm_repeats=3,
-    )
-    for rec in cache_recs:
+    for rec in run_cache_bench(size=size, format_names=("cscv-z",),
+                               warm_repeats=3):
         cases.append(_case(
-            f"cache-warm/{rec.format_name}/{build_size}", "cache",
-            rec.format_name, build_size, _OneShot(rec.warm_seconds),
+            f"cache-warm/{rec.format_name}/{size}", "cache",
+            rec.format_name, size, _OneShot(rec.warm_seconds),
             nnz=0, traffic_bytes=rec.entry_bytes, stream_gbs=stream_gbs,
         ))
-
-    # serving layer: closed-loop jobs/s + latency per concurrency level
-    from repro.bench.serve import run_serve_bench, serve_cases
-
-    serve_recs = run_serve_bench(
-        size=build_size,
-        jobs_per_level=8 if quick else 16,
-        concurrency_levels=(1, 8),
-        iterations=5 if quick else 10,
-        quick=quick,
-    )
-    cases.extend(serve_cases(serve_recs, size=build_size))
+    cases.append(_solve_case(size, repeats, stream_gbs))
 
     return {
         "schema": TRAJECTORY_SCHEMA,

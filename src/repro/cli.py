@@ -4,12 +4,12 @@ Commands
 --------
 ``info``         environment, backend, registered formats, datasets
 ``spmv``         benchmark formats on a dataset or generated matrix
-``bench``        targeted micro-benchmarks (``spmm``: batched vs looped;
-                 ``cache``: cold operator build vs warm mmap load;
-                 ``build``: cold-build wall time vs worker count;
-                 ``trajectory``: append a pinned-suite point to the
-                 committed BENCH_trajectory.json; ``compare``: noise-aware
-                 diff of two trajectory points, nonzero on regression)
+``bench``        targeted micro-benchmarks (``cache``: cold operator
+                 build vs warm mmap load; ``build``: cold-build wall time
+                 vs worker count; ``trajectory``: append a pinned-suite
+                 point to the committed BENCH_trajectory.json;
+                 ``compare``: noise-aware diff of two trajectory points,
+                 nonzero on regression)
 ``cache``        operator cache management (``ls``/``info``/``clear``/``warm``)
 ``convert``      build a CSCV matrix and save it to .npz
 ``kernels``      compiled-kernel status, or force a rebuild (clears the
@@ -116,20 +116,6 @@ def _cmd_bench(args) -> int:
 
     dtype = np.float64 if args.double else np.float32
     params = CSCVParams(args.s_vvec, args.s_imgb, args.s_vxg)
-    if args.what == "spmm":
-        from repro.bench.spmm import render, run_spmm_bench
-
-        batches = tuple(int(b) for b in args.batches.split(","))
-        names = tuple(args.formats.split(",")) if args.formats else (
-            "csr", "cscv-z", "cscv-m",
-        )
-        records = run_spmm_bench(
-            size=args.size, batch_sizes=batches, format_names=names,
-            dtype=dtype, params=params, iterations=args.iterations,
-        )
-        print(render(records, title=f"SpMM vs looped SpMV, {args.size}^2 image "
-                                    f"({np.dtype(dtype)})"))
-        return 0
     if args.what == "cache":
         from repro.bench.cache import render, run_cache_bench
 
@@ -148,7 +134,7 @@ def _cmd_bench(args) -> int:
             return 1
         return 0
     if args.what == "build":
-        from repro.bench.build import render, run_build_bench, save_records
+        from repro.bench.build import render, run_build_bench
 
         projectors = tuple(args.projectors.split(","))
         workers = tuple(int(w) for w in args.workers.split(","))
@@ -158,9 +144,6 @@ def _cmd_bench(args) -> int:
         )
         print(render(records, title=f"cold operator build vs workers, "
                                     f"{args.size}^2 image ({np.dtype(dtype)})"))
-        path = save_records(records, args.out or "BENCH_build.json",
-                            fresh=args.fresh)
-        print(f"records {'written' if args.fresh else 'appended'} to {path}")
         return 0
     if args.what == "trajectory":
         from repro.bench.trajectory import (
@@ -176,29 +159,6 @@ def _cmd_bench(args) -> int:
         print(render_point(point))
         print(f"point {len(payload['points'])} appended to {path}")
         return 0
-    if args.what == "serve":
-        from repro.bench.serve import render, run_serve_bench
-
-        levels = tuple(int(c) for c in args.concurrency.split(","))
-        records = run_serve_bench(
-            size=args.size,
-            jobs_per_level=args.jobs,
-            concurrency_levels=levels,
-            solver=args.solver,
-            iterations=args.iterations,
-            workers=args.serve_workers,
-            quick=args.quick,
-        )
-        print(render(records,
-                     title=f"serve load sweep, {args.size}^2 image, "
-                           f"{args.solver} ({args.jobs} jobs/level)"))
-        serial = next((r for r in records if r.concurrency == 1), None)
-        top = max(records, key=lambda r: r.concurrency)
-        if serial and top.concurrency > 1:
-            print(f"concurrency {top.concurrency}: "
-                  f"{top.jobs_per_s / serial.jobs_per_s:.2f}x the serial "
-                  f"jobs/s (mean batch width {top.mean_batch_width:.1f})")
-        return 1 if any(r.failed for r in records) else 0
     if args.what == "compare":
         from repro.bench.trajectory import (
             DEFAULT_TRAJECTORY_PATH,
@@ -227,9 +187,6 @@ def _cmd_bench(args) -> int:
                   f"threshold", file=sys.stderr)
             return 0 if args.report_only else 1
         return 0
-    print(f"unknown bench {args.what!r}; options: spmm, cache, build, "
-          f"trajectory, compare, serve", file=sys.stderr)
-    return 2
 
 
 def _cmd_cache(args) -> int:
@@ -536,15 +493,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--s-vxg", type=int, default=2)
 
     bn = sub.add_parser("bench", help="targeted micro-benchmarks")
-    bn.add_argument("what", help="which bench to run (spmm, cache, build, "
-                                 "trajectory, compare, serve)")
+    bn.add_argument("what", choices=("cache", "build", "trajectory", "compare"),
+                    help="which bench to run")
     bn.add_argument("--size", type=int, default=256,
                     help="image side length (matrix is ~2*size^2 x size^2)")
     bn.add_argument("--formats", default="", help="comma-separated names")
-    bn.add_argument("--batches", default="1,2,4,8,16",
-                    help="comma-separated batch sizes k")
     bn.add_argument("--double", action="store_true")
-    bn.add_argument("--iterations", type=int, default=20)
     bn.add_argument("--s-vvec", type=int, default=16)
     bn.add_argument("--s-imgb", type=int, default=16)
     bn.add_argument("--s-vxg", type=int, default=2)
@@ -555,14 +509,10 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--repeats", type=int, default=1,
                     help="best-of repeats per cold build (bench build)")
     bn.add_argument("--out", default=None,
-                    help="JSON record path (default BENCH_build.json for "
-                         "bench build, BENCH_trajectory.json for "
-                         "trajectory/compare)")
-    bn.add_argument("--fresh", action="store_true",
-                    help="truncate the record file instead of appending "
-                         "(bench build)")
+                    help="trajectory ledger path (bench trajectory/compare; "
+                         "default BENCH_trajectory.json)")
     bn.add_argument("--quick", action="store_true",
-                    help="small sizes / few iterations (bench trajectory)")
+                    help="size 32, few iterations (bench trajectory)")
     bn.add_argument("--report-only", action="store_true",
                     help="print regressions but exit 0 (bench compare)")
     bn.add_argument("--baseline", type=int, default=-2,
@@ -571,15 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     bn.add_argument("--candidate", type=int, default=-1,
                     help="trajectory point index under test "
                          "(bench compare; default: last)")
-    bn.add_argument("--concurrency", default="1,2,4,8",
-                    help="comma-separated closed-loop client counts "
-                         "(bench serve)")
-    bn.add_argument("--jobs", type=int, default=24,
-                    help="jobs per concurrency level (bench serve)")
-    bn.add_argument("--solver", default="sirt",
-                    help="registry solver the load runs (bench serve)")
-    bn.add_argument("--serve-workers", type=int, default=2,
-                    help="service worker-pool size (bench serve)")
 
     ca = sub.add_parser("cache", help="inspect/manage the operator cache")
     casub = ca.add_subparsers(dest="action", required=True)

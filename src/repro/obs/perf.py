@@ -43,6 +43,7 @@ __all__ = [
     "clock",
     "cscv_z_bytes",
     "cscv_m_bytes",
+    "cscv_bytes",
     "format_bytes",
     "host_fingerprint",
     "measure_stream_bandwidth",
@@ -147,6 +148,24 @@ def cscv_m_bytes(data, k: int = 1) -> dict[str, float]:
         + k * n * item
     )
     written = float(k * m * item)
+    return {"read": read, "written": written, "total": read + written}
+
+
+def cscv_bytes(data, variant: str, k: int = 1, *,
+               adjoint: bool = False) -> dict[str, float]:
+    """Theoretical bytes of one CSCV product, forward or adjoint.
+
+    The one traffic model behind both the dispatch telemetry
+    (:func:`record_cscv`) and the ``repro bench trajectory`` cases.
+    Adjoints move the same matrix stream but swap the vector terms:
+    they read ``k * m`` and write ``k * n`` entries.
+    """
+    traffic = cscv_z_bytes(data, k) if variant == "z" else cscv_m_bytes(data, k)
+    if not adjoint:
+        return traffic
+    m, n = data.shape
+    vec = k * data.dtype.itemsize
+    read, written = traffic["read"] + vec * (m - n), float(vec * n)
     return {"read": read, "written": written, "total": read + written}
 
 
@@ -318,19 +337,12 @@ def record_dispatch(op: str, variant: str, backend: str, *,
 
 def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
                 k: int = 1) -> None:
-    """Dispatch recording for the CSCV dispatcher (layout-exact bytes).
-
-    Adjoints (``tspmv``/``tspmm``) move the same matrix stream but swap
-    the vector terms: they read ``k * m`` and write ``k * n`` entries.
-    """
-    traffic = cscv_z_bytes(data, k) if variant == "z" else cscv_m_bytes(data, k)
-    read, written = traffic["read"], traffic["written"]
-    if op.startswith("t"):
-        m, n = data.shape
-        vec = k * data.dtype.itemsize
-        read, written = read + vec * (m - n), float(vec * n)
-    record_dispatch(op, variant, backend, seconds=seconds, bytes_read=read,
-                    bytes_written=written, nnz=data.nnz, k=k)
+    """Dispatch recording for the CSCV dispatcher (:func:`cscv_bytes`);
+    ``tspmv``/``tspmm`` are the adjoints."""
+    traffic = cscv_bytes(data, variant, k, adjoint=op.startswith("t"))
+    record_dispatch(op, variant, backend, seconds=seconds,
+                    bytes_read=traffic["read"], bytes_written=traffic["written"],
+                    nnz=data.nnz, k=k)
 
 
 def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1) -> None:

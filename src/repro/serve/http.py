@@ -26,8 +26,8 @@ unknown path when none is (the metrics-only exporter that
   recorded so far from the solver's IterationEvent callbacks.
 * ``GET /readyz`` — **readiness**: 200 only when the service is
   admitting jobs; 503 while the journal replay is still running or a
-  drain is in progress.  Load balancers and ``repro bench serve`` gate
-  on this, not on ``/healthz``.
+  drain is in progress.  Load balancers and clients gate on this, not
+  on ``/healthz``.
 
 Any other exception while handling a request answers
 ``500 {"error": "internal"}`` (the traceback goes to this module's

@@ -173,6 +173,8 @@ class ServiceRunner:
         #: stats() and _trim_history never walk the history
         self._states: Counter = Counter()
         self._finished: deque = deque()
+        #: FIFOs of the tenants with queued jobs only: a tenant's deque
+        #: and rotation slot go when its queue empties
         self._queues: "OrderedDict[str, deque]" = OrderedDict()
         self._rr: deque = deque()               # tenant rotation order
         #: guards the queues, _jobs, _states, _finished, _idem, _inflight
@@ -346,6 +348,8 @@ class ServiceRunner:
                     "retryable": True,
                 })
                 failed += 1
+        self._queues.clear()
+        self._rr.clear()
         self._gauge_depth()
         return failed
 
@@ -709,9 +713,7 @@ class ServiceRunner:
         cfg = self.config
         with self._cond:
             while True:
-                self._cond.wait_for(
-                    lambda: self._halted() or any(self._queues.values())
-                )
+                self._cond.wait_for(lambda: self._halted() or self._queues)
                 if self._halted():
                     return
                 seed = self._pop_next()
@@ -756,12 +758,17 @@ class ServiceRunner:
         for _ in range(len(self._rr)):
             tenant = self._rr[0]
             self._rr.rotate(-1)
-            q = self._queues.get(tenant)
-            while q:
+            q = self._queues[tenant]
+            job = None
+            while q and job is None:
                 job = q.popleft()
                 if job.expired(now):
                     self._expire(job)
-                    continue
+                    job = None
+            if not q:
+                del self._queues[tenant]
+                self._rr.pop()          # the slot just rotated to the back
+            if job is not None:
                 self._gauge_depth()
                 return job
         self._gauge_depth()
@@ -782,9 +789,9 @@ class ServiceRunner:
         limit = self.config.max_batch - 1
         key = seed.request.batch_key
         now = time.monotonic()
-        for q in self._queues.values():
-            if not q or len(mates) >= limit:
-                continue
+        for tenant, q in list(self._queues.items()):
+            if len(mates) >= limit:
+                break
             keep: deque = deque()
             while q:
                 job = q.popleft()
@@ -797,6 +804,9 @@ class ServiceRunner:
                 else:
                     keep.append(job)
             q.extend(keep)
+            if not q:
+                del self._queues[tenant]
+                self._rr.remove(tenant)
         self._gauge_depth()
         return mates
 

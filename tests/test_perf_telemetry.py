@@ -7,13 +7,13 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro import config, obs
 from repro.bench import trajectory
-from repro.bench.build import BUILD_BENCH_SCHEMA, BuildBenchRecord, save_records
 from repro.obs import perf
 from repro.obs import runtime as obs_runtime
 
@@ -444,39 +444,95 @@ class TestTrajectory:
 
 
 # ---------------------------------------------------------------------- #
-# bench build persistence
+# the pinned suite itself, at a tiny size
 
 
-class TestBuildSaveRecords:
-    def _rec(self, workers):
-        return BuildBenchRecord(
-            projector="strip", size=32, workers=workers, backend="c",
-            sweep_seconds=0.1, pack_seconds=0.2, total_seconds=0.3,
-            nnz=1000, checksum=1.5,
-        )
+def _tracer_state():
+    return obs.tracer.enabled, len(obs.tracer.finished())
 
-    def test_append_is_default_and_schema_tagged(self, tmp_path):
-        path = str(tmp_path / "BENCH_build.json")
-        save_records([self._rec(1)], path)
-        save_records([self._rec(4)], path)
-        payload = json.loads(open(path).read())
-        assert payload["bench"] == "build"
-        assert [r["workers"] for r in payload["records"]] == [1, 4]
-        for r in payload["records"]:
-            assert r["schema"] == BUILD_BENCH_SCHEMA
-            assert "host" in r and "git_rev" in r and "timestamp" in r
 
-    def test_fresh_truncates(self, tmp_path):
-        path = str(tmp_path / "BENCH_build.json")
-        save_records([self._rec(1)], path)
-        save_records([self._rec(2)], path, fresh=True)
-        payload = json.loads(open(path).read())
-        assert [r["workers"] for r in payload["records"]] == [2]
+@pytest.fixture(scope="module")
+def suite():
+    """One ``run_trajectory`` point at 16^2 (STREAM bandwidth stubbed),
+    with the tracer's state before and after the run."""
+    prev = perf._stream_gbs
+    perf._stream_gbs = 10.0
+    try:
+        before = _tracer_state()
+        point = trajectory.run_trajectory(sizes=(16,))
+        yield SimpleNamespace(point=point, tracer=(before, _tracer_state()))
+    finally:
+        perf._stream_gbs = prev
 
-    def test_foreign_file_is_not_absorbed(self, tmp_path):
-        path = tmp_path / "BENCH_build.json"
-        path.write_text('{"bench": "trajectory", "points": []}')
-        save_records([self._rec(1)], str(path))
-        payload = json.loads(path.read_text())
-        assert payload["bench"] == "build"
-        assert len(payload["records"]) == 1
+
+def _cscv_case_count():
+    from repro.core.spmv import ROUTES
+
+    return sum(2 if two_d else 1 for (_, _, two_d) in ROUTES)
+
+
+class TestTrajectorySuite:
+    PRODUCT_KINDS = ("spmv", "spmm", "tspmv", "tspmm")
+
+    def test_cases_are_routes_rows_times_widths(self, suite):
+        from repro.core.spmv import ROUTES
+
+        t = config.runtime.threads
+        expected = set()
+        for (adjoint, variant, two_d) in ROUTES:
+            for tag in (("n1", "n8") if two_d else ("1d",)):
+                expected.add(f"{'adj' if adjoint else 'fwd'}/cscv-{variant}"
+                             f"/16/{tag}/t{t}")
+        expected |= {f"fwd/csr/16/1d/t{t}", f"fwd/csr/16/n8/t{t}",
+                     "build/strip/16", "cache-warm/cscv-z/16",
+                     "solve/sirt/16"}
+        names = [c["case"] for c in suite.point["cases"]]
+        assert len(names) == len(set(names))
+        assert set(names) == expected
+
+    def test_every_product_case_has_r_em_and_threads(self, suite):
+        products = [c for c in suite.point["cases"]
+                    if c["kind"] in self.PRODUCT_KINDS]
+        assert len(products) == _cscv_case_count() + 2
+        for c in products:
+            assert c["r_em"] is not None and c["r_em"] > 0, c["case"]
+            assert c["case"].endswith(f"/t{c['threads']}")
+
+    def test_solve_split_sums_to_iteration_time(self, suite):
+        (solve,) = [c for c in suite.point["cases"] if c["kind"] == "solve"]
+        split = (solve["forward_s"], solve["adjoint_s"], solve["update_s"])
+        assert all(x >= 0 for x in split)
+        assert min(solve["forward_s"], solve["adjoint_s"]) > 0
+        assert sum(split) == pytest.approx(solve["seconds"])
+        assert solve["iterations"] == trajectory.SOLVE_ITERATIONS
+
+    def test_traced_solve_restores_the_tracer(self, suite):
+        before, after = suite.tracer
+        assert before == after
+
+    def test_self_compare_flags_nothing(self, suite):
+        results = trajectory.compare_points(suite.point, suite.point)
+        assert {r["status"] for r in results} == {"ok"}
+
+    def test_cscv_case_bytes_equal_the_dispatch_telemetry(
+            self, suite, clean_metrics, perf_off):
+        from repro.api import operator
+        from repro.core import spmv
+
+        perf.enable()
+        cscv = [c for c in suite.point["cases"]
+                if c["format"].startswith("cscv-")
+                and c["kind"] in self.PRODUCT_KINDS]
+        assert len(cscv) == _cscv_case_count()
+        for c in cscv:
+            fmt = operator(16, fmt=c["format"], dtype=np.float32).fmt
+            adjoint = c["kind"].startswith("t")
+            m, n = fmt.shape
+            shape = (m if adjoint else n,)
+            if c["kind"].endswith("mm"):
+                shape += (c["batch"],)
+            obs.registry.reset()
+            spmv.product(fmt, np.ones(shape, dtype=np.float32), adjoint=adjoint)
+            moved = (obs.registry.get("perf.bytes_read").value
+                     + obs.registry.get("perf.bytes_written").value)
+            assert moved == c["bytes"], c["case"]

@@ -474,26 +474,3 @@ class TestHTTPAPI:
         finally:
             server.stop()
             runner.stop()
-
-
-# --------------------------------------------------------------------- #
-# bench hook
-
-
-class TestServeBench:
-    def test_quick_sweep_runs_and_renders(self):
-        from repro.bench.serve import render, run_serve_bench, serve_cases
-
-        records = run_serve_bench(
-            size=24, jobs_per_level=4, concurrency_levels=(1, 4),
-            iterations=3, quick=False, batch_window_s=0.02,
-        )
-        assert [r.concurrency for r in records] == [1, 4]
-        assert all(r.failed == 0 for r in records)
-        assert all(r.jobs == 4 for r in records)
-        out = render(records)
-        assert "jobs/s" in out
-        cases = serve_cases(records, size=24)
-        assert {c["case"] for c in cases} == {"serve/sirt/24/c1",
-                                              "serve/sirt/24/c4"}
-        assert all(c["p99_seconds"] >= c["p50_seconds"] > 0 for c in cases)

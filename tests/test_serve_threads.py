@@ -171,6 +171,24 @@ def test_stats_is_safe_while_new_tenants_arrive(sino):
     assert runner.stats()["jobs"] == {FAILED: 3000}
 
 
+def test_finished_tenants_leave_no_queue_behind(sino):
+    """A tenant's FIFO and rotation slot go once its queue empties, both
+    when the scheduler pops a job and when it takes coalesced mates."""
+    config = ServeConfig(workers=1, max_batch=4, batch_window_s=0.01)
+    with ServiceRunner(config) as runner:
+        for rounds in range(2):  # a forgotten tenant can come back
+            jobs = [runner.submit(payload(sino, tenant=f"tenant-{i}",
+                                          params={"iterations": 1}))
+                    for i in range(40)]
+            for job in jobs:
+                assert runner.wait(job.id, timeout=60).state == DONE
+            with runner._cond:
+                assert not runner._queues and not runner._rr
+            stats = runner.stats()
+            assert stats["tenants"] == {} and stats["queued_total"] == 0
+        assert any(job.coalesced for job in jobs)
+
+
 def recount(runner):
     """``(stats()["jobs"], a recount over the job history)``."""
     with runner._cond:

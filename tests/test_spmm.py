@@ -386,31 +386,3 @@ class TestAutotuneGuard:
         monkeypatch.setattr(at, "parameter_sweep", fake_sweep)
         with pytest.raises(AutotuneError, match=r"s_vvec=8.*s_imgb=16.*s_vxg=2"):
             at.autotune_parameters(coo, geom, scorer="measure")
-
-
-# ---------------------------------------------------------------------- #
-# bench plumbing
-
-
-class TestSpMMBench:
-    def test_measure_and_render(self, small_ct_f32):
-        from repro.bench.spmm import measure_spmm, render
-
-        coo, geom = small_ct_f32
-        fmt = build_format("csr", coo, geom=geom)
-        rec = measure_spmm(fmt, 4, iterations=2, max_seconds=0.2)
-        assert rec.batch == 4
-        assert rec.looped_seconds > 0 and rec.batched_seconds > 0
-        text = render([rec], title="t")
-        assert "csr" in text and "speedup" in text
-
-    def test_cli_bench_spmm(self, capsys):
-        from repro.cli import main
-
-        rc = main([
-            "bench", "spmm", "--size", "16", "--batches", "1,4",
-            "--formats", "csr", "--iterations", "2",
-        ])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "SpMM vs looped SpMV" in out

@@ -8,6 +8,8 @@
 * A job that runs pytest over a module importing ``hypothesis`` at top
   level installs ``hypothesis``; otherwise collection fails on the
   runner.
+* Every ``python -m repro ...`` command they run parses with the CLI's
+  own parser, so a workflow cannot call a deleted subcommand or flag.
 """
 
 from __future__ import annotations
@@ -120,3 +122,43 @@ def test_jobs_install_hypothesis_when_their_tests_import_it():
                 missing.append(f"{job} runs {needing[0].relative_to(ROOT)}")
     assert suites, "no pytest invocation found in any workflow"
     assert not missing, "jobs that need hypothesis but do not install it: " + "; ".join(missing)
+
+
+#: Shell tokens that end one command (``cmd &``, ``a && b``, ``a | b``).
+_SHELL_OPERATORS = {"&", "&&", "||", "|", ";"}
+
+
+def _repro_commands(command: str) -> list:
+    """Argument lists of each ``python -m repro`` call in a shell
+    *command*; env prefixes and a trailing ``&`` are not arguments."""
+    calls = []
+    for line in command.replace("\\\n", " ").splitlines():
+        if "-m repro" not in line:
+            continue
+        tokens = shlex.split(line, comments=True)
+        for at in range(len(tokens) - 2):
+            if tokens[at + 1:at + 3] != ["-m", "repro"]:
+                continue
+            args = []
+            for tok in tokens[at + 3:]:
+                if tok in _SHELL_OPERATORS:
+                    break
+                args.append(tok)
+            calls.append(args)
+    return calls
+
+
+def test_every_repro_command_parses():
+    from repro.cli import build_parser
+
+    parser = build_parser()
+    calls = [(job, args) for job, runs in _jobs()
+             for run in runs for args in _repro_commands(run)]
+    assert calls, "no python -m repro call found in any workflow"
+    bad = []
+    for job, args in calls:
+        try:
+            parser.parse_args(args)
+        except SystemExit:
+            bad.append(f"{job}: repro {' '.join(args)}")
+    assert not bad, "workflow commands the CLI rejects: " + "; ".join(bad)
