@@ -6,10 +6,10 @@ schema-versioned point (host fingerprint, STREAM GB/s, git rev, kernels
 ABI version, per-case seconds/GB/s/R_EM/noise) to the committed
 ``BENCH_trajectory.json``.  The suite is
 
-* one case per row of the CSCV dispatcher's
-  :data:`~repro.core.spmv.ROUTES` table, forward and adjoint: a 1-D row
-  is timed on a vector, a 2-D row on an ``(·, 1)`` and an ``(·, 8)``
-  stack, so the suite follows the table when rows change;
+* three cases per row of the CSCV dispatcher's
+  :data:`~repro.core.spmv.ROUTES` table (CSCV-Z and CSCV-M, forward and
+  adjoint): each kernel is timed on a vector, an ``(·, 1)`` and an
+  ``(·, 8)`` stack, so the suite follows the table when rows change;
 * the ``csr`` forward product on a vector and an ``(·, 8)`` stack, the
   paper's baseline;
 * one cold build (``build/strip``), one warm cache load
@@ -62,11 +62,12 @@ SOLVE_ITERATIONS = 10
 QUICK_SIZES = (32,)
 FULL_SIZES = (256,)
 
-#: Operand layouts as (key tag, stack width or None): a 1-D ROUTES row
-#: is timed on a vector, a 2-D row on an (·, 1) and an (·, 8) stack.
+#: Operand layouts as (key tag, stack width or None): every ROUTES row
+#: is timed on a vector, an (·, 1) and an (·, 8) stack.
 VECTOR = ("1d", None)
 NARROW = ("n1", 1)
 WIDE = (f"n{SUITE_WIDTH}", SUITE_WIDTH)
+LAYOUTS = (VECTOR, NARROW, WIDE)
 
 #: Regression slack: at least this much headroom always ...
 MIN_SLACK = 0.25
@@ -122,8 +123,9 @@ class _OneShot:
         self.iterations = 1
 
 
-def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
-    """Every ROUTES row at each of its layouts, then the csr baseline."""
+def _product_cases(size: int, timed, stream) -> list[dict]:
+    """Every ROUTES row at each of its layouts, then the csr baseline;
+    ``stream(threads)`` is the ``R_EM`` denominator for a thread count."""
     from repro import config
     from repro.api import operator
     from repro.core import spmv
@@ -131,7 +133,7 @@ def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
     rng = np.random.default_rng(0)
     fmts: dict = {}
     cases = []
-    for (adjoint, variant, two_d), (op, _, _) in spmv.ROUTES.items():
+    for adjoint, variant in spmv.ROUTES:
         if variant not in fmts:
             fmts[variant] = operator(size, fmt=f"cscv-{variant}",
                                      dtype=np.float32).fmt
@@ -139,7 +141,7 @@ def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
         threads = int(fmt.threads or config.runtime.threads)
         m, n = fmt.shape
         size_in, size_out = (m, n) if adjoint else (n, m)
-        for tag, width in ((NARROW, WIDE) if two_d else (VECTOR,)):
+        for tag, width in LAYOUTS:
             tail = () if width is None else (width,)
             X = rng.random((size_in,) + tail, dtype=np.float32)
             out = np.empty((size_out,) + tail, dtype=np.float32)
@@ -147,10 +149,11 @@ def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
             k = width or 1
             cases.append(_case(
                 f"{'adj' if adjoint else 'fwd'}/{fmt.name}/{size}/{tag}/t{threads}",
-                op, fmt.name, size, stats, nnz=fmt.nnz, batch=k,
+                spmv.OPS[adjoint, width is not None][0], fmt.name, size,
+                stats, nnz=fmt.nnz, batch=k,
                 traffic_bytes=obs_perf.cscv_bytes(
                     fmt.data, variant, k, adjoint=adjoint)["total"],
-                stream_gbs=stream_gbs, threads=threads,
+                stream_gbs=stream(threads), threads=threads,
             ))
     fmts.clear()  # free the CSCV operators before the csr one loads
 
@@ -168,7 +171,7 @@ def _product_cases(size: int, timed, stream_gbs) -> list[dict]:
             f"fwd/csr/{size}/{tag}/t{threads}", "spmv" if width is None else "spmm",
             "csr", size, stats, nnz=csr.nnz, batch=k,
             traffic_bytes=obs_perf.format_bytes(csr, k)["total"],
-            stream_gbs=stream_gbs, threads=threads,
+            stream_gbs=stream(threads), threads=threads,
         ))
     return cases
 
@@ -192,10 +195,10 @@ def _traced(fn) -> list:
 def _solve_split(spans) -> dict:
     """Iteration seconds of one traced SIRT solve, split by the
     dispatcher's product spans: ``forward_s`` + ``adjoint_s`` + ``update_s``."""
-    from repro.core.spmv import ROUTES
+    from repro.core.spmv import OPS, ROUTES
 
-    names = {adjoint: {f"{op}.{v}" for (a, v, _), (op, _, _) in ROUTES.items()
-                       if a == adjoint}
+    names = {adjoint: {f"{OPS[a, two_d][0]}.{v}" for a, v in ROUTES
+                       for two_d in (False, True) if a == adjoint}
              for adjoint in (False, True)}
     iters = {s.id: s for s in spans if s.name == "sirt.iter"}
     inside = [s for s in spans if s.parent in iters]
@@ -206,7 +209,7 @@ def _solve_split(spans) -> dict:
             "update_s": total - forward - adjoint, "iterations": len(iters)}
 
 
-def _solve_case(size: int, repeats: int, stream_gbs) -> dict:
+def _solve_case(size: int, repeats: int) -> dict:
     """``solve/sirt/<size>``: the best of *repeats* traced solves."""
     from repro import api
     from repro.geometry.phantom import shepp_logan
@@ -222,16 +225,17 @@ def _solve_case(size: int, repeats: int, stream_gbs) -> dict:
     return _case(
         f"solve/sirt/{size}", "solve", op.fmt.name, size,
         _OneShot(best.pop("seconds")), nnz=0, traffic_bytes=None,
-        stream_gbs=stream_gbs, **best,
+        stream_gbs=None, **best,
     )
 
 
 def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
     """Run the pinned suite; returns one schema-versioned trajectory point.
 
-    Measures (and persists) the host's STREAM bandwidth first, so every
-    product case carries an ``r_em`` and later dispatch accounting finds
-    the cached denominator.
+    Measures (and persists) the host's STREAM bandwidth on each thread
+    count a case runs on, so every product case carries an ``r_em``
+    against its own thread count and later dispatch accounting finds the
+    cached denominator.
     """
     from repro.bench.build import run_build_bench
     from repro.bench.cache import run_cache_bench
@@ -242,16 +246,17 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
     iterations = 10 if quick else 30
     max_seconds = 0.5 if quick else 2.0
     repeats = 1 if quick else 2
-    stream_gbs = obs_perf.stream_bandwidth(
-        measure=True, size_mb=64 if quick else 256
-    )
+
+    def stream(threads: int) -> float:
+        return obs_perf.stream_bandwidth(
+            measure=True, size_mb=64 if quick else 256, threads=threads)
 
     def timed(fn):
         return time_stats(fn, iterations=iterations, max_seconds=max_seconds)
 
     cases: list[dict] = []
     for size in sizes:
-        cases.extend(_product_cases(size, timed, stream_gbs))
+        cases.extend(_product_cases(size, timed, stream))
 
     size = sizes[0]
     for rec in run_build_bench(size=size, projectors=("strip",),
@@ -259,16 +264,16 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
         cases.append(_case(
             f"build/strip/{size}", "build", "cscv", size,
             _OneShot(rec.total_seconds), nnz=rec.nnz,
-            traffic_bytes=None, stream_gbs=stream_gbs,
+            traffic_bytes=None, stream_gbs=None,
         ))
     for rec in run_cache_bench(size=size, format_names=("cscv-z",),
                                warm_repeats=3):
         cases.append(_case(
             f"cache-warm/{rec.format_name}/{size}", "cache",
             rec.format_name, size, _OneShot(rec.warm_seconds),
-            nnz=0, traffic_bytes=rec.entry_bytes, stream_gbs=stream_gbs,
+            nnz=0, traffic_bytes=rec.entry_bytes, stream_gbs=stream(1),
         ))
-    cases.append(_solve_case(size, repeats, stream_gbs))
+    cases.append(_solve_case(size, repeats))
 
     return {
         "schema": TRAJECTORY_SCHEMA,
@@ -276,7 +281,10 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
         "host": {
             "fingerprint": obs_perf.host_fingerprint(),
             "cpu_count": os.cpu_count() or 1,
-            "stream_gbs": stream_gbs,
+            "stream_gbs": stream(1),
+            "stream_gbs_threads": {
+                str(t): stream(t) for t in sorted(
+                    {c["threads"] for c in cases if "threads" in c})},
         },
         "git_rev": git_rev(),
         "abi": KERNELS_ABI_VERSION,

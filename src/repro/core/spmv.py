@@ -2,20 +2,23 @@
 
 Every CSCV product — ``Y = A X`` or ``X = A^T Y``, for a vector or an
 ``(·, k)`` stack — goes through :func:`product`.  One table
-(:data:`ROUTES`) keys each call by (direction, variant, 1-D or 2-D) and
-names the compiled kernel serving it:
+(:data:`ROUTES`) keys each call by (direction, variant) and names the
+compiled kernel serving it; every kernel takes any ``k``, and a vector
+runs as an ``(·, 1)`` view:
 
 * **C blocked** — the faithful pipeline: per block, zero a ``ytilde``
-  scratch, stream VxGs as contiguous vector FMAs, scatter-add through the
-  inverse IOBLR map straight into ``y``.  The adjoint kernel runs the
-  same stream gather-only.  OpenMP threads take whole owner parts
+  scratch, stream VxGs as contiguous vector multiply-adds, scatter-add
+  through the inverse IOBLR map straight into ``y``.  The adjoint
+  kernels run the same stream gather-only.  OpenMP threads take whole owner parts
   (:attr:`CSCVData.owner_parts <repro.core.builder.CSCVData.owner_parts>`:
   view groups forward, image tile rows adjoint), so each output entry is
   summed in the serial order and the result is bitwise the same for any
-  thread count — no private copies, no reduction.
-* **NumPy** — rows without a kernel, and every row when no compiled
-  library serves the dtype: one vectorised accumulator per (variant,
-  direction) over all ``k`` columns, summed by a single ``bincount``.
+  thread count — no private copies, no reduction.  Each column is summed
+  in the same order for every ``k``, so column j of a k-wide product is
+  bitwise its solo run.
+* **NumPy** — every row when no compiled library serves the dtype: one
+  vectorised accumulator per (variant, direction) over all ``k``
+  columns, summed in float64 by a single ``bincount`` and cast.
 
 The multi-RHS rows stream the matrix from memory once for all ``k``
 right-hand sides, which is where the batched CT workload (many slices,
@@ -35,18 +38,23 @@ from repro.obs import perf as obs_perf
 from repro.obs.trace import span
 from repro.utils.arrays import check_out, ensure_dtype
 
-#: (adjoint, variant, 2-D) -> (op, counter tag, C kernel).  Rows without
-#: a kernel run NumPy with no ``dispatch.get`` lookup: looking up an
-#: unknown name raises under ``REPRO_BACKEND=c``.
+#: (adjoint, variant) -> the C kernel serving it, for any k.
 ROUTES = {
-    (False, "z", False): ("spmv", "z", "cscv_z_spmv"),
-    (False, "z", True): ("spmm", "z_mm", "cscv_z_spmm"),
-    (False, "m", False): ("spmv", "m", "cscv_m_spmv"),
-    (False, "m", True): ("spmm", "m_mm", "cscv_m_spmm"),
-    (True, "z", False): ("tspmv", "z_t", "cscv_z_tspmv"),
-    (True, "z", True): ("tspmm", "z_tmm", None),
-    (True, "m", False): ("tspmv", "m_t", None),
-    (True, "m", True): ("tspmm", "m_tmm", None),
+    (False, "z"): "cscv_z_spmm",
+    (False, "m"): "cscv_m_spmm",
+    (True, "z"): "cscv_z_tspmm",
+    (True, "m"): "cscv_m_tspmm",
+}
+
+#: (adjoint, 2-D operand) -> (op, counter-tag suffix).  The span is
+#: ``<op>.<variant>``, the counter ``spmv.calls.<variant><suffix>.<backend>``
+#: and ``<op>`` the perf-record op: telemetry keeps telling a vector from
+#: a stack although both run one kernel.
+OPS = {
+    (False, False): ("spmv", ""),
+    (False, True): ("spmm", "_mm"),
+    (True, False): ("tspmv", "_t"),
+    (True, True): ("tspmm", "_tmm"),
 }
 
 
@@ -120,27 +128,28 @@ def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
     k = X.shape[1] if X.ndim == 2 else 1
     if data.nnz == 0 or k == 0:
         return Y
-    op, tag, kernel = ROUTES[adjoint, fmt.variant, X.ndim == 2]
+    op, suffix = OPS[adjoint, X.ndim == 2]
     threads = int(fmt.threads or config.runtime.threads)
     t0 = obs_perf.clock() if obs_perf.active else 0.0
-    fn = dispatch.get(kernel, data.dtype) if kernel else None
+    fn = dispatch.get(ROUTES[adjoint, fmt.variant], data.dtype)
     backend = "c" if fn is not None else "flat"
     attrs = {"threads": threads} if fn is not None else {}
+    X2, Y2 = X.reshape(size_in, k), Y.reshape(size_out, k)
     with span(f"{op}.{fmt.variant}", backend=backend, nnz=data.nnz, batch=k,
               blocks=data.num_blocks, **attrs):
         if fn is not None:
-            fn(*_c_args(fmt.variant, adjoint, data, X, Y, threads))
+            fn(*_c_args(fmt.variant, adjoint, data, X2, Y2, threads))
         else:
-            contrib, targets = _NUMPY[fmt.variant, adjoint](
-                data, fmt._rows(), X.reshape(size_in, k))
-            Y.reshape(size_out, k)[...] = _scatter(targets, contrib, size_out)
+            contrib, targets = _NUMPY[fmt.variant, adjoint](data, fmt._rows(), X2)
+            Y2[...] = _scatter(targets, contrib, size_out)
     obs_metrics.counter(
-        f"spmv.calls.{tag}.{backend}",
+        f"spmv.calls.{fmt.variant}{suffix}.{backend}",
         "CSCV products by variant, direction and execution backend",
     ).inc()
     if obs_perf.active:
         obs_perf.record_cscv(op, fmt.variant, backend, data,
-                             obs_perf.clock() - t0, k)
+                             obs_perf.clock() - t0, k,
+                             threads if fn is not None else 1)
     return Y
 
 
@@ -148,8 +157,8 @@ def _c_args(variant: str, adjoint: bool, data: CSCVData, X, Y,
             threads: int) -> tuple:
     """The shared C argument list: head, per-variant middle, tail."""
     part_ptr, order = data.owner_parts[adjoint]
-    head = X.shape[1:] + (part_ptr.size - 1, part_ptr, order,
-                          data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
+    head = (X.shape[1], part_ptr.size - 1, part_ptr, order,
+            data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
     if variant == "z":
         middle = (data.values, data.params.vxg_len)
     else:

@@ -4,18 +4,27 @@
  * every kernel is plain scalar C — no intrinsics, no inline assembly —
  * written so the compiler's auto-vectoriser turns the fixed-length
  * contiguous inner loops into wide SIMD (AVX-512 on the build host).
- * The CSCV inner loops in particular are straight-line FMA streams over
- * contiguous memory, which is the entire point of the format.
+ * The CSCV inner loops in particular are straight-line multiply-add
+ * streams over contiguous memory, which is the entire point of the format.
+ *
+ * CSCV products: four exported drivers per dtype, one per (variant,
+ * direction) — cscv_z_spmm, cscv_m_spmm (forward) and cscv_z_tspmm,
+ * cscv_m_tspmm (adjoint, gather-only) — each taking k, the operand's
+ * column count; a vector is k == 1.  Every output entry is summed over
+ * the same terms in the same order for every k and every thread count,
+ * and nothing is contracted into an FMA, so results are bitwise
+ * reproducible across batch widths and threads (see the driver notes).
  *
  * Index conventions match the Python side: 32-bit element indices,
  * 64-bit sizes/pointers offsets.
  *
- * Built with: cc -O3 -march=native -fopenmp -fPIC -shared
+ * Built with: cc -O3 -march=native -fopenmp -fPIC -shared -std=c11
  */
 
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <math.h>
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -30,6 +39,8 @@
 #include <immintrin.h>
 #define HAVE_VEXPAND 1
 #endif
+
+#pragma STDC FP_CONTRACT OFF
 
 #define EXPORT __attribute__((visibility("default")))
 
@@ -144,9 +155,15 @@ DEFINE_CSCV_Z_BLOCK(f64, double)
 /* CSCV-M block kernel: packed nonzeros + per-CSCVE bitmask.            */
 /* Hardware vexpand (AVX-512) when available, soft-vexpand otherwise.   */
 
+/* Only the lanes of set mask bits are loaded and stored, and each takes
+ * a multiply then an add, exactly as the scalar loops do: the file is
+ * built as ISO C (-std=c11), where GCC contracts nothing into FMAs, and
+ * the pragma below keeps clang from contracting either.  So the 1-wide
+ * CSCV-M product is bitwise the k-wide kernel's column, and a lane with
+ * no nonzero is never touched (no 0 * inf = NaN, no -0 turned to +0). */
 #ifdef HAVE_VEXPAND
-static inline void vexpand_fma_f32(float *yt, const float *pv, uint32_t mask,
-                                   float xv, int64_t s_vvec) {
+static inline void vexpand_axpy_f32(float *yt, const float *pv, uint32_t mask,
+                                    float xv, int64_t s_vvec) {
     const __m512 xvv = _mm512_set1_ps(xv);
     for (int64_t k = 0; k < s_vvec; k += 16) {
         const int chunk = (s_vvec - k) >= 16 ? 16 : (int)(s_vvec - k);
@@ -154,15 +171,15 @@ static inline void vexpand_fma_f32(float *yt, const float *pv, uint32_t mask,
             chunk == 16 ? (__mmask16)0xFFFF : (__mmask16)((1u << chunk) - 1u);
         const __mmask16 em = (__mmask16)((mask >> k) & vm);
         const __m512 vals = _mm512_maskz_expandloadu_ps(em, pv);
-        __m512 yv = _mm512_maskz_loadu_ps(vm, yt + k);
-        yv = _mm512_fmadd_ps(xvv, vals, yv);
-        _mm512_mask_storeu_ps(yt + k, vm, yv);
+        const __m512 yv = _mm512_maskz_loadu_ps(em, yt + k);
+        _mm512_mask_storeu_ps(yt + k, em,
+                              _mm512_add_ps(yv, _mm512_mul_ps(xvv, vals)));
         pv += _mm_popcnt_u32((unsigned)em);
     }
 }
 
-static inline void vexpand_fma_f64(double *yt, const double *pv, uint32_t mask,
-                                   double xv, int64_t s_vvec) {
+static inline void vexpand_axpy_f64(double *yt, const double *pv, uint32_t mask,
+                                    double xv, int64_t s_vvec) {
     const __m512d xvv = _mm512_set1_pd(xv);
     for (int64_t k = 0; k < s_vvec; k += 8) {
         const int chunk = (s_vvec - k) >= 8 ? 8 : (int)(s_vvec - k);
@@ -170,9 +187,9 @@ static inline void vexpand_fma_f64(double *yt, const double *pv, uint32_t mask,
             chunk == 8 ? (__mmask8)0xFF : (__mmask8)((1u << chunk) - 1u);
         const __mmask8 em = (__mmask8)((mask >> k) & vm);
         const __m512d vals = _mm512_maskz_expandloadu_pd(em, pv);
-        __m512d yv = _mm512_maskz_loadu_pd(vm, yt + k);
-        yv = _mm512_fmadd_pd(xvv, vals, yv);
-        _mm512_mask_storeu_pd(yt + k, vm, yv);
+        const __m512d yv = _mm512_maskz_loadu_pd(em, yt + k);
+        _mm512_mask_storeu_pd(yt + k, em,
+                              _mm512_add_pd(yv, _mm512_mul_pd(xvv, vals)));
         pv += _mm_popcnt_u32((unsigned)em);
     }
 }
@@ -215,8 +232,8 @@ static inline int popcount32_sw(uint32_t v) {
 #endif
 
 #ifdef HAVE_VEXPAND
-#define CSCV_M_EXPAND_f32 vexpand_fma_f32(yt, pv, mask, xv, s_vvec);
-#define CSCV_M_EXPAND_f64 vexpand_fma_f64(yt, pv, mask, xv, s_vvec);
+#define CSCV_M_EXPAND_f32 vexpand_axpy_f32(yt, pv, mask, xv, s_vvec);
+#define CSCV_M_EXPAND_f64 vexpand_axpy_f64(yt, pv, mask, xv, s_vvec);
 #else
 /* soft-vexpand: scalar expansion of packed values against the mask */
 #define CSCV_M_SOFT_EXPAND                                                  \
@@ -235,7 +252,7 @@ DEFINE_CSCV_M_BLOCK(f32, float)
 DEFINE_CSCV_M_BLOCK(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* CSCV-Z SpMM: the VxG stream applied to k RHS at once.                */
+/* CSCV-Z k-wide block kernel: the VxG stream applied to k RHS at once. */
 /* X is (n, k) row-major, Y is (m, k) row-major; ytilde holds k lanes   */
 /* per slot (slot-major), so the scatter through the IOBLR map moves    */
 /* contiguous k-vectors.  The matrix (values + index) streams once for  */
@@ -264,10 +281,21 @@ DEFINE_CSCV_Z_SPMM_BLOCK(f32, float)
 DEFINE_CSCV_Z_SPMM_BLOCK(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* CSCV-M SpMM: packed values applied to k RHS at once.                 */
+/* CSCV-M k-wide block kernel: packed values applied to k RHS at once.  */
 /* No vexpand here even on AVX-512: with k lanes per slot each packed   */
 /* value already feeds a contiguous k-wide FMA against X's row, so the  */
-/* expansion degenerates to a scalar walk over set mask bits.           */
+/* expansion degenerates to a walk over the set mask bits.              */
+
+#ifdef __GNUC__
+#define CTZ32(x) __builtin_ctz((unsigned)(x))
+#else
+static inline int ctz32_sw(uint32_t v) {
+    int c = 0;
+    while (!(v & 1u)) { v >>= 1; ++c; }
+    return c;
+}
+#define CTZ32(x) ctz32_sw(x)
+#endif
 
 #define DEFINE_CSCV_M_SPMM_BLOCK(SUF, T)                                    \
 static void cscv_m_block_spmm_##SUF(int64_t num_vxg, int64_t s_vxg,         \
@@ -284,13 +312,10 @@ static void cscv_m_block_spmm_##SUF(int64_t num_vxg, int64_t s_vxg,         \
         T *yt0 = ytilde + (int64_t)vxg_start[g] * k;                        \
         const uint32_t *gm = vxg_masks + g * s_vxg;                         \
         for (int64_t e = 0; e < s_vxg; ++e) {                               \
-            const uint32_t mask = gm[e];                                    \
-            if (!mask) continue;                                            \
             T *yte = yt0 + e * s_vvec * k;                                  \
-            for (int64_t l = 0; l < s_vvec; ++l) {                          \
-                if (!(mask & (1u << l))) continue;                          \
+            for (uint32_t mask = gm[e]; mask; mask &= mask - 1u) {          \
                 const T a = *pv++;                                          \
-                T *yts = yte + l * k;                                       \
+                T *yts = yte + (int64_t)CTZ32(mask) * k;                    \
                 for (int64_t j = 0; j < k; ++j)                             \
                     yts[j] += a * xr[j];                                    \
             }                                                               \
@@ -302,7 +327,7 @@ DEFINE_CSCV_M_SPMM_BLOCK(f32, float)
 DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
 
 /* ------------------------------------------------------------------ */
-/* Full CSCV drivers: owner parts (OpenMP), no reduction.               */
+/* Full CSCV drivers: one per (variant, direction), any k.              */
 /*                                                                      */
 /* Layouts (built by repro.core.builder):                               */
 /*   blk_vxg_ptr[num_blocks+1] : VxG ranges per block                   */
@@ -311,17 +336,23 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
 /*   blk_ysize[b] : ytilde length of block b                            */
 /*   blk_map_ptr[num_blocks+1], map[] : ytilde pos -> global y (or -1)  */
 /*   part_ptr[num_parts+1], order[] : the blocks of each owner part     */
+/*   X (·, k) and Y (·, k) row-major; a vector is the k == 1 case       */
 /*                                                                      */
-/* Each part owns a disjoint set of output entries: a view group owns   */
-/* its sinogram rows (forward), a tile row owns its pixels (adjoint).   */
-/* A part visits its blocks in ascending block id and writes straight   */
-/* into the output, so every entry gets its sums in the serial order    */
-/* and the result is bitwise the same for any thread count.             */
-/* The output must hold zeros on entry.                                 */
+/* OpenMP threads take whole owner parts, each owning a disjoint set of */
+/* output entries: a view group owns its sinogram rows (forward), a     */
+/* tile row owns its pixels (adjoint).  A part visits its blocks in     */
+/* ascending block id and writes straight into the output, so every     */
+/* entry gets its sums in the serial order and the result is bitwise    */
+/* the same for any thread count.  The output must hold zeros on entry. */
+/*                                                                      */
+/* k == 1 runs a 1-wide body (the block kernels above with vexpand for  */
+/* CSCV-M, a scalar dot per VxG in the adjoint); k > 1 runs the k-wide  */
+/* body.  Both sum every output entry over the same terms in the same   */
+/* order, so column j of a k-wide product is bitwise its solo run.      */
 
-/* Forward body shared by the four forward drivers: per block, zero K   */
-/* ytilde lanes per slot, run the block kernel call passed as the       */
-/* trailing arguments, then scatter-add the lanes through the map.      */
+/* Forward body: per block, zero K ytilde lanes per slot, run the block */
+/* kernel call passed as the trailing arguments, then scatter-add the   */
+/* lanes through the map.                                               */
 #define CSCV_FORWARD(T, K, ...)                                             \
     _Pragma("omp parallel num_threads(nthreads)")                           \
     {                                                                       \
@@ -348,52 +379,19 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
         free(ytilde);                                                       \
     }
 
-#define CSCV_PARTS                                                          \
-        int64_t num_parts, const int64_t *part_ptr, const int64_t *order,   \
-        const int64_t *blk_vxg_ptr, const int32_t *vxg_col,                 \
-        const int32_t *vxg_start
-#define CSCV_MAPS(T)                                                        \
-        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
-        const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
-        int nthreads
-
-#define DEFINE_CSCV_DRIVERS(SUF, T)                                         \
-EXPORT void cscv_z_spmv_##SUF(CSCV_PARTS, const T *values,                  \
-                              int64_t vxg_len, CSCV_MAPS(T)) {              \
-    CSCV_FORWARD(T, 1, cscv_z_block_##SUF(ng, vxg_len, vxg_col + g0,        \
-                 vxg_start + g0, values + g0 * vxg_len, X, ytilde))         \
-}                                                                           \
-EXPORT void cscv_z_spmm_##SUF(int64_t k, CSCV_PARTS, const T *values,       \
-                              int64_t vxg_len, CSCV_MAPS(T)) {              \
-    CSCV_FORWARD(T, k, cscv_z_block_spmm_##SUF(ng, vxg_len, k,              \
-                 vxg_col + g0, vxg_start + g0, values + g0 * vxg_len, X,    \
-                 ytilde))                                                   \
-}                                                                           \
-EXPORT void cscv_m_spmv_##SUF(CSCV_PARTS, const int64_t *vxg_voff,          \
-                              const uint32_t *vxg_masks, const T *packed,   \
-                              int64_t s_vxg, int64_t s_vvec,                \
-                              CSCV_MAPS(T)) {                               \
-    CSCV_FORWARD(T, 1, cscv_m_block_##SUF(ng, s_vxg, s_vvec, vxg_col + g0,  \
-                 vxg_start + g0, vxg_voff + g0, vxg_masks + g0 * s_vxg,     \
-                 packed, X, ytilde))                                        \
-}                                                                           \
-EXPORT void cscv_m_spmm_##SUF(int64_t k, CSCV_PARTS,                        \
-                              const int64_t *vxg_voff,                      \
-                              const uint32_t *vxg_masks, const T *packed,   \
-                              int64_t s_vxg, int64_t s_vvec,                \
-                              CSCV_MAPS(T)) {                               \
-    CSCV_FORWARD(T, k, cscv_m_block_spmm_##SUF(ng, s_vxg, s_vvec, k,        \
-                 vxg_col + g0, vxg_start + g0, vxg_voff + g0,               \
-                 vxg_masks + g0 * s_vxg, packed, X, ytilde))                \
-}                                                                           \
-/* Transpose SpMV X = A^T Y (CT back-projection): per block, gather     */ \
-/* ytilde through the map (the forward reorder run in reverse), then    */ \
-/* one contiguous dot product per VxG added into its column.            */ \
-EXPORT void cscv_z_tspmv_##SUF(CSCV_PARTS, const T *values,                 \
-                               int64_t vxg_len, CSCV_MAPS(T)) {             \
+/* Adjoint (CT back-projection) body, gather-only: per block, gather K  */
+/* lanes per ytilde slot through the map (the forward reorder run in    */
+/* reverse; 0 where the map holds -1), then run the per-VxG statement   */
+/* passed as the trailing arguments.  It sees the VxG's lanes `yt` and  */
+/* its output row `yr`.  The scratch starts zeroed and carries          */
+/* CSCV_LANES entries past its end, so a k-wide statement may read a    */
+/* full lane chunk past its last live lane.                             */
+#define CSCV_LANES 8
+#define CSCV_ADJOINT(T, K, ...)                                             \
     _Pragma("omp parallel num_threads(nthreads)")                           \
     {                                                                       \
-        T *ytilde = (T *)malloc((size_t)max_ysize * sizeof(T));             \
+        T *ytilde = (T *)calloc((size_t)(max_ysize * (K) + CSCV_LANES),    \
+                                sizeof(T));                                 \
         _Pragma("omp for schedule(dynamic, 1)")                             \
         for (int64_t q = 0; q < num_parts; ++q) {                           \
             for (int64_t i = part_ptr[q]; i < part_ptr[q + 1]; ++i) {       \
@@ -402,20 +400,126 @@ EXPORT void cscv_z_tspmv_##SUF(CSCV_PARTS, const T *values,                 \
                 const int32_t *bmap = map + blk_map_ptr[b];                 \
                 for (int64_t p = 0; p < ysz; ++p) {                         \
                     const int32_t t = bmap[p];                              \
-                    ytilde[p] = (t >= 0) ? X[t] : (T)0;                     \
+                    T *yt = ytilde + p * (K);                               \
+                    if (t < 0) {                                            \
+                        for (int64_t j = 0; j < (K); ++j) yt[j] = (T)0;     \
+                    } else {                                                \
+                        const T *xr = X + (int64_t)t * (K);                 \
+                        for (int64_t j = 0; j < (K); ++j) yt[j] = xr[j];    \
+                    }                                                       \
                 }                                                           \
                 for (int64_t g = blk_vxg_ptr[b]; g < blk_vxg_ptr[b + 1];    \
                      ++g) {                                                 \
-                    const T *v = values + g * vxg_len;                      \
-                    const T *yt = ytilde + vxg_start[g];                    \
-                    T acc = (T)0;                                           \
-                    for (int64_t l = 0; l < vxg_len; ++l)                   \
-                        acc += v[l] * yt[l];                                \
-                    Y[vxg_col[g]] += acc;                                   \
+                    const T *yt = ytilde + (int64_t)vxg_start[g] * (K);     \
+                    T *yr = Y + (int64_t)vxg_col[g] * (K);                  \
+                    __VA_ARGS__;                                            \
                 }                                                           \
             }                                                               \
         }                                                                   \
         free(ytilde);                                                       \
+    }
+
+/* Per-VxG adjoint statements.  The 1-wide ones keep a scalar           */
+/* accumulator; the k-wide ones take the lanes CSCV_LANES at a time     */
+/* into a fixed-size accumulator (held in registers), each lane summed  */
+/* in the same order, then add the live lanes into the output row.      */
+/* CSCV-M walks `packed` in stream order: CSCVEs ascending, then set    */
+/* mask bits ascending.                                                 */
+#define CSCV_Z_DOT1(T)                                                      \
+    const T *v = values + g * vxg_len;                                      \
+    T a = (T)0;                                                             \
+    for (int64_t l = 0; l < vxg_len; ++l) a += v[l] * yt[l];                \
+    yr[0] += a
+#define CSCV_Z_DOTK(T)                                                      \
+    const T *v = values + g * vxg_len;                                      \
+    for (int64_t j0 = 0; j0 < k; j0 += CSCV_LANES) {                        \
+        T acc[CSCV_LANES] = {0};                                            \
+        for (int64_t l = 0; l < vxg_len; ++l) {                             \
+            const T vl = v[l];                                              \
+            const T *ytl = yt + l * k + j0;                                 \
+            for (int j = 0; j < CSCV_LANES; ++j) acc[j] += vl * ytl[j];     \
+        }                                                                   \
+        const int64_t w = k - j0 < CSCV_LANES ? k - j0 : CSCV_LANES;        \
+        for (int64_t j = 0; j < w; ++j) yr[j0 + j] += acc[j];               \
+    }
+#define CSCV_M_DOT1(T)                                                      \
+    const T *pv = packed + vxg_voff[g];                                     \
+    const uint32_t *gm = vxg_masks + g * s_vxg;                             \
+    T a = (T)0;                                                             \
+    for (int64_t e = 0; e < s_vxg; ++e) {                                   \
+        const T *yte = yt + e * s_vvec;                                     \
+        for (uint32_t mask = gm[e]; mask; mask &= mask - 1u)                \
+            a += *pv++ * yte[CTZ32(mask)];                                  \
+    }                                                                       \
+    yr[0] += a
+#define CSCV_M_DOTK(T)                                                      \
+    const uint32_t *gm = vxg_masks + g * s_vxg;                             \
+    for (int64_t j0 = 0; j0 < k; j0 += CSCV_LANES) {                        \
+        const T *pv = packed + vxg_voff[g];                                 \
+        T acc[CSCV_LANES] = {0};                                            \
+        for (int64_t e = 0; e < s_vxg; ++e) {                               \
+            const T *yte = yt + e * s_vvec * k + j0;                        \
+            for (uint32_t mask = gm[e]; mask; mask &= mask - 1u) {          \
+                const T a = *pv++;                                          \
+                const T *ytl = yte + (int64_t)CTZ32(mask) * k;              \
+                for (int j = 0; j < CSCV_LANES; ++j) acc[j] += a * ytl[j];  \
+            }                                                               \
+        }                                                                   \
+        const int64_t w = k - j0 < CSCV_LANES ? k - j0 : CSCV_LANES;        \
+        for (int64_t j = 0; j < w; ++j) yr[j0 + j] += acc[j];               \
+    }
+
+#define CSCV_PARTS                                                          \
+        int64_t k, int64_t num_parts, const int64_t *part_ptr,              \
+        const int64_t *order, const int64_t *blk_vxg_ptr,                   \
+        const int32_t *vxg_col, const int32_t *vxg_start
+#define CSCV_Z_VALUES(T) const T *values, int64_t vxg_len
+#define CSCV_M_VALUES(T)                                                    \
+        const int64_t *vxg_voff, const uint32_t *vxg_masks,                 \
+        const T *packed, int64_t s_vxg, int64_t s_vvec
+#define CSCV_MAPS(T)                                                        \
+        const int64_t *blk_ysize, const int64_t *blk_map_ptr,               \
+        const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
+        int nthreads
+
+#define DEFINE_CSCV_DRIVERS(SUF, T)                                         \
+EXPORT void cscv_z_spmm_##SUF(CSCV_PARTS, CSCV_Z_VALUES(T),                 \
+                              CSCV_MAPS(T)) {                               \
+    if (k == 1) {                                                           \
+        CSCV_FORWARD(T, 1, cscv_z_block_##SUF(ng, vxg_len, vxg_col + g0,    \
+                     vxg_start + g0, values + g0 * vxg_len, X, ytilde))     \
+    } else {                                                                \
+        CSCV_FORWARD(T, k, cscv_z_block_spmm_##SUF(ng, vxg_len, k,          \
+                     vxg_col + g0, vxg_start + g0, values + g0 * vxg_len,   \
+                     X, ytilde))                                            \
+    }                                                                       \
+}                                                                           \
+EXPORT void cscv_m_spmm_##SUF(CSCV_PARTS, CSCV_M_VALUES(T),                 \
+                              CSCV_MAPS(T)) {                               \
+    if (k == 1) {                                                           \
+        CSCV_FORWARD(T, 1, cscv_m_block_##SUF(ng, s_vxg, s_vvec,            \
+                     vxg_col + g0, vxg_start + g0, vxg_voff + g0,           \
+                     vxg_masks + g0 * s_vxg, packed, X, ytilde))            \
+    } else {                                                                \
+        CSCV_FORWARD(T, k, cscv_m_block_spmm_##SUF(ng, s_vxg, s_vvec, k,    \
+                     vxg_col + g0, vxg_start + g0, vxg_voff + g0,           \
+                     vxg_masks + g0 * s_vxg, packed, X, ytilde))            \
+    }                                                                       \
+}                                                                           \
+EXPORT void cscv_z_tspmm_##SUF(CSCV_PARTS, CSCV_Z_VALUES(T),                \
+                               CSCV_MAPS(T)) {                              \
+    if (k == 1) {                                                           \
+        CSCV_ADJOINT(T, 1, CSCV_Z_DOT1(T))                                  \
+    } else {                                                                \
+        CSCV_ADJOINT(T, k, CSCV_Z_DOTK(T))                                  \
+    }                                                                       \
+}                                                                           \
+EXPORT void cscv_m_tspmm_##SUF(CSCV_PARTS, CSCV_M_VALUES(T),                \
+                               CSCV_MAPS(T)) {                              \
+    if (k == 1) {                                                           \
+        CSCV_ADJOINT(T, 1, CSCV_M_DOT1(T))                                  \
+    } else {                                                                \
+        CSCV_ADJOINT(T, k, CSCV_M_DOTK(T))                                  \
     }                                                                       \
 }
 
@@ -800,4 +904,4 @@ EXPORT void kernels_set_omp_threads(int nthreads) {
 #endif
 }
 
-EXPORT int kernels_abi_version(void) { return 7; }
+EXPORT int kernels_abi_version(void) { return 8; }

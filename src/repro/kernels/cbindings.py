@@ -78,8 +78,8 @@ _RESTYPES = {
 }
 
 
-# The five CSCV drivers share one shape (the SpMM ones prepend k, the
-# RHS count): owner parts and block layout, the variant's value arrays,
+# The four CSCV drivers (variant x direction) share one shape: the RHS
+# count k, owner parts and block layout, the variant's value arrays,
 # then the ytilde maps, the operands and the thread count.
 def _cscv_sig(fp, variant: str) -> list:
     if variant == "z":  # values, vxg_len
@@ -87,6 +87,7 @@ def _cscv_sig(fp, variant: str) -> list:
     else:  # vxg_voff, vxg_masks, packed, s_vxg, s_vvec
         values = [_i64, _u32, fp, _c_i64, _c_i64]
     return [
+        _c_i64,  # k: the operand's column count (1 for a vector)
         _c_i64,  # num_parts
         _i64,    # part_ptr
         _i64,    # order: block indices, part after part
@@ -97,7 +98,7 @@ def _cscv_sig(fp, variant: str) -> list:
         _i64,    # blk_ysize
         _i64,    # blk_map_ptr
         _i32,    # map
-        fp,      # X: the operand, (·,) or (·, k) row-major
+        fp,      # X: the operand, (·, k) row-major
         fp,      # Y: the result, zeroed by the caller
         _c_i64,  # max_ysize
         _c_int,  # nthreads
@@ -115,11 +116,10 @@ def _signatures(dtype) -> dict[str, list]:
         "csr_spmm": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "csc_spmv": [_c_i64, _c_i64, _i32, _i32, fp, fp, fp],
         "ell_spmv": [_c_i64, _c_i64, _i32, fp, fp, fp],
-        "cscv_z_spmv": _cscv_sig(fp, "z"),
-        "cscv_z_spmm": [_c_i64, *_cscv_sig(fp, "z")],
-        "cscv_m_spmv": _cscv_sig(fp, "m"),
-        "cscv_m_spmm": [_c_i64, *_cscv_sig(fp, "m")],
-        "cscv_z_tspmv": _cscv_sig(fp, "z"),
+        "cscv_z_spmm": _cscv_sig(fp, "z"),
+        "cscv_m_spmm": _cscv_sig(fp, "m"),
+        "cscv_z_tspmm": _cscv_sig(fp, "z"),
+        "cscv_m_tspmm": _cscv_sig(fp, "m"),
         "spc5_spmv": [_c_i64, _i32, _i32, _u32, _i64, fp, _c_i64, fp, fp, _c_i64],
     }
 

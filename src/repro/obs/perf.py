@@ -18,8 +18,9 @@ numbers are unchanged unless somebody is looking.
 
 The STREAM-bandwidth denominator comes from
 :func:`measure_stream_bandwidth` (a tiny MLC stand-in), measured once
-per host and cached in-process *and* on disk
-(``<cache_root>/stream_bw.json``, keyed by host fingerprint) so no hot
+per host and thread count and cached in-process *and* on disk
+(``<cache_root>/stream_bw.json``, keyed by host fingerprint and thread
+count; a dispatch is judged against its own thread count) so no hot
 path ever pays for the measurement: dispatch recording uses the cached
 value when one exists and counts ``perf.stream_bw.unavailable``
 otherwise; ``repro bench trajectory`` measures and persists it.
@@ -32,6 +33,7 @@ import math
 import os
 import platform
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -201,21 +203,34 @@ def host_fingerprint() -> str:
     )
 
 
-def measure_stream_bandwidth(size_mb: int = 256, repeats: int = 5) -> float:
+def measure_stream_bandwidth(size_mb: int = 256, repeats: int = 5,
+                             threads: int = 1) -> float:
     """Host streaming-read bandwidth in GB/s (a tiny MLC stand-in).
 
     Times ``np.sum`` over a buffer much larger than cache; used to
     calibrate the HOST machine model and as the ``R_EM`` denominator.
+    With *threads* > 1 the buffer is split into that many disjoint parts
+    summed concurrently (NumPy releases the GIL in the sum), so a product
+    run on that many kernel threads is judged against what that many
+    threads can stream.
     """
     from repro.utils.timing import min_time
 
     n = size_mb * (1 << 20) // 8
     buf = np.ones(n, dtype=np.float64)
-    t = min_time(lambda: float(buf.sum()), iterations=repeats, max_seconds=5.0)
+    if threads <= 1:
+        t = min_time(lambda: float(buf.sum()), iterations=repeats,
+                     max_seconds=5.0)
+        return buf.nbytes / t / 1e9
+    parts = np.array_split(buf, threads)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        t = min_time(lambda: sum(pool.map(np.sum, parts)),
+                     iterations=repeats, max_seconds=5.0)
     return buf.nbytes / t / 1e9
 
 
-_stream_gbs: float | None = None  # in-process cache
+#: In-process cache: kernel thread count -> GB/s.
+_stream_gbs: dict[int, float] = {}
 
 
 def _stream_cache_path() -> str:
@@ -224,9 +239,14 @@ def _stream_cache_path() -> str:
     return os.path.join(config.cache_root(), "stream_bw.json")
 
 
+def _stream_cache_key(threads: int) -> str:
+    return f"{host_fingerprint()}/t{threads}"
+
+
 def stream_bandwidth(*, measure: bool = False, refresh: bool = False,
-                     size_mb: int = 256) -> float | None:
-    """The host's measured STREAM bandwidth in GB/s, cached per host.
+                     size_mb: int = 256, threads: int = 1) -> float | None:
+    """The host's STREAM bandwidth in GB/s on *threads* threads, cached
+    per host and thread count.
 
     With ``measure=False`` (the hot-path default) only cached values are
     returned — in-process first, then the on-disk per-host cache — and
@@ -234,19 +254,19 @@ def stream_bandwidth(*, measure: bool = False, refresh: bool = False,
     ``measure=True`` runs the measurement on a miss and persists it;
     ``refresh=True`` forces a re-measurement.
     """
-    global _stream_gbs
+    threads = max(1, int(threads))
     if not refresh:
-        if _stream_gbs is not None:
-            return _stream_gbs
-        cached = _load_stream_cache().get(host_fingerprint())
+        if threads in _stream_gbs:
+            return _stream_gbs[threads]
+        cached = _load_stream_cache().get(_stream_cache_key(threads))
         if cached is not None:
-            _stream_gbs = float(cached["gbs"])
-            return _stream_gbs
+            _stream_gbs[threads] = float(cached["gbs"])
+            return _stream_gbs[threads]
     if not (measure or refresh):
         return None
-    gbs = measure_stream_bandwidth(size_mb=size_mb)
-    _stream_gbs = gbs
-    _store_stream_cache(gbs)
+    gbs = measure_stream_bandwidth(size_mb=size_mb, threads=threads)
+    _stream_gbs[threads] = gbs
+    _store_stream_cache(_stream_cache_key(threads), gbs)
     return gbs
 
 
@@ -259,10 +279,10 @@ def _load_stream_cache() -> dict:
         return {}
 
 
-def _store_stream_cache(gbs: float) -> None:
+def _store_stream_cache(key: str, gbs: float) -> None:
     path = _stream_cache_path()
     data = _load_stream_cache()
-    data[host_fingerprint()] = {"gbs": gbs, "measured_at": time.time()}
+    data[key] = {"gbs": gbs, "measured_at": time.time()}
     try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         tmp = f"{path}.tmp.{os.getpid()}"
@@ -274,9 +294,9 @@ def _store_stream_cache(gbs: float) -> None:
 
 
 def _reset_stream_cache() -> None:
-    """Drop the in-process cached bandwidth (test hook)."""
+    """Drop the in-process cached bandwidths (test hook)."""
     global _stream_gbs
-    _stream_gbs = None
+    _stream_gbs = {}
 
 
 # ---------------------------------------------------------------------- #
@@ -285,7 +305,8 @@ def _reset_stream_cache() -> None:
 
 def record_dispatch(op: str, variant: str, backend: str, *,
                     seconds: float, bytes_read: float,
-                    bytes_written: float, nnz: int, k: int = 1) -> None:
+                    bytes_written: float, nnz: int, k: int = 1,
+                    threads: int = 1) -> None:
     """Record one kernel dispatch into the tagged perf histograms.
 
     ``op`` is ``"spmv"``/``"spmm"`` or the adjoint ``"tspmv"``/``"tspmm"``;
@@ -295,7 +316,8 @@ def record_dispatch(op: str, variant: str, backend: str, *,
     * ``{op}.achieved_gbs.{variant}.{backend}`` — total traffic rate;
     * ``{op}.nnz_per_s.{variant}`` — useful-work throughput (× k RHS);
     * ``{op}.stream_fraction.{variant}`` — achieved GB/s over the host's
-      measured STREAM bandwidth (only when a cached measurement exists);
+      measured STREAM bandwidth on the dispatch's *threads* (only when a
+      cached measurement exists);
     * cumulative ``perf.bytes_read`` / ``perf.bytes_written`` counters.
     """
     from repro.obs import metrics as obs_metrics
@@ -320,7 +342,7 @@ def record_dispatch(op: str, variant: str, backend: str, *,
     obs_metrics.counter(
         "perf.bytes_written", "theoretical bytes written by accounted dispatches"
     ).inc(bytes_written)
-    bw = stream_bandwidth()
+    bw = stream_bandwidth(threads=threads)
     if bw:
         obs_metrics.histogram(
             f"{op}.stream_fraction.{variant}",
@@ -336,21 +358,25 @@ def record_dispatch(op: str, variant: str, backend: str, *,
 
 
 def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
-                k: int = 1) -> None:
+                k: int = 1, threads: int = 1) -> None:
     """Dispatch recording for the CSCV dispatcher (:func:`cscv_bytes`);
-    ``tspmv``/``tspmm`` are the adjoints."""
+    ``tspmv``/``tspmm`` are the adjoints, *threads* the kernel's."""
     traffic = cscv_bytes(data, variant, k, adjoint=op.startswith("t"))
     record_dispatch(op, variant, backend, seconds=seconds,
                     bytes_read=traffic["read"], bytes_written=traffic["written"],
-                    nnz=data.nnz, k=k)
+                    nnz=data.nnz, k=k, threads=threads)
 
 
 def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1) -> None:
-    """Dispatch recording for generic :class:`SpMVFormat` instances."""
+    """Dispatch recording for generic :class:`SpMVFormat` instances (the
+    C kernels run on ``runtime.threads`` threads, NumPy on one)."""
+    from repro import config
+
     traffic = format_bytes(fmt, k)
     record_dispatch(op, fmt.name, backend, seconds=seconds,
                     bytes_read=traffic["read"], bytes_written=traffic["written"],
-                    nnz=fmt.nnz, k=k)
+                    nnz=fmt.nnz, k=k,
+                    threads=int(config.runtime.threads) if backend == "c" else 1)
 
 
 def record_build(*, seconds: float, bytes_written: float, nnz: int) -> None:

@@ -25,8 +25,8 @@ from repro.sparse.csc import CSCMatrix
 
 
 class Icd(Iteration):
-    """ICD state: the matrix in CSC (the operator's own format, else a
-    copy), the column norms and the float64 residual ``r``, checkpointed
+    """ICD state: the matrix in CSC (the operator's own format, else its
+    memoised copy), the column norms and the float64 residual ``r``, checkpointed
     because thousands of rank-1 updates are not bitwise ``y - A x``."""
 
     name = "icd"
@@ -35,10 +35,7 @@ class Icd(Iteration):
 
     def __init__(self, op, y, x, params, geom, resumed):
         super().__init__(op, y, x, params)
-        fmt = op.fmt
-        self.csc = csc = fmt if isinstance(fmt, CSCMatrix) else CSCMatrix.from_coo(
-            op.shape, *fmt.to_coo_triplets(), dtype=op.dtype
-        )
+        self.csc = csc = op.to_csc()
         n = op.shape[1]
         self.norms = np.zeros(n)
         np.add.at(self.norms, np.repeat(np.arange(n), np.diff(csc.col_ptr)),
@@ -116,7 +113,8 @@ def icd_reconstruct(
     op : ProjectionOperator
         Forward/adjoint pair over any format; ICD reads the matrix by
         column, from the format itself when it is a
-        :class:`~repro.sparse.csc.CSCMatrix`, else from a CSC copy.
+        :class:`~repro.sparse.csc.CSCMatrix`, else from a CSC copy made
+        once per operator (:meth:`ProjectionOperator.to_csc`).
     order : str
         ``"sequential"`` or ``"random"`` column visit order per sweep;
         random order draws one permutation per sweep from a generator

@@ -29,6 +29,7 @@ class ProjectionOperator:
         self.fmt = fmt
         self._adj_fallback: SpMVFormat | None = None
         self._csr = None
+        self._csc = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -128,6 +129,23 @@ class ProjectionOperator:
                 self.shape, rows, cols, vals, dtype=self.dtype
             )
         return self._csr
+
+    def to_csc(self):
+        """The operator's matrix as a :class:`CSCMatrix` (memoised).
+
+        Column-access solvers (ICD) need CSC regardless of the format the
+        operator was built with; the conversion runs once per operator.
+        """
+        from repro.sparse.csc import CSCMatrix
+
+        if isinstance(self.fmt, CSCMatrix):
+            return self.fmt
+        if self._csc is None:
+            rows, cols, vals = self.fmt.to_coo_triplets()
+            self._csc = CSCMatrix.from_coo(
+                self.shape, rows, cols, vals, dtype=self.dtype
+            )
+        return self._csc
 
     # ------------------------------------------------------------------ #
     # derived quantities the solvers need

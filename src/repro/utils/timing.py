@@ -84,6 +84,11 @@ class TimingStats:
         )
 
 
+#: Timed calls :func:`time_stats` always makes (when *iterations* allows),
+#: whatever the budget: one sample has no spread to report.
+MIN_SAMPLES = 3
+
+
 def time_stats(
     fn: Callable[[], object],
     *,
@@ -102,11 +107,12 @@ def time_stats(
     warmup : int
         Untimed warm-up calls (cache/JIT/page-fault warming).  Warmup
         wall-clock counts against *max_seconds* — a huge problem can't
-        blow the budget before the first timed iteration — but at least
-        one timed iteration always runs.
+        blow the budget before the first timed iteration.
     max_seconds : float
         Stop early once this much total wall-clock (warmup included) has
-        elapsed, so huge problems don't hold the harness hostage.
+        elapsed, so huge problems don't hold the harness hostage — but
+        only after ``min(3, iterations)`` timed iterations, so even a
+        call slower than the budget reports its run-to-run noise.
 
     Returns
     -------
@@ -132,7 +138,7 @@ def time_stats(
         elapsed = time.perf_counter() - start
         samples.append(elapsed)
         spent += elapsed
-        if spent >= max_seconds:
+        if spent >= max_seconds and len(samples) >= MIN_SAMPLES:
             break
     return TimingStats.from_samples(samples, warmed)
 

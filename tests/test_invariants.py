@@ -1,19 +1,21 @@
 """Invariants of the CSCV products, one case per row of the dispatcher table.
 
 Every row of :data:`repro.core.spmv.ROUTES` — CSCV-Z and CSCV-M, forward
-and adjoint, 1-D and ``(·, k)`` — is checked at float32 and float64, on
-the C kernels and the NumPy fallback, for k in {1, 3, 8}, on an odd
-(33²) and an even (64²) operator, at the default kernel thread count:
+and adjoint — is checked on a vector and on ``(·, k)`` stacks for k in
+{1, 3, 8}, at float32 and float64, on the C kernels and the NumPy
+fallback, on an odd (33²) and an even (64²) operator, at the default
+kernel thread count:
 
 (a) ``<A x, y> == <x, A^T y>`` up to rounding;
 (b) C == NumPy within :data:`C_VS_NUMPY_TOL` — the NumPy fallback
     accumulates in float64 and casts, the C kernels accumulate in the
-    matrix dtype; at any thread count;
+    matrix dtype; at any thread count, and on degenerate geometries (one
+    view; an odd size whose narrow detector leaves blocks empty);
 (c) column j of a k-wide product is bit-equal to the ``(·, 1)`` product
     of that column alone (batched == solo);
-(d) the 1-D NumPy product is bit-equal to the ``(·, 1)`` NumPy product;
-(e) every row with a C kernel is bit-equal at any kernel thread count:
-    each thread owns whole view groups (forward) or image tile rows
+(d) the 1-D product is bit-equal to the ``(·, 1)`` product;
+(e) every row and width is bit-equal at any kernel thread count: each
+    thread owns whole view groups (forward) or image tile rows
     (adjoint), so no output entry is summed in thread arrival order.
 """
 
@@ -26,7 +28,9 @@ from repro import config
 from repro.api import build_ct_matrix
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
+from repro.core.params import CSCVParams
 from repro.core.spmv import ROUTES
+from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.kernels import dispatch
 
 SIZES = (33, 64)
@@ -39,20 +43,23 @@ C_VS_NUMPY_TOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
 DOT_TOL = {np.dtype(np.float32): 1e-5, np.dtype(np.float64): 1e-12}
 
 #: Rows and their operand widths: None is a 1-D operand.
-CASES = [
-    (row, k)
-    for row in sorted(ROUTES)
-    for k in (BATCHES if row[2] else (None,))
-]
+CASES = [(row, k) for row in sorted(ROUTES) for k in (None,) + BATCHES]
+
+#: Degenerate scans: a single view, and an odd image whose 7-bin
+#: detector misses the corner tiles, so 9 of its 50 blocks are empty.
+DEGENERATE = {
+    "one-view": ParallelBeamGeometry.for_image(17, 1),
+    "empty-blocks": ParallelBeamGeometry(33, 7, 20, 9.0),
+}
 
 
-def _row_id(row) -> str:
-    adjoint, variant, two_d = row
-    return f"{variant}-{'adj' if adjoint else 'fwd'}-{'2d' if two_d else '1d'}"
+def _row_id(row, layout: str = "2d") -> str:
+    adjoint, variant = row
+    return f"{variant}-{'adj' if adjoint else 'fwd'}-{layout}"
 
 
-#: The :data:`CASES` whose row is served by a C kernel.
-C_CASES = [(row, k) for row, k in CASES if ROUTES[row][2] is not None]
+CASE_IDS = [f"{_row_id(row, '1d' if k is None else '2d')}-k{k}"
+            for row, k in CASES]
 
 
 @pytest.fixture(scope="module",
@@ -110,12 +117,7 @@ def test_a_adjoint_identity(data, kernels, variant, k):
     assert np.all(np.abs(lhs - rhs) <= DOT_TOL[fmt.dtype] * scale)
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("row,k", CASES,
-                         ids=[f"{_row_id(r)}-k{k}" for r, k in CASES])
-def test_b_c_matches_numpy(data, monkeypatch, row, k, threads):
-    adjoint, variant, _ = row
-    fmt = _fmt(data, variant, threads)
+def _check_c_matches_numpy(fmt, monkeypatch, adjoint, k):
     v = _operand(fmt, adjoint, k, 3)
     monkeypatch.setattr(config.runtime, "backend", "numpy")
     ref = _apply(fmt, adjoint, v)
@@ -127,10 +129,40 @@ def test_b_c_matches_numpy(data, monkeypatch, row, k, threads):
     assert err <= C_VS_NUMPY_TOL[fmt.dtype] * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("row,k", CASES, ids=CASE_IDS)
+def test_b_c_matches_numpy(data, monkeypatch, row, k, threads):
+    adjoint, variant = row
+    _check_c_matches_numpy(_fmt(data, variant, threads), monkeypatch,
+                           adjoint, k)
+
+
+@pytest.fixture(scope="module", params=sorted(DEGENERATE))
+def degenerate_data(request):
+    geom = DEGENERATE[request.param]
+    coo, _ = build_ct_matrix(geom.image_size, geom=geom, dtype=np.float32)
+    data = CSCVZMatrix.from_ct(coo, geom, CSCVParams(16, 8, 2)).data
+    tiles = (-(-geom.image_size // 8)) ** 2
+    groups = -(-geom.num_views // 16)
+    if request.param == "empty-blocks":
+        assert data.num_blocks < tiles * groups
+    else:
+        assert data.shape[0] == geom.num_bins
+    return data
+
+
+@pytest.mark.parametrize("row,k", CASES, ids=CASE_IDS)
+def test_b_degenerate_geometry_c_matches_numpy(degenerate_data, monkeypatch,
+                                               row, k):
+    adjoint, variant = row
+    _check_c_matches_numpy(_fmt(degenerate_data, variant, 2), monkeypatch,
+                           adjoint, k)
+
+
 @pytest.mark.parametrize("k", [3, 8])
-@pytest.mark.parametrize("row", [r for r in sorted(ROUTES) if r[2]], ids=_row_id)
+@pytest.mark.parametrize("row", sorted(ROUTES), ids=_row_id)
 def test_c_batch_column_equals_solo(data, kernels, row, k):
-    adjoint, variant, _ = row
+    adjoint, variant = row
     fmt = _fmt(data, variant)
     v = _operand(fmt, adjoint, k, 4)
     full = _apply(fmt, adjoint, v)
@@ -140,40 +172,75 @@ def test_c_batch_column_equals_solo(data, kernels, row, k):
                                       err_msg=f"column {j} of k={k}")
 
 
-@pytest.mark.parametrize("row", [r for r in sorted(ROUTES) if not r[2]], ids=_row_id)
+@pytest.mark.parametrize("row", sorted(ROUTES), ids=lambda r: _row_id(r, "1d"))
 def test_d_vector_equals_single_column(data, monkeypatch, row):
-    monkeypatch.setattr(config.runtime, "backend", "numpy")
-    adjoint, variant, _ = row
+    adjoint, variant = row
     fmt = _fmt(data, variant)
     v = _operand(fmt, adjoint, None, 5)
-    np.testing.assert_array_equal(_bits(_apply(fmt, adjoint, v)),
-                                  _bits(_apply(fmt, adjoint, v[:, None])[:, 0]))
+    for backend in ("numpy", "auto"):  # NumPy, then C where it is built
+        monkeypatch.setattr(config.runtime, "backend", backend)
+        np.testing.assert_array_equal(
+            _bits(_apply(fmt, adjoint, v)),
+            _bits(_apply(fmt, adjoint, v[:, None])[:, 0]), err_msg=backend)
 
 
 @pytest.mark.parametrize("threads", [2, 4])
-@pytest.mark.parametrize("row,k", C_CASES,
-                         ids=[f"{_row_id(r)}-k{k}" for r, k in C_CASES])
+@pytest.mark.parametrize("row,k", CASES, ids=CASE_IDS)
 def test_e_thread_count_bit_equal(data, monkeypatch, row, k, threads):
     monkeypatch.setattr(config.runtime, "backend", "auto")
     if dispatch.backend_in_use() != "c":
         pytest.skip("compiled kernels unavailable")
-    adjoint, variant, _ = row
+    adjoint, variant = row
     v = _operand(_fmt(data, variant), adjoint, k, 7)
     serial = _apply(_fmt(data, variant, 1), adjoint, v)
     got = _apply(_fmt(data, variant, threads), adjoint, v)
     np.testing.assert_array_equal(_bits(got), _bits(serial))
 
 
-def test_sirt_stack_column_equals_solo_float64(kernels):
-    """End to end: a float64 CSCV-Z SIRT stack reproduces its solo runs."""
+def _check_sirt_stack_column_equals_solo(dtype):
     from repro.recon import ProjectionOperator, sirt_reconstruct
 
-    coo, geom = build_ct_matrix(48, dtype=np.float64)
+    coo, geom = build_ct_matrix(48, dtype=dtype)
     op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom))
     rng = np.random.default_rng(6)
-    sino = op.forward(rng.random((op.shape[1], 4)))
+    sino = op.forward(rng.random((op.shape[1], 4)).astype(dtype))
     stack = sirt_reconstruct(op, sino, iterations=5)
     for j in range(4):
         solo = sirt_reconstruct(op, np.ascontiguousarray(sino[:, j:j + 1]),
                                 iterations=5)
         np.testing.assert_array_equal(_bits(stack[:, j]), _bits(solo[:, 0]))
+
+
+def test_sirt_stack_column_equals_solo_float64(kernels):
+    """End to end: a float64 CSCV-Z SIRT stack reproduces its solo runs."""
+    _check_sirt_stack_column_equals_solo(np.float64)
+
+
+def test_sirt_stack_column_equals_solo_float32(kernels):
+    """The same at float32, where the C kernels accumulate in float32."""
+    _check_sirt_stack_column_equals_solo(np.float32)
+
+
+def test_c_backed_sirt_runs_no_numpy_product(monkeypatch):
+    """A C-backed SIRT on an (m, 1) and an (m, 3) stack runs every
+    product, adjoints included, on the compiled kernels."""
+    from repro.obs import metrics as obs_metrics
+    from repro.recon import ProjectionOperator, sirt_reconstruct
+
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() != "c":
+        pytest.skip("compiled kernels unavailable")
+    coo, geom = build_ct_matrix(24, dtype=np.float32)
+    data = CSCVZMatrix.from_ct(coo, geom).data
+    rng = np.random.default_rng(8)
+    for fmt in (CSCVZMatrix(data), CSCVMMatrix(data)):
+        op = ProjectionOperator(fmt)
+        for k in (1, 3):
+            obs_metrics.registry.reset()
+            sino = rng.random((op.shape[0], k)).astype(np.float32)
+            sirt_reconstruct(op, sino, iterations=3)
+            names = obs_metrics.registry.names()
+            assert any(n.startswith("spmv.calls.") and n.endswith(".c")
+                       for n in names), names
+            assert not [n for n in names
+                        if n.startswith("spmv.calls.") and n.endswith(".flat")]

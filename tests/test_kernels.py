@@ -29,7 +29,7 @@ class TestDispatch:
         config.runtime.backend = "auto"
         try:
             assert dispatch.get("csr_spmv", np.float32) is not None
-            assert dispatch.get("cscv_z_spmv", np.float64) is not None
+            assert dispatch.get("cscv_z_spmm", np.float64) is not None
             assert dispatch.backend_in_use() == "c"
         finally:
             config.runtime.backend = prev

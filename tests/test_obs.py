@@ -479,6 +479,14 @@ class TestOverheadAndTiming:
                         max_seconds=0.01)
         assert st.iterations >= 1
 
+    def test_call_slower_than_budget_gets_three_samples(self):
+        st = time_stats(lambda: time.sleep(0.02), iterations=100, warmup=3,
+                        max_seconds=0.01)
+        assert st.iterations == 3 and st.warmup == 1
+        st = time_stats(lambda: time.sleep(0.02), iterations=2, warmup=0,
+                        max_seconds=0.01)
+        assert st.iterations == 2
+
 
 # ---------------------------------------------------------------------- #
 # harness + CLI integration

@@ -119,7 +119,7 @@ class TestRecordDispatch:
 
     def test_stream_fraction_with_cached_bandwidth(self, clean_metrics,
                                                    stream_cache):
-        perf._stream_gbs = 10.0
+        perf._stream_gbs[1] = 10.0
         perf.record_dispatch("spmv", "z", "c", seconds=1e-3,
                              bytes_read=1e7, bytes_written=0, nnz=10)
         frac = obs.registry.get("spmv.stream_fraction.z")
@@ -249,11 +249,26 @@ class TestStreamBandwidthCache:
         path = stream_cache / "stream_bw.json"
         assert path.exists()
         payload = json.loads(path.read_text())
-        assert payload[perf.host_fingerprint()]["gbs"] == pytest.approx(gbs)
+        assert payload[f"{perf.host_fingerprint()}/t1"]["gbs"] == pytest.approx(gbs)
         # a fresh process (simulated by dropping the in-process cache)
         # reads the disk cache instead of re-measuring
         perf._reset_stream_cache()
         assert perf.stream_bandwidth() == pytest.approx(gbs)
+
+    def test_cached_per_thread_count(self, stream_cache, monkeypatch):
+        measured = {1: 8.0, 2: 15.0}
+        monkeypatch.setattr(perf, "measure_stream_bandwidth",
+                            lambda size_mb, threads: measured[threads])
+        assert perf.stream_bandwidth(measure=True, threads=1) == 8.0
+        assert perf.stream_bandwidth(measure=True, threads=2) == 15.0
+        perf._reset_stream_cache()  # a fresh process reads the disk cache
+        assert perf.stream_bandwidth(threads=2) == 15.0
+        assert perf.stream_bandwidth(threads=1) == 8.0
+        assert perf.stream_bandwidth(threads=4) is None
+
+    def test_threaded_measurement_runs(self):
+        assert perf.measure_stream_bandwidth(size_mb=8, repeats=2,
+                                             threads=2) > 0
 
     def test_corrupt_disk_cache_is_ignored(self, stream_cache):
         (stream_cache / "stream_bw.json").write_text("{not json")
@@ -453,10 +468,10 @@ def _tracer_state():
 
 @pytest.fixture(scope="module")
 def suite():
-    """One ``run_trajectory`` point at 16^2 (STREAM bandwidth stubbed),
-    with the tracer's state before and after the run."""
+    """One ``run_trajectory`` point at 16^2 (STREAM bandwidth stubbed to
+    10 GB/s per thread), with the tracer's state before and after the run."""
     prev = perf._stream_gbs
-    perf._stream_gbs = 10.0
+    perf._stream_gbs = {t: 10.0 * t for t in {1, int(config.runtime.threads)}}
     try:
         before = _tracer_state()
         point = trajectory.run_trajectory(sizes=(16,))
@@ -468,7 +483,7 @@ def suite():
 def _cscv_case_count():
     from repro.core.spmv import ROUTES
 
-    return sum(2 if two_d else 1 for (_, _, two_d) in ROUTES)
+    return 3 * len(ROUTES)
 
 
 class TestTrajectorySuite:
@@ -479,8 +494,9 @@ class TestTrajectorySuite:
 
         t = config.runtime.threads
         expected = set()
-        for (adjoint, variant, two_d) in ROUTES:
-            for tag in (("n1", "n8") if two_d else ("1d",)):
+        assert len(ROUTES) == 4
+        for (adjoint, variant) in ROUTES:
+            for tag in ("1d", "n1", "n8"):
                 expected.add(f"{'adj' if adjoint else 'fwd'}/cscv-{variant}"
                              f"/16/{tag}/t{t}")
         expected |= {f"fwd/csr/16/1d/t{t}", f"fwd/csr/16/n8/t{t}",
@@ -497,6 +513,9 @@ class TestTrajectorySuite:
         for c in products:
             assert c["r_em"] is not None and c["r_em"] > 0, c["case"]
             assert c["case"].endswith(f"/t{c['threads']}")
+            # judged against the stubbed bandwidth of its own thread count
+            assert c["r_em"] == pytest.approx(
+                c["achieved_gbs"] / (10.0 * c["threads"]))
 
     def test_solve_split_sums_to_iteration_time(self, suite):
         (solve,) = [c for c in suite.point["cases"] if c["kind"] == "solve"]

@@ -223,6 +223,20 @@ class TestICD:
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
+    def test_csc_copy_is_made_once_per_operator(self, monkeypatch):
+        geom = ParallelBeamGeometry.for_image(16, num_views=24)
+        op = operator(geom, fmt="cscv-z", cache=False)
+        sino = op.forward(disk_phantom(16, radius_frac=0.5).ravel()
+                          .astype(op.dtype))
+        calls = []
+        triplets = op.fmt.to_coo_triplets
+        monkeypatch.setattr(op.fmt, "to_coo_triplets",
+                            lambda: calls.append(1) or triplets())
+        first = icd_reconstruct(op, sino, iterations=1)
+        second = icd_reconstruct(op, sino, iterations=1)
+        assert len(calls) == 1
+        assert np.array_equal(first, second)
+
 
 class TestFBP:
     def test_ramp_filter_shape(self):
