@@ -158,9 +158,10 @@ DEFINE_CSCV_Z_BLOCK(f64, double)
 /* Only the lanes of set mask bits are loaded and stored, and each takes
  * a multiply then an add, exactly as the scalar loops do: the file is
  * built as ISO C (-std=c11), where GCC contracts nothing into FMAs, and
- * the pragma below keeps clang from contracting either.  So the 1-wide
- * CSCV-M product is bitwise the k-wide kernel's column, and a lane with
- * no nonzero is never touched (no 0 * inf = NaN, no -0 turned to +0). */
+ * the FP_CONTRACT pragma above keeps clang from contracting either.  So
+ * the 1-wide CSCV-M product is bitwise the k-wide kernel's column, and a
+ * lane with no nonzero is never touched (no 0 * inf = NaN, no -0 turned
+ * to +0). */
 #ifdef HAVE_VEXPAND
 static inline void vexpand_axpy_f32(float *yt, const float *pv, uint32_t mask,
                                     float xv, int64_t s_vvec) {
