@@ -27,7 +27,7 @@ def test_ablation_algorithm2(benchmark, quick_matrix):
             coo.shape, coo.rows, coo.cols, coo.vals, s_vvec=8
         ),
         "cscv-z (Alg. 3)": z,
-        "cscv-m (Alg. 3 + mask)": CSCVMMatrix.from_data(z.data),
+        "cscv-m (Alg. 3 + mask)": CSCVMMatrix(z.data),
     }
     t = Table(
         headers=["algorithm", "GFLOP/s", "gathers/nnz", "scatters/nnz"],

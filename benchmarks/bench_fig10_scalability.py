@@ -12,7 +12,7 @@ from repro.core.params import PAPER_TABLE3
 def test_fig10_scalability_single(benchmark, quick_matrix):
     coo, geom = quick_matrix
     z = CSCVZMatrix.from_ct(coo, geom, PAPER_TABLE3[("skl", "cscv-z", "single")])
-    m = CSCVMMatrix.from_data(z.data)
+    m = CSCVMMatrix(z.data)
     x = np.ones(coo.shape[1], dtype=np.float32)
     y = np.zeros(coo.shape[0], dtype=np.float32)
     benchmark(m.spmv_into, x, y)

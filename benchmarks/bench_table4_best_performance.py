@@ -12,7 +12,7 @@ from repro.core.params import PAPER_TABLE3
 def test_table4_single_precision(benchmark, quick_matrix):
     coo, geom = quick_matrix
     z = CSCVZMatrix.from_ct(coo, geom, PAPER_TABLE3[("skl", "cscv-z", "single")])
-    m = CSCVMMatrix.from_data(z.data)
+    m = CSCVMMatrix(z.data)
     x = np.ones(coo.shape[1], dtype=np.float32)
     y = np.zeros(coo.shape[0], dtype=np.float32)
     benchmark(m.spmv_into, x, y)
@@ -29,7 +29,7 @@ def test_table4_double_precision(benchmark, quick_matrix):
     coo64, geom = quick_matrix
     coo = coo64.astype(np.float64)
     z = CSCVZMatrix.from_ct(coo, geom, PAPER_TABLE3[("skl", "cscv-z", "double")])
-    m = CSCVMMatrix.from_data(z.data)
+    m = CSCVMMatrix(z.data)
     x = np.ones(coo.shape[1], dtype=np.float64)
     y = np.zeros(coo.shape[0], dtype=np.float64)
     benchmark(m.spmv_into, x, y)

@@ -54,7 +54,7 @@ def main(image_size: int = 48) -> None:
         x = np.linspace(0.5, 1.5, coo.shape[1]).astype(np.float32)
         ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
         z = CSCVZMatrix.from_ct(coo, geom, params)
-        m = CSCVMMatrix.from_data(z.data)
+        m = CSCVMMatrix(z.data)
         err = float(np.abs(z.spmv(x) - ref).max() / np.abs(ref).max())
         gz = measure_format(z, iterations=15, max_seconds=1.0).gflops
         gm = measure_format(m, iterations=15, max_seconds=1.0).gflops

@@ -4,9 +4,11 @@ Reproduces the paper's parameter-sensitivity grids on the
 parameter-selection matrix: for each ``(S_VVec, S_ImgB)`` cell (one grid
 per ``S_VxG``), the zero-padding rate and the per-iteration memory
 requirement of CSCV-Z and CSCV-M.  The trends the paper calls out and the
-tests assert: R_nnzE grows with every parameter; CSCV-M needs
-significantly less memory than CSCV-Z; CSCV-M's memory is nearly
-independent of S_VxG/S_ImgB.
+tests assert: R_nnzE grows with every parameter; CSCV-M's memory relative
+to CSCV-Z falls as S_VVec and S_VxG grow.  The paper finds CSCV-M needs
+significantly less memory than CSCV-Z everywhere; here CSCV-M streams a
+uint32 mask per VxG slot and an int64 offset per VxG, so it undercuts
+CSCV-Z only where the padding it drops outweighs them.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ ABI version, per-case seconds/GB/s/R_EM/noise) to the committed
 
 Product case keys name the direction, format, size, layout (``1d``,
 ``n1``, ``n8``) and thread count, e.g. ``adj/cscv-z/256/n1/t2``.  Their
-bytes come from :func:`repro.obs.perf.cscv_bytes`, the model the
+bytes come from :func:`repro.obs.perf.format_bytes`, the model the
 dispatch telemetry records, so both report the same ``R_EM``.
 
 ``repro bench compare`` diffs two points of that file with noise-aware
@@ -151,8 +151,8 @@ def _product_cases(size: int, timed, stream) -> list[dict]:
                 f"{'adj' if adjoint else 'fwd'}/{fmt.name}/{size}/{tag}/t{threads}",
                 spmv.OPS[adjoint, width is not None][0], fmt.name, size,
                 stats, nnz=fmt.nnz, batch=k,
-                traffic_bytes=obs_perf.cscv_bytes(
-                    fmt.data, variant, k, adjoint=adjoint)["total"],
+                traffic_bytes=obs_perf.format_bytes(
+                    fmt, k, adjoint=adjoint)["total"],
                 stream_gbs=stream(threads), threads=threads,
             ))
     fmts.clear()  # free the CSCV operators before the csr one loads

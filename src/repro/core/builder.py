@@ -16,8 +16,10 @@ conversion before calculation") fully vectorised:
 5. emit per-block ``ytilde`` **maps** (``iota_k`` and its inverse) sized to
    cover the offsets the block's VxGs reach.
 
-The output :class:`CSCVData` holds both granularities: VxG-level arrays
-(CSCV-Z streams these) and CSCVE-level masked/packed arrays (CSCV-M).
+The output :class:`CSCVData` holds one layout, VxG-aligned, that both
+execution formats share: CSCV-Z streams the padded values, CSCV-M the
+packed nonzeros behind one lane mask per VxG slot.  :func:`validate_cscv`
+checks its structure after every build and on every load.
 
 Parallel packing
 ----------------
@@ -63,9 +65,7 @@ class CSCVData:
     params: CSCVParams
     dtype: np.dtype
 
-    # ---- VxG granularity (CSCV-Z) ----
-    #: dense values, ``num_vxg * vxg_len``, padding zeros included
-    values: np.ndarray = field(default=None)
+    # ---- VxG index (both variants) ----
     #: global x column per VxG (int32)
     vxg_col: np.ndarray = field(default=None)
     #: start position in the block's ytilde per VxG (int32)
@@ -73,25 +73,19 @@ class CSCVData:
     #: VxG ranges per (present) block, int64, len = num_blocks + 1
     blk_vxg_ptr: np.ndarray = field(default=None)
 
-    # ---- VxG-aligned mask arrays (CSCV-M kernel granularity) ----
-    #: packed-value offset of each VxG's first value (int64)
-    vxg_voff: np.ndarray = field(default=None)
-    #: lane bitmask per VxG slot, ``num_vxg * s_vxg`` (uint32, 0 = empty)
-    vxg_masks: np.ndarray = field(default=None)
+    # ---- CSCV-Z value stream ----
+    #: dense values, ``num_vxg * vxg_len``, padding zeros included
+    values: np.ndarray = field(default=None)
 
-    # ---- CSCVE granularity (analysis + NumPy path) ----
-    #: global x column per CSCVE (int32)
-    e_col: np.ndarray = field(default=None)
-    #: start position in ytilde per CSCVE (int32)
-    e_start: np.ndarray = field(default=None)
-    #: prefix offsets into ``packed`` per CSCVE (int64, len = num_e + 1)
-    voff: np.ndarray = field(default=None)
-    #: lane bitmask per CSCVE (uint32)
-    masks: np.ndarray = field(default=None)
-    #: packed nonzero values (length = nnz)
+    # ---- CSCV-M value stream ----
+    #: lane bitmask per VxG slot (one CSCVE), ``num_vxg * s_vxg``
+    #: (uint32, 0 = empty slot)
+    vxg_masks: np.ndarray = field(default=None)
+    #: offset into ``packed`` of each VxG's first value (int64)
+    vxg_voff: np.ndarray = field(default=None)
+    #: the nonzeros (length = nnz): one per set ``vxg_masks`` bit, VxG
+    #: by VxG, slots then lanes ascending
     packed: np.ndarray = field(default=None)
-    #: CSCVE ranges per block (int64, len = num_blocks + 1)
-    blk_e_ptr: np.ndarray = field(default=None)
 
     # ---- per-block reorder info ----
     #: ytilde length per block (int64)
@@ -107,9 +101,10 @@ class CSCVData:
     def num_vxg(self) -> int:
         return self.vxg_col.shape[0]
 
-    @property
+    @cached_property
     def num_cscve(self) -> int:
-        return self.e_col.shape[0]
+        """Non-empty CSCVEs: the set ``vxg_masks`` slots (counted once)."""
+        return int(np.count_nonzero(self.vxg_masks))
 
     @property
     def num_blocks(self) -> int:
@@ -142,11 +137,6 @@ class CSCVData:
         tiles_per_side = -(-math.isqrt(self.shape[1]) // self.params.s_imgb)
         group, tile = np.divmod(self.present_blocks, tiles_per_side**2)
         return {False: _parts(group), True: _parts(tile // tiles_per_side)}
-
-    def padding_per_cscve(self) -> np.ndarray:
-        """Padding zeros in each (non-empty) CSCVE — Fig 5 statistic."""
-        fill = np.diff(self.voff)
-        return self.params.s_vvec - fill
 
 
 def _parts(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +188,9 @@ def build_cscv(
     s_vvec, s_vxg = params.s_vvec, params.s_vxg
 
     if nnz == 0:
-        return _empty_data(shape, params, dtype)
+        data = _empty_data(shape, params, dtype)
+        validate_cscv(data)
+        return data
 
     if reference_mode not in ("ioblr", "btb"):
         raise FormatError(f"unknown reference_mode {reference_mode!r}")
@@ -280,7 +272,7 @@ def build_cscv(
             with span("build.merge"):
                 merged = _merge_parts(parts)
 
-        total_e = int(merged["e_col"].shape[0])
+        total_e = sum(p["num_e"] for p in parts)
         total_g = int(merged["vxg_col"].shape[0])
         total_b = int(merged["blk_ysize"].shape[0])
         build_span.set(num_cscve=total_e, num_vxg=total_g,
@@ -296,7 +288,7 @@ def build_cscv(
         dtype=dtype,
         **merged,
     )
-    _validate(data)
+    validate_cscv(data)
     obs_metrics.counter("build.calls", "CSCV conversions performed").inc()
     obs_metrics.histogram(
         "build.r_nnze", "zero-padding rate per built matrix",
@@ -433,18 +425,9 @@ def _pack_vxg(p: dict) -> None:
     blk_dmax = np.maximum.reduceat(g_window_end, b_starts_g)
     p["blk_ysize"] = ((blk_dmax - blk_dmin + 1) * s_vvec).astype(np.int64)
 
-    # block ranges over the CSCVE array
-    is_new_b_e = np.empty(num_e, dtype=bool)
-    is_new_b_e[0] = True
-    np.not_equal(e_block[1:], e_block[:-1], out=is_new_b_e[1:])
-    p["blk_e_ptr"] = np.append(np.flatnonzero(is_new_b_e), num_e).astype(np.int64)
-
     # value placement
     b_of_g = np.cumsum(is_new_b) - 1              # block index per VxG
-    b_of_e = b_of_g[g_of_e]
-
     p["vxg_start"] = ((g_window_d - blk_dmin[b_of_g]) * s_vvec).astype(INDEX_DTYPE)
-    p["e_start"] = ((e_d - blk_dmin[b_of_e]) * s_vvec).astype(INDEX_DTYPE)
 
     values = np.zeros(num_g * vxg_len, dtype=sh["dtype"])
     e_local = e_d - g_window_d[g_of_e]            # CSCVE index in window
@@ -453,19 +436,15 @@ def _pack_vxg(p: dict) -> None:
     values[slot] = p["vals_s"]
     p["values"] = values
 
-    # CSCV-M: masks + packed values (vals_s is CSCVE/lane ordered)
+    # CSCV-M: vals_s is CSCVE/lane ordered, i.e. already the packed
+    # stream; each CSCVE's lane mask goes to its VxG slot (empty slots
+    # stay 0) and each VxG keeps the packed offset of its first value
     bits = (np.uint32(1) << p["lane_s"].astype(np.uint32)).astype(np.uint32)
-    p["masks"] = np.bitwise_or.reduceat(bits, e_starts).astype(np.uint32)
-    voff = np.append(e_starts, nnz).astype(np.int64)
-    p["voff"] = voff
-
-    # VxG-aligned mask grid + per-VxG packed offsets (the M kernel's
-    # view: one (col, start, voff) triple per VxG, s_vxg masks,
-    # empty slots = 0)
+    masks = np.bitwise_or.reduceat(bits, e_starts).astype(np.uint32)
     vxg_masks = np.zeros(num_g * s_vxg, dtype=np.uint32)
-    vxg_masks[g_of_e * s_vxg + e_local] = p["masks"]
+    vxg_masks[g_of_e * s_vxg + e_local] = masks
     p["vxg_masks"] = vxg_masks
-    p["vxg_voff"] = voff[g_starts]
+    p["vxg_voff"] = e_starts[g_starts].astype(np.int64)
     p["g_col"] = g_col
     p["num_g"] = num_g
     p["num_b"] = num_b
@@ -509,14 +488,13 @@ def _merge_parts(parts: list[dict]) -> dict:
 
     Partitions hold disjoint, ascending block ranges, so concatenation in
     partition order reproduces the global block-major layout exactly;
-    only the ``*_ptr`` / ``*_voff`` prefix arrays need offsetting.
+    only ``blk_vxg_ptr`` and ``vxg_voff`` need offsetting.
     """
     cat = {k: [] for k in (
         "values", "vxg_col", "vxg_start", "blk_vxg_ptr", "vxg_voff",
-        "vxg_masks", "e_col", "e_start", "voff", "masks", "packed",
-        "blk_e_ptr", "blk_ysize", "ymap", "present_blocks",
+        "vxg_masks", "packed", "blk_ysize", "ymap", "present_blocks",
     )}
-    g_off = e_off = nnz_off = 0
+    g_off = nnz_off = 0
     for p in parts:
         cat["values"].append(p["values"])
         cat["vxg_col"].append(p["g_col"].astype(INDEX_DTYPE))
@@ -524,22 +502,14 @@ def _merge_parts(parts: list[dict]) -> dict:
         cat["blk_vxg_ptr"].append(p["blk_vxg_ptr"][:-1] + g_off)
         cat["vxg_voff"].append(p["vxg_voff"] + nnz_off)
         cat["vxg_masks"].append(p["vxg_masks"])
-        cat["e_col"].append(p["e_col_global"].astype(INDEX_DTYPE))
-        cat["e_start"].append(p["e_start"])
-        cat["voff"].append(p["voff"][:-1] + nnz_off)
-        cat["masks"].append(p["masks"])
         cat["packed"].append(p["vals_s"])
-        cat["blk_e_ptr"].append(p["blk_e_ptr"][:-1] + e_off)
         cat["blk_ysize"].append(p["blk_ysize"])
         cat["ymap"].append(p["ymap"])
         cat["present_blocks"].append(p["present_blocks"].astype(np.int64))
         g_off += p["num_g"]
-        e_off += p["num_e"]
         nnz_off += p["vals_s"].size
     out = {k: np.concatenate(v) for k, v in cat.items()}
     out["blk_vxg_ptr"] = np.append(out["blk_vxg_ptr"], g_off)
-    out["voff"] = np.append(out["voff"], nnz_off)
-    out["blk_e_ptr"] = np.append(out["blk_e_ptr"], e_off)
     blk_map_ptr = np.zeros(out["blk_ysize"].size + 1, dtype=np.int64)
     np.cumsum(out["blk_ysize"], out=blk_map_ptr[1:])
     out["blk_map_ptr"] = blk_map_ptr
@@ -558,12 +528,7 @@ def _empty_data(shape, params, dtype) -> CSCVData:
         blk_vxg_ptr=np.zeros(1, dtype=np.int64),
         vxg_voff=np.zeros(0, dtype=np.int64),
         vxg_masks=np.zeros(0, dtype=np.uint32),
-        e_col=np.zeros(0, dtype=INDEX_DTYPE),
-        e_start=np.zeros(0, dtype=INDEX_DTYPE),
-        voff=np.zeros(1, dtype=np.int64),
-        masks=np.zeros(0, dtype=np.uint32),
         packed=np.zeros(0, dtype=dtype),
-        blk_e_ptr=np.zeros(1, dtype=np.int64),
         blk_ysize=np.zeros(0, dtype=np.int64),
         blk_map_ptr=np.zeros(1, dtype=np.int64),
         ymap=np.zeros(0, dtype=np.int32),
@@ -571,27 +536,93 @@ def _empty_data(shape, params, dtype) -> CSCVData:
     )
 
 
-def _validate(data: CSCVData) -> None:
-    """Structural invariants; cheap checks always, deep checks when
-    ``config.runtime.paranoid_checks`` is set."""
+def mask_popcount(masks: np.ndarray) -> np.ndarray:
+    """Set bits of each uint32 mask."""
+    x = np.array(masks, dtype=np.uint32)  # a copy, counted in place (SWAR)
+    x -= (x >> 1) & np.uint32(0x55555555)
+    x = (x & np.uint32(0x33333333)) + ((x >> 2) & np.uint32(0x33333333))
+    x += x >> 4
+    x &= np.uint32(0x0F0F0F0F)
+    x *= np.uint32(0x01010101)
+    x >>= 24
+    return x
+
+
+def _check_ptr(fail, name: str, ptr: np.ndarray, size: int, end: int) -> None:
+    """*ptr* holds *size* entries from 0 to *end*, non-decreasing."""
+    if ptr.size != size:
+        fail(f"{name} has {ptr.size} entries, expected {size}")
+    if size and (int(ptr[0]) != 0 or int(ptr[-1]) != end):
+        fail(f"{name} runs {int(ptr[0])}..{int(ptr[-1])}, expected 0..{end}")
+    if np.any(np.diff(ptr) < 0):
+        fail(f"{name} is not non-decreasing")
+
+
+def validate_cscv(data: CSCVData, source: str = "build_cscv") -> None:
+    """The one structural check of a :class:`CSCVData`.
+
+    Runs after every build and on every load (``.npz`` file or operator
+    cache), so a truncated or edited array fails here with a named field
+    instead of sending a C kernel out of bounds.  Sizes and pointers are
+    checked first, then every index the kernels follow: VxG columns,
+    VxG windows inside their block's ``ytilde``, the IOBLR map, and the
+    CSCV-M mask bits against each VxG's packed-value span.  The deep
+    map-injectivity check runs only under
+    ``config.runtime.paranoid_checks``.
+    """
     from repro import config
 
-    p = data.params
-    if data.num_vxg and int(data.vxg_start.max()) + p.vxg_len > int(
-        np.repeat(data.blk_ysize, np.diff(data.blk_vxg_ptr)).max()
-        if data.num_blocks
-        else 0
-    ):
-        # per-VxG bound: start + vxg_len <= its block's ysize
-        ysz = np.repeat(data.blk_ysize, np.diff(data.blk_vxg_ptr))
-        if np.any(data.vxg_start.astype(np.int64) + p.vxg_len > ysz):
-            raise FormatError("VxG overruns its block's ytilde")
-    if data.voff[-1] != data.nnz:
-        raise FormatError("packed value count disagrees with nnz")
-    if config.runtime.paranoid_checks and data.num_blocks:
+    def fail(msg: str):
+        raise FormatError(f"{source}: corrupt CSCV arrays: {msg}")
+
+    (m, n), nnz, p = data.shape, data.nnz, data.params
+    if m < 0 or n < 0 or nnz < 0:
+        fail(f"negative shape ({m}, {n}) or nnz {nnz}")
+    num_vxg = int(data.vxg_col.size)
+    for name, size in (("values", num_vxg * p.vxg_len),
+                       ("vxg_start", num_vxg), ("vxg_voff", num_vxg),
+                       ("vxg_masks", num_vxg * p.s_vxg), ("packed", nnz)):
+        if getattr(data, name).size != size:
+            fail(f"{name} holds {getattr(data, name).size} entries, "
+                 f"expected {size}")
+    if data.blk_vxg_ptr.size == 0:
+        fail("blk_vxg_ptr is empty")
+    num_blocks = data.blk_vxg_ptr.size - 1
+    _check_ptr(fail, "blk_vxg_ptr", data.blk_vxg_ptr, num_blocks + 1, num_vxg)
+    _check_ptr(fail, "blk_map_ptr", data.blk_map_ptr, num_blocks + 1,
+               data.ymap.size)
+    ysize = data.blk_ysize
+    if ysize.size != num_blocks or np.any(np.diff(data.blk_map_ptr) != ysize):
+        fail("blk_ysize disagrees with the block maps (blk_map_ptr)")
+    pb = data.present_blocks
+    if pb.size != num_blocks or np.any(np.diff(pb) <= 0):
+        fail("present_blocks is not one increasing id per block")
+
+    if num_vxg:
+        if int(data.vxg_col.min()) < 0 or int(data.vxg_col.max()) >= n:
+            fail(f"vxg_col outside [0, n={n})")
+        # per block: every VxG window ends inside the block's ytilde
+        filled = np.diff(data.blk_vxg_ptr) > 0
+        last = np.maximum.reduceat(data.vxg_start, data.blk_vxg_ptr[:-1][filled])
+        if (int(data.vxg_start.min()) < 0 or np.any(
+                last.astype(np.int64) + p.vxg_len > ysize[filled])):
+            fail("a VxG overruns its block's ytilde (vxg_start)")
+    if data.ymap.size and (int(data.ymap.min()) < -1
+                           or int(data.ymap.max()) >= m):
+        fail(f"ymap outside [-1, m={m})")
+    if num_vxg and int(data.vxg_masks.max()) >> p.s_vvec:
+        fail(f"vxg_masks sets a lane >= s_vvec = {p.s_vvec}")
+    # each VxG's packed span starts at vxg_voff and holds exactly its set
+    # mask bits: seen[i] counts the bits before slot i; all of them are nnz
+    seen = np.zeros(data.vxg_masks.size + 1, dtype=np.int64)
+    np.cumsum(mask_popcount(data.vxg_masks), dtype=np.int64, out=seen[1:])
+    if int(seen[-1]) != nnz or np.any(data.vxg_voff != seen[:-1:p.s_vxg]):
+        fail("vxg_masks popcounts disagree with the vxg_voff spans / nnz")
+
+    if config.runtime.paranoid_checks:
         # every valid map slot must be a distinct global row per block
-        for b in range(data.num_blocks):
+        for b in range(num_blocks):
             seg = data.ymap[data.blk_map_ptr[b] : data.blk_map_ptr[b + 1]]
             valid = seg[seg >= 0]
             if valid.size != np.unique(valid).size:
-                raise FormatError(f"block {b}: ymap not injective")
+                raise FormatError(f"{source}: block {b}: ymap not injective")

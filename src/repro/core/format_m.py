@@ -3,10 +3,16 @@
 CSCV-M removes the padding zeros from storage: each CSCVE keeps only its
 real nonzeros plus an ``s_vvec``-bit occupancy mask, and the kernel
 re-expands them at compute time (hardware ``vexpand`` on AVX-512, the
-``soft-vexpand`` loop elsewhere).  Roughly 30% of the memory traffic
-disappears (Section IV-E), which makes CSCV-M the **bandwidth-bound
-champion** — best at high thread counts — at the price of the expansion
-instruction overhead that hurts it at low thread counts.
+``soft-vexpand`` loop elsewhere).  The paper finds roughly 30% of the
+memory traffic disappears (Section IV-E), which makes CSCV-M the
+**bandwidth-bound champion** — best at high thread counts — at the price
+of the expansion instruction overhead that hurts it at low thread counts.
+
+Here each VxG slot's mask is a uint32 and each VxG carries an int64
+packed offset, so the saving is smaller: at 256² (default parameters,
+float32, 19.1M nnz) the kernel streams 129.3 MB against CSCV-Z's
+152.8 MB, a 15% cut (M/Z = 0.85).  With little padding (small ``s_vvec``
+and ``s_vxg``) CSCV-M can stream more than CSCV-Z.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ import numpy as np
 from repro.core.builder import CSCVData
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
-from repro.core.spmv import product, value_cols_m, value_rows_m
+from repro.core.spmv import kernel_bytes, product, value_cols_m, value_rows_m
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
@@ -53,11 +59,6 @@ class CSCVMMatrix(SpMVFormat):
             build_workers=build_workers,
         )
         return cls(z.data, threads)
-
-    @classmethod
-    def from_data(cls, data: CSCVData, threads: int | None = None) -> "CSCVMMatrix":
-        """Wrap already-built CSCV arrays (shares memory with Z)."""
-        return cls(data, threads)
 
     @classmethod
     def from_coo(cls, shape, rows, cols, vals, *, geom=None, params=None, **kwargs):
@@ -110,30 +111,18 @@ class CSCVMMatrix(SpMVFormat):
         return self.data.params
 
     def memory_bytes(self):
-        """Paper-model traffic: packed values + masks + VxG index + maps.
+        """Traffic the kernel streams: packed values + masks + VxG index + maps.
 
         Versus CSCV-Z the padded value stream shrinks to exactly ``nnz``
-        values; the masks add ``ceil(s_vvec/8)`` bytes per CSCVE (the
-        paper: mask cost halves as ``S_VVec`` doubles per-byte
-        efficiency).
+        values, paid for with one uint32 mask per VxG slot and one int64
+        packed offset per VxG: exactly the arrays the C kernels are
+        handed (:data:`~repro.core.spmv.KERNEL_ARRAYS`).
         """
-        d = self.data
-        values = d.packed.nbytes
-        mask_bytes = d.num_cscve * ((d.params.s_vvec + 7) // 8)
-        idx = (
-            mask_bytes
-            + d.vxg_col.nbytes
-            + d.vxg_start.nbytes
-            + d.blk_e_ptr.nbytes
-            + d.blk_ysize.nbytes
-            + d.blk_map_ptr.nbytes
-            + d.ymap.nbytes
-        )
-        return {"values": values, "indices": idx, "total": values + idx}
+        return kernel_bytes(self.data, self.variant)
 
     def traffic_saving_vs_z(self) -> float:
         """Fraction of CSCV-Z's matrix traffic that CSCV-M avoids."""
-        z_total = self.data.values.nbytes + self.memory_bytes()["indices"]
+        z_total = kernel_bytes(self.data, "z")["total"]
         m_total = self.memory_bytes()["total"]
         return 1.0 - m_total / z_total if z_total else 0.0
 

@@ -14,7 +14,7 @@ import numpy as np
 from repro.config import INDEX_DTYPE
 from repro.core.builder import CSCVData, build_cscv
 from repro.core.params import CSCVParams
-from repro.core.spmv import product, value_rows_z
+from repro.core.spmv import kernel_bytes, product, value_rows_z
 from repro.errors import FormatError, ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.matrix_base import SpMVFormat, register_format
@@ -152,19 +152,10 @@ class CSCVZMatrix(SpMVFormat):
 
         Per VxG one ``(column, start)`` pair; per block the pointer/ysize
         metadata; the ``ymap`` permutation is streamed once per block
-        during the reorder steps of Algorithm 3.
+        during the reorder steps of Algorithm 3.  Exactly the arrays the
+        C kernels are handed (:data:`~repro.core.spmv.KERNEL_ARRAYS`).
         """
-        d = self.data
-        values = d.values.nbytes
-        idx = (
-            d.vxg_col.nbytes
-            + d.vxg_start.nbytes
-            + d.blk_vxg_ptr.nbytes
-            + d.blk_ysize.nbytes
-            + d.blk_map_ptr.nbytes
-            + d.ymap.nbytes
-        )
-        return {"values": values, "indices": idx, "total": values + idx}
+        return kernel_bytes(self.data, self.variant)
 
     def index_compression_vs_csc(self) -> float:
         """Index bytes relative to CSC (paper: ~0.03x with VxGs)."""

@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import config
-from repro.core.builder import CSCVData
+from repro.core.builder import CSCVData, mask_popcount
 from repro.errors import ValidationError
 from repro.kernels import dispatch
 from repro.obs import metrics as obs_metrics
@@ -45,6 +45,19 @@ ROUTES = {
     (True, "z"): "cscv_z_tspmm",
     (True, "m"): "cscv_m_tspmm",
 }
+
+#: variant -> the stored arrays its C kernels are handed, in argument
+#: order: the VxG index, the variant's value stream, then the three IOBLR
+#: map arrays.  ``memory_bytes()`` counts exactly these.
+KERNEL_ARRAYS = {
+    "z": ("blk_vxg_ptr", "vxg_col", "vxg_start", "values",
+          "blk_ysize", "blk_map_ptr", "ymap"),
+    "m": ("blk_vxg_ptr", "vxg_col", "vxg_start", "vxg_voff", "vxg_masks",
+          "packed", "blk_ysize", "blk_map_ptr", "ymap"),
+}
+
+#: variant -> its value stream (the rest of its kernel arrays are index).
+VALUE_ARRAY = {"z": "values", "m": "packed"}
 
 #: (adjoint, 2-D operand) -> (op, counter-tag suffix).  The span is
 #: ``<op>.<variant>``, the counter ``spmv.calls.<variant><suffix>.<backend>``
@@ -74,15 +87,22 @@ def value_rows_z(data: CSCVData) -> np.ndarray:
 
 
 def value_rows_m(data: CSCVData) -> np.ndarray:
-    """Global row id of every packed CSCV-M value (always valid)."""
+    """Global row id of every packed CSCV-M value (always valid).
+
+    A packed value is the Z slot of a set ``vxg_masks`` bit, VxG by VxG,
+    slots then lanes ascending: the non-empty slots (CSCVEs) in order,
+    each expanded by its mask.
+    """
     if data.nnz == 0:
         return np.zeros(0, dtype=np.int32)
-    s_vvec = data.params.s_vvec
-    b_of_e = np.repeat(np.arange(data.num_blocks), np.diff(data.blk_e_ptr))
-    base = data.blk_map_ptr[b_of_e] + data.e_start.astype(np.int64)
-    # lane of each packed value from the mask bit order
-    lanes = _mask_lanes(data.masks, s_vvec)
-    pos = np.repeat(base, np.diff(data.voff)) + lanes
+    s_vvec, s_vxg = data.params.s_vvec, data.params.s_vxg
+    slot = np.flatnonzero(data.vxg_masks)
+    masks = data.vxg_masks[slot]
+    g = slot // s_vxg
+    b_of_g = np.repeat(np.arange(data.num_blocks), np.diff(data.blk_vxg_ptr))
+    base = (data.blk_map_ptr[b_of_g[g]] + data.vxg_start[g].astype(np.int64)
+            + (slot % s_vxg) * s_vvec)
+    pos = np.repeat(base, mask_popcount(masks)) + _mask_lanes(masks, s_vvec)
     return data.ymap[pos]
 
 
@@ -98,7 +118,17 @@ def _mask_lanes(masks: np.ndarray, s_vvec: int) -> np.ndarray:
 
 def value_cols_m(data: CSCVData) -> np.ndarray:
     """Global column id of every packed CSCV-M value."""
-    return np.repeat(data.e_col.astype(np.int64), np.diff(data.voff))
+    spans = np.diff(data.vxg_voff, append=data.nnz)
+    return np.repeat(data.vxg_col.astype(np.int64), spans)
+
+
+def kernel_bytes(data: CSCVData, variant: str) -> dict[str, int]:
+    """``memory_bytes()`` of a CSCV variant: the bytes of exactly the
+    arrays its C kernels stream (:data:`KERNEL_ARRAYS`), split into the
+    value stream and the index."""
+    total = sum(getattr(data, name).nbytes for name in KERNEL_ARRAYS[variant])
+    values = getattr(data, VALUE_ARRAY[variant]).nbytes
+    return {"values": values, "indices": total - values, "total": total}
 
 
 # ---------------------------------------------------------------------- #
@@ -147,26 +177,22 @@ def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
         "CSCV products by variant, direction and execution backend",
     ).inc()
     if obs_perf.active:
-        obs_perf.record_cscv(op, fmt.variant, backend, data,
-                             obs_perf.clock() - t0, k,
-                             threads if fn is not None else 1)
+        obs_perf.record_format(op, fmt, backend, obs_perf.clock() - t0, k,
+                               threads if fn is not None else 1)
     return Y
 
 
 def _c_args(variant: str, adjoint: bool, data: CSCVData, X, Y,
             threads: int) -> tuple:
-    """The shared C argument list: head, per-variant middle, tail."""
+    """The C argument list: owner parts, the variant's
+    :data:`KERNEL_ARRAYS` with its shape scalars before the three map
+    arrays, then the operands."""
     part_ptr, order = data.owner_parts[adjoint]
-    head = (X.shape[1], part_ptr.size - 1, part_ptr, order,
-            data.blk_vxg_ptr, data.vxg_col, data.vxg_start)
-    if variant == "z":
-        middle = (data.values, data.params.vxg_len)
-    else:
-        middle = (data.vxg_voff, data.vxg_masks, data.packed,
-                  data.params.s_vxg, data.params.s_vvec)
-    tail = (data.blk_ysize, data.blk_map_ptr, data.ymap, X, Y,
-            data.max_ysize, threads)
-    return head + middle + tail
+    arrays = [getattr(data, name) for name in KERNEL_ARRAYS[variant]]
+    p = data.params
+    scalars = (p.vxg_len,) if variant == "z" else (p.s_vxg, p.s_vvec)
+    return (X.shape[1], part_ptr.size - 1, part_ptr, order, *arrays[:-3],
+            *scalars, *arrays[-3:], X, Y, data.max_ysize, threads)
 
 
 # ---------------------------------------------------------------------- #

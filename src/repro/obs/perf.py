@@ -4,9 +4,10 @@ The paper's central claim is a memory-bandwidth argument — CSCV wins
 because it moves fewer bytes per nnz, quantified by the ``E_M``/``R_EM``
 efficiency model of Section V-C.  This module turns that model into live
 telemetry: every SpMV/SpMM dispatch (and every cold build) computes its
-*theoretical* bytes read/written from the format's layout — CSR streams,
-CSCV-Z padded values, CSCV-M packed values + masks, plus the VxG index
-and reorder-map traffic — and records the achieved GB/s, the fraction of
+*theoretical* bytes read/written with :func:`format_bytes` — the
+format's own ``memory_bytes()`` (CSR streams; for CSCV exactly the
+arrays its C kernel is handed) plus the operand and result vectors —
+and records the achieved GB/s, the fraction of
 the host's measured STREAM bandwidth, and nnz/s into tagged histograms
 in the process-wide registry.
 
@@ -43,15 +44,11 @@ __all__ = [
     "disable",
     "is_active",
     "clock",
-    "cscv_z_bytes",
-    "cscv_m_bytes",
-    "cscv_bytes",
     "format_bytes",
     "host_fingerprint",
     "measure_stream_bandwidth",
     "stream_bandwidth",
     "record_dispatch",
-    "record_cscv",
     "record_format",
     "record_build",
     "ConvergenceMeter",
@@ -100,90 +97,24 @@ def is_active() -> bool:
 # bytes-moved models (the E_M layout accounting, per dispatch)
 
 
-def cscv_z_bytes(data, k: int = 1) -> dict[str, float]:
-    """Theoretical bytes one CSCV-Z SpMV/SpMM with *k* RHS must move.
+def format_bytes(fmt, k: int = 1, *, adjoint: bool = False) -> dict[str, float]:
+    """Theoretical bytes of one product with *k* RHS, for any
+    :class:`SpMVFormat` — the one traffic model.
 
-    Reads: the padded value stream (``num_vxg * vxg_len`` slots, padding
-    zeros included — the cost CSCV-M removes), the per-VxG
-    ``(column, start)`` index, block pointers/ysizes, the IOBLR reorder
-    map streamed during the scatter, and ``k`` copies of ``x``.
-    Writes: ``k`` copies of ``y`` (the ``ytilde`` scratch lives in cache
-    by construction — blocks are sized for it — so it is not counted,
-    exactly as in the paper's ``M_Rit``).
-    """
-    m, n = data.shape
-    item = data.dtype.itemsize
-    read = float(
-        data.values.nbytes
-        + data.vxg_col.nbytes
-        + data.vxg_start.nbytes
-        + data.blk_vxg_ptr.nbytes
-        + data.blk_ysize.nbytes
-        + data.blk_map_ptr.nbytes
-        + data.ymap.nbytes
-        + k * n * item
-    )
-    written = float(k * m * item)
-    return {"read": read, "written": written, "total": read + written}
-
-
-def cscv_m_bytes(data, k: int = 1) -> dict[str, float]:
-    """Theoretical bytes one CSCV-M SpMV/SpMM with *k* RHS must move.
-
-    Versus CSCV-Z the value stream shrinks to exactly ``nnz`` packed
-    values, paid for with ``ceil(s_vvec/8)`` mask bytes per CSCVE and
-    the per-VxG value offsets driving the (soft-)vexpand.
-    """
-    m, n = data.shape
-    item = data.dtype.itemsize
-    mask_bytes = data.num_cscve * ((data.params.s_vvec + 7) // 8)
-    read = float(
-        data.packed.nbytes
-        + mask_bytes
-        + data.vxg_voff.nbytes
-        + data.vxg_col.nbytes
-        + data.vxg_start.nbytes
-        + data.blk_vxg_ptr.nbytes
-        + data.blk_ysize.nbytes
-        + data.blk_map_ptr.nbytes
-        + data.ymap.nbytes
-        + k * n * item
-    )
-    written = float(k * m * item)
-    return {"read": read, "written": written, "total": read + written}
-
-
-def cscv_bytes(data, variant: str, k: int = 1, *,
-               adjoint: bool = False) -> dict[str, float]:
-    """Theoretical bytes of one CSCV product, forward or adjoint.
-
-    The one traffic model behind both the dispatch telemetry
-    (:func:`record_cscv`) and the ``repro bench trajectory`` cases.
-    Adjoints move the same matrix stream but swap the vector terms:
-    they read ``k * m`` and write ``k * n`` entries.
-    """
-    traffic = cscv_z_bytes(data, k) if variant == "z" else cscv_m_bytes(data, k)
-    if not adjoint:
-        return traffic
-    m, n = data.shape
-    vec = k * data.dtype.itemsize
-    read, written = traffic["read"] + vec * (m - n), float(vec * n)
-    return {"read": read, "written": written, "total": read + written}
-
-
-def format_bytes(fmt, k: int = 1) -> dict[str, float]:
-    """Theoretical bytes per SpMV/SpMM for any :class:`SpMVFormat`.
-
-    Uses the format's own exact layout accounting
+    The format's own layout accounting
     (:meth:`~repro.sparse.matrix_base.SpMVFormat.memory_bytes`, the
-    paper's ``M(A)``) plus ``k`` vector reads and writes — i.e. the
-    ``M_Rit`` of :func:`repro.sparse.stats.memory_requirement`
-    generalised to multi-RHS.
+    paper's ``M(A)``) plus ``k`` operand reads and ``k`` result writes:
+    the paper's ``M_Rit`` generalised to multi-RHS.  The result vectors
+    are written, not re-read (CSCV's ``ytilde`` scratch is sized to live
+    in cache, as in the paper).  An adjoint moves the same matrix stream
+    but swaps the vector terms: it reads ``k * m`` and writes ``k * n``
+    entries.
     """
     m, n = fmt.shape
-    item = fmt.dtype.itemsize
-    read = float(fmt.memory_bytes()["total"] + k * n * item)
-    written = float(k * m * item)
+    vec = k * fmt.dtype.itemsize
+    size_in, size_out = (m, n) if adjoint else (n, m)
+    read = float(fmt.memory_bytes()["total"] + vec * size_in)
+    written = float(vec * size_out)
     return {"read": read, "written": written, "total": read + written}
 
 
@@ -357,26 +288,22 @@ def record_dispatch(op: str, variant: str, backend: str, *,
         ).inc()
 
 
-def record_cscv(op: str, variant: str, backend: str, data, seconds: float,
-                k: int = 1, threads: int = 1) -> None:
-    """Dispatch recording for the CSCV dispatcher (:func:`cscv_bytes`);
-    ``tspmv``/``tspmm`` are the adjoints, *threads* the kernel's."""
-    traffic = cscv_bytes(data, variant, k, adjoint=op.startswith("t"))
-    record_dispatch(op, variant, backend, seconds=seconds,
-                    bytes_read=traffic["read"], bytes_written=traffic["written"],
-                    nnz=data.nnz, k=k, threads=threads)
-
-
-def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1) -> None:
-    """Dispatch recording for generic :class:`SpMVFormat` instances (the
-    C kernels run on ``runtime.threads`` threads, NumPy on one)."""
+def record_format(op: str, fmt, backend: str, seconds: float, k: int = 1,
+                  threads: int | None = None) -> None:
+    """Dispatch recording for any :class:`SpMVFormat` (:func:`format_bytes`;
+    ``tspmv``/``tspmm`` are the adjoints).  CSCV dispatches are tagged by
+    variant (``z``/``m``), the rest by format name.  *threads* is the
+    kernel's; by default the C kernels run on ``runtime.threads``
+    threads, NumPy on one."""
     from repro import config
 
-    traffic = format_bytes(fmt, k)
-    record_dispatch(op, fmt.name, backend, seconds=seconds,
-                    bytes_read=traffic["read"], bytes_written=traffic["written"],
-                    nnz=fmt.nnz, k=k,
-                    threads=int(config.runtime.threads) if backend == "c" else 1)
+    if threads is None:
+        threads = int(config.runtime.threads) if backend == "c" else 1
+    traffic = format_bytes(fmt, k, adjoint=op.startswith("t"))
+    record_dispatch(op, getattr(fmt, "variant", fmt.name), backend,
+                    seconds=seconds, bytes_read=traffic["read"],
+                    bytes_written=traffic["written"], nnz=fmt.nnz, k=k,
+                    threads=threads)
 
 
 def record_build(*, seconds: float, bytes_written: float, nnz: int) -> None:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.obs.perf import format_bytes
 from repro.sparse.matrix_base import SpMVFormat
 
 
@@ -62,14 +63,13 @@ def memory_requirement(fmt: SpMVFormat) -> dict[str, float]:
     """The paper's ``M_Rit``: bytes that must be read per ``y = A x``.
 
     Returns a dict with ``M_A`` (format-dependent), ``M_x``, ``M_y`` and
-    ``M_rit`` (their sum), all in bytes.
+    ``M_rit`` (their sum), all in bytes: the one traffic model,
+    :func:`repro.obs.perf.format_bytes`, split into its terms.
     """
-    m, n = fmt.shape
-    item = fmt.dtype.itemsize
+    traffic = format_bytes(fmt)
     m_a = float(fmt.memory_bytes()["total"])
-    m_x = float(n * item)
-    m_y = float(m * item)
-    return {"M_A": m_a, "M_x": m_x, "M_y": m_y, "M_rit": m_a + m_x + m_y}
+    return {"M_A": m_a, "M_x": traffic["read"] - m_a,
+            "M_y": traffic["written"], "M_rit": traffic["total"]}
 
 
 def effective_bandwidth_ratio(

@@ -29,9 +29,16 @@ class TestParameterSweep:
             coo, geom, s_vvec_grid=(4, 8), s_imgb_grid=(8, 16), s_vxg_grid=(1, 2),
         )
         assert len(points) == 8
+        item = coo.dtype.itemsize
         for p in points:
             assert p.r_nnze >= 0
-            assert p.memory_m <= p.memory_z
+            # M drops the padding zeros and streams instead a uint32 mask
+            # per VxG slot and an int64 packed offset per VxG
+            num_vxg = (1 + p.r_nnze) * coo.nnz / p.params.vxg_len
+            padding = p.r_nnze * coo.nnz * item
+            overhead = num_vxg * (4 * p.params.s_vxg + 8)
+            assert p.memory_m - p.memory_z == pytest.approx(overhead - padding)
+            assert (p.memory_m <= p.memory_z) == (padding >= overhead)
             assert p.gflops_z is None  # measure=False
 
     def test_measured_sweep(self, ct):

@@ -230,6 +230,81 @@ class TestCorruptionAndEviction:
 
 
 # ---------------------------------------------------------------------- #
+# structural holes: each would send a C kernel out of bounds
+
+
+HOLES = {
+    "vxg_masks-half": lambda d: {"vxg_masks": d.vxg_masks[: d.vxg_masks.size // 2]},
+    "ymap-past-m": lambda d: {"ymap": np.where(d.ymap >= 0, d.ymap + 10**6, -1)
+                              .astype(d.ymap.dtype)},
+    "vxg_col-past-n": lambda d: {"vxg_col": d.vxg_col + np.int32(10**6)},
+}
+
+#: The per-CSCVE copy of the CSCV-M stream that older files carry.
+OLD_ARRAYS = ("e_col", "e_start", "voff", "masks", "blk_e_ptr")
+
+
+class TestLoaderHoles:
+    @pytest.mark.parametrize("hole", sorted(HOLES))
+    def test_load_cscv_rejects(self, geom, tmp_path, hole):
+        from repro.core.io import load_cscv, save_cscv
+
+        data = operator(geom, fmt="cscv-z", cache=False).fmt.data
+        path = tmp_path / "m.npz"
+        save_cscv(path, data)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        arrays.update(HOLES[hole](data))
+        np.savez_compressed(path, **arrays)
+        with pytest.raises(FormatError):
+            load_cscv(path)
+
+    @pytest.mark.parametrize("hole", sorted(HOLES))
+    def test_unverified_cache_entry_is_evicted_and_rebuilt(self, geom,
+                                                           tmp_path, hole):
+        # verify=False: no checksum catches the edit, the validator must
+        cache = OperatorCache(root=tmp_path / "opcache", enabled=True,
+                              verify=False)
+        op = operator(geom, fmt="cscv-m", cache_obj=cache)
+        entry = cache._entry_path(_key(geom, fmt="cscv-m", params=CSCVParams()))
+        for name, arr in HOLES[hole](op.fmt.data).items():
+            np.save(entry / f"{name}.npy", arr)
+        op2 = operator(geom, fmt="cscv-m", cache_obj=cache)
+        st = cache.stats()
+        assert st["corrupt"] == 1 and st["evictions"] == 1
+        x = np.linspace(0, 1, op.shape[1], dtype=np.float32)
+        np.testing.assert_array_equal(op.forward(x), op2.forward(x))
+
+    def test_files_with_the_old_per_cscve_arrays_still_load(self, geom, cache,
+                                                           tmp_path):
+        from repro.core.cache import _sha256_file
+        from repro.core.io import load_cscv, save_cscv
+
+        op = operator(geom, fmt="cscv-m", cache_obj=cache)
+        old = {name: np.arange(5, dtype=np.int64) for name in OLD_ARRAYS}
+        path = tmp_path / "old.npz"
+        save_cscv(path, op.fmt.data)
+        with np.load(path) as z:
+            arrays = {k: z[k] for k in z.files}
+        np.savez_compressed(path, **arrays, **old)
+        entry = cache._entry_path(_key(geom, fmt="cscv-m", params=CSCVParams()))
+        meta = json.loads((entry / "entry.json").read_text())
+        for name, arr in old.items():
+            f = entry / f"{name}.npy"
+            np.save(f, arr)
+            meta["files"][name] = {"sha256": _sha256_file(f),
+                                   "nbytes": f.stat().st_size}
+        (entry / "entry.json").write_text(json.dumps(meta))
+
+        x = np.linspace(0, 1, op.shape[1], dtype=np.float32)
+        want = op.forward(x)
+        warm = operator(geom, fmt="cscv-m", cache_obj=cache)
+        assert cache.stats()["corrupt"] == 0 and cache.stats()["hits"] == 1
+        np.testing.assert_array_equal(warm.forward(x), want)
+        np.testing.assert_array_equal(CSCVMMatrix(load_cscv(path)).spmv(x), want)
+
+
+# ---------------------------------------------------------------------- #
 # locking / concurrency
 
 

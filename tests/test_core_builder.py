@@ -36,8 +36,8 @@ def data(triplets, geom):
 class TestStructuralInvariants:
     def test_counts_consistent(self, data):
         assert data.blk_vxg_ptr[-1] == data.num_vxg
-        assert data.blk_e_ptr[-1] == data.num_cscve
-        assert data.voff[-1] == data.nnz
+        assert data.num_cscve == np.count_nonzero(data.vxg_masks)
+        assert data.vxg_voff.size == data.num_vxg
         assert data.packed.size == data.nnz
         assert data.values.size == data.num_vxg * data.params.vxg_len
 
@@ -49,16 +49,15 @@ class TestStructuralInvariants:
         assert np.count_nonzero(data.values) <= data.nnz  # exact values may be 0
 
     def test_masks_popcount_equals_fill(self, data):
-        pops = np.array([bin(int(m)).count("1") for m in data.masks])
-        np.testing.assert_array_equal(pops, np.diff(data.voff))
+        # each VxG's set mask bits fill exactly its packed-value span
+        pops = np.array([bin(int(m)).count("1") for m in data.vxg_masks])
+        per_vxg = pops.reshape(data.num_vxg, data.params.s_vxg).sum(axis=1)
+        np.testing.assert_array_equal(
+            per_vxg, np.diff(data.vxg_voff, append=data.nnz))
 
     def test_vxg_within_block_ysize(self, data):
         ysz = np.repeat(data.blk_ysize, np.diff(data.blk_vxg_ptr))
         assert np.all(data.vxg_start.astype(np.int64) + data.params.vxg_len <= ysz)
-
-    def test_cscve_within_block_ysize(self, data):
-        ysz = np.repeat(data.blk_ysize, np.diff(data.blk_e_ptr))
-        assert np.all(data.e_start.astype(np.int64) + data.params.s_vvec <= ysz)
 
     def test_map_sizes(self, data):
         assert data.ymap.size == int(data.blk_ysize.sum())

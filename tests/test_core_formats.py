@@ -58,14 +58,14 @@ class TestSharedData:
     def test_z_and_m_share_arrays(self, setup):
         coo, geom, x, _ = setup
         z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2))
-        m = CSCVMMatrix.from_data(z.data)
+        m = CSCVMMatrix(z.data)
         assert m.data is z.data
         np.testing.assert_allclose(z.spmv(x), m.spmv(x), rtol=1e-6)
 
     def test_r_nnze_identical(self, setup):
         coo, geom, _, _ = setup
         z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2))
-        m = CSCVMMatrix.from_data(z.data)
+        m = CSCVMMatrix(z.data)
         assert z.r_nnze == m.r_nnze
 
 
@@ -184,9 +184,35 @@ class TestMemoryModel:
     def test_m_streams_less_than_z(self, setup):
         coo, geom, _, _ = setup
         z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 16, 2))
-        m = CSCVMMatrix.from_data(z.data)
+        m = CSCVMMatrix(z.data)
         assert m.memory_bytes()["total"] < z.memory_bytes()["total"]
         assert m.traffic_saving_vs_z() > 0.0
+
+    @pytest.mark.parametrize("cls", [CSCVZMatrix, CSCVMMatrix],
+                             ids=["z", "m"])
+    @pytest.mark.parametrize("adjoint", [False, True], ids=["fwd", "adj"])
+    def test_memory_bytes_counts_the_kernel_arrays(self, setup, monkeypatch,
+                                                   cls, adjoint):
+        """``memory_bytes()`` is the nbytes of exactly the stored arrays
+        the C kernel is handed (checked on the argument list itself)."""
+        from repro.core import spmv
+
+        coo, geom, _, _ = setup
+        fmt = cls(CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 16, 2)).data)
+        calls = []
+        monkeypatch.setattr(spmv.dispatch, "get",
+                            lambda name, dtype: lambda *args: calls.append(args))
+        size = fmt.shape[0] if adjoint else fmt.shape[1]
+        product(fmt, np.ones(size, dtype=fmt.dtype), adjoint=adjoint)
+        (args,) = calls
+        stored = {id(v): v for v in vars(fmt.data).values()
+                  if isinstance(v, np.ndarray)}
+        handed = [a for a in args if id(a) in stored]
+        value_stream = fmt.data.values if cls is CSCVZMatrix else fmt.data.packed
+        mb = fmt.memory_bytes()
+        assert mb["total"] == sum(a.nbytes for a in handed)
+        assert mb["values"] == value_stream.nbytes
+        assert mb["indices"] == mb["total"] - mb["values"]
 
     def test_index_compression_vs_csc(self, setup):
         # paper: VxG index volume ~0.03x of CSC... at realistic scale the

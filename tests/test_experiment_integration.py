@@ -70,9 +70,20 @@ class TestFig8:
         assert by_key[(8, 8, 1)] >= by_key[(4, 8, 1)]
         assert by_key[(8, 16, 1)] >= by_key[(8, 8, 1)]
         assert by_key[(8, 8, 2)] >= by_key[(8, 8, 1)]
-        # CSCV-M memory below CSCV-Z everywhere
-        for p in points:
-            assert p.memory_m <= p.memory_z
+        # CSCV-M trades the padding zeros for a uint32 mask per VxG slot
+        # and an int64 offset per VxG: its bytes relative to CSCV-Z fall
+        # as s_vvec and s_vxg grow, and undercut Z at s_vvec=8, s_vxg=2
+        ratio = {
+            (p.params.s_vvec, p.params.s_imgb, p.params.s_vxg):
+                p.memory_m / p.memory_z
+            for p in points
+        }
+        for imgb in (8, 16):
+            assert ratio[(8, imgb, 1)] < ratio[(4, imgb, 1)]
+            assert ratio[(8, imgb, 2)] < ratio[(4, imgb, 2)]
+            assert ratio[(4, imgb, 2)] < ratio[(4, imgb, 1)]
+            assert ratio[(8, imgb, 2)] < ratio[(8, imgb, 1)]
+            assert ratio[(8, imgb, 2)] < 1.0
 
     def test_render(self):
         out = fig8.run(dataset="clinical-small")

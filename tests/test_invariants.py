@@ -17,6 +17,10 @@ kernel thread count:
 (e) every row and width is bit-equal at any kernel thread count: each
     thread owns whole view groups (forward) or image tile rows
     (adjoint), so no output entry is summed in thread arrival order.
+
+(a) also holds for every registered format through
+:class:`~repro.recon.ProjectionOperator` — native adjoints and the
+transposed-CSR fallback alike — on the degenerate geometries.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.api import build_ct_matrix
+from repro.api import build_ct_matrix, build_format
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
 from repro.core.spmv import ROUTES
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.kernels import dispatch
+from repro.sparse.matrix_base import available_formats
 
 SIZES = (33, 64)
 DTYPES = (np.float32, np.float64)
@@ -110,13 +115,40 @@ def _bits(a: np.ndarray) -> np.ndarray:
 @pytest.mark.parametrize("k", (None,) + BATCHES)
 def test_a_adjoint_identity(data, kernels, variant, k):
     fmt = _fmt(data, variant)
+    _check_adjoint_identity(fmt, lambda v: _apply(fmt, False, v),
+                            lambda v: _apply(fmt, True, v), k)
+
+
+def _check_adjoint_identity(fmt, forward, adjoint, k):
+    """``<A x, y> == <x, A^T y>`` per column, within :data:`DOT_TOL`."""
     x, y = _operand(fmt, False, k, 1), _operand(fmt, True, k, 2)
-    ax = _apply(fmt, False, x).astype(np.float64)
-    aty = _apply(fmt, True, y).astype(np.float64)
+    ax = forward(x).astype(np.float64)
+    aty = adjoint(y).astype(np.float64)
     lhs = (ax * y).sum(axis=0)
     rhs = (x.astype(np.float64) * aty).sum(axis=0)
     scale = (np.abs(ax) * np.abs(y)).sum(axis=0)
     assert np.all(np.abs(lhs - rhs) <= DOT_TOL[fmt.dtype] * scale)
+
+
+@pytest.fixture(scope="module",
+                params=[(g, np.dtype(d)) for g in sorted(DEGENERATE)
+                        for d in DTYPES],
+                ids=lambda p: f"{p[0]}-{p[1].name}")
+def degenerate_coo(request):
+    name, dtype = request.param
+    geom = DEGENERATE[name]
+    coo, _ = build_ct_matrix(geom.image_size, geom=geom, dtype=dtype)
+    return coo, geom
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("name", available_formats())
+def test_a_adjoint_identity_every_format(degenerate_coo, kernels, name, k):
+    from repro.recon import ProjectionOperator
+
+    coo, geom = degenerate_coo
+    op = ProjectionOperator(build_format(name, coo, geom=geom))
+    _check_adjoint_identity(op.fmt, op.forward, op.adjoint, k)
 
 
 def _check_c_matches_numpy(fmt, monkeypatch, adjoint, k):

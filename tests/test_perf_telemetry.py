@@ -56,29 +56,39 @@ def cscv_data(small_ct_f32):
 # bytes-moved models
 
 
+def _cscv(data, variant):
+    from repro.core.format_m import CSCVMMatrix
+    from repro.core.format_z import CSCVZMatrix
+
+    return (CSCVZMatrix if variant == "z" else CSCVMMatrix)(data)
+
+
 class TestBytesModels:
     def test_cscv_z_layout_accounting(self, cscv_data):
         m, n = cscv_data.shape
         item = cscv_data.dtype.itemsize
-        b = perf.cscv_z_bytes(cscv_data)
+        b = perf.format_bytes(_cscv(cscv_data, "z"))
         assert b["written"] == m * item
         assert b["total"] == b["read"] + b["written"]
         # the padded value stream alone dominates nnz * itemsize
         assert b["read"] >= cscv_data.nnz * item + n * item
 
     def test_cscv_m_removes_padding(self, cscv_data):
-        z = perf.cscv_z_bytes(cscv_data)
-        mm = perf.cscv_m_bytes(cscv_data)
+        z = perf.format_bytes(_cscv(cscv_data, "z"))
+        mm = perf.format_bytes(_cscv(cscv_data, "m"))
         # M pays masks + voffs but drops the padding zeros; on a padded
         # matrix the value-stream saving is the paper's whole point
-        padding = cscv_data.values.nbytes - cscv_data.packed.nbytes
+        d = cscv_data
+        padding = d.values.nbytes - d.packed.nbytes
         assert padding > 0
-        assert mm["read"] < z["read"] + cscv_data.vxg_voff.nbytes
+        assert mm["read"] < z["read"] + d.vxg_voff.nbytes
+        assert mm["read"] - z["read"] == (d.vxg_voff.nbytes
+                                          + d.vxg_masks.nbytes - padding)
         assert mm["written"] == z["written"]
 
     def test_batch_width_scales_vectors_only(self, cscv_data):
-        b1 = perf.cscv_z_bytes(cscv_data, 1)
-        b8 = perf.cscv_z_bytes(cscv_data, 8)
+        b1 = perf.format_bytes(_cscv(cscv_data, "z"), 1)
+        b8 = perf.format_bytes(_cscv(cscv_data, "z"), 8)
         m, n = cscv_data.shape
         item = cscv_data.dtype.itemsize
         assert b8["written"] == 8 * b1["written"]
@@ -131,11 +141,12 @@ class TestRecordDispatch:
                              bytes_read=1e6, bytes_written=0, nnz=10)
         assert not obs.registry.names()
 
-    def test_record_cscv_uses_layout_bytes(self, clean_metrics, stream_cache,
-                                           cscv_data):
-        perf.record_cscv("spmm", "m", "flat", cscv_data, 1e-3, k=4)
+    def test_record_format_uses_layout_bytes(self, clean_metrics,
+                                             stream_cache, cscv_data):
+        fmt = _cscv(cscv_data, "m")
+        perf.record_format("spmm", fmt, "flat", 1e-3, k=4)
         h = obs.registry.get("spmm.achieved_gbs.m.flat")
-        expect = perf.cscv_m_bytes(cscv_data, 4)["total"] / 1e-3 / 1e9
+        expect = perf.format_bytes(fmt, 4)["total"] / 1e-3 / 1e9
         assert h.mean == pytest.approx(expect)
 
     def test_record_build(self, clean_metrics):
@@ -206,8 +217,7 @@ class TestOffByDefault:
         assert len(names) == 1 and obs.registry.get(names[0]).count == 1
         assert obs.registry.get(f"{op}.nnz_per_s.{variant}").count == 1
         # adjoint byte model: the matrix stream, k*m vector reads, k*n writes
-        fwd = (perf.cscv_z_bytes if variant == "z" else perf.cscv_m_bytes)(
-            cscv_data, width)
+        fwd = perf.format_bytes(a, width)
         item = a.dtype.itemsize
         written = obs.registry.get("perf.bytes_written").value
         read = obs.registry.get("perf.bytes_read").value

@@ -30,7 +30,7 @@ def formats(fine_ct):
         "mkl-csr": MKLLikeCSR.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "spc5": SPC5Matrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "cscv-z": z,
-        "cscv-m": CSCVMMatrix.from_data(z.data),
+        "cscv-m": CSCVMMatrix(z.data),
     }
 
 
@@ -137,7 +137,7 @@ def tuned_formats():
         "mkl-csr": MKLLikeCSR.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "spc5": SPC5Matrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "cscv-z": z,
-        "cscv-m": CSCVMMatrix.from_data(m_data.data),
+        "cscv-m": CSCVMMatrix(m_data.data),
     }
 
 

@@ -37,7 +37,7 @@ class TestMaskLanes:
 
     def test_total_popcount(self, data):
         d, _ = data
-        lanes = _mask_lanes(d.masks, d.params.s_vvec)
+        lanes = _mask_lanes(d.vxg_masks, d.params.s_vvec)
         assert lanes.size == d.nnz
 
 
@@ -121,7 +121,7 @@ class TestFailureInjection:
     """Corrupted CSCV structures must be caught, not segfault."""
 
     def test_vxg_overrun_detected(self, data):
-        from repro.core.builder import _validate
+        from repro.core.builder import validate_cscv
         from repro.errors import FormatError
 
         d, _ = data
@@ -131,23 +131,23 @@ class TestFailureInjection:
         bad.vxg_start = d.vxg_start.copy()
         bad.vxg_start[0] = 10**6  # way past any block's ytilde
         with pytest.raises(FormatError):
-            _validate(bad)
+            validate_cscv(bad)
 
     def test_packed_count_mismatch_detected(self, data):
-        from repro.core.builder import _validate
+        from repro.core.builder import validate_cscv
         from repro.errors import FormatError
 
         d, _ = data
         import copy
 
         bad = copy.copy(d)
-        bad.voff = d.voff.copy()
-        bad.voff[-1] = d.nnz + 5
+        bad.vxg_voff = d.vxg_voff.copy()
+        bad.vxg_voff[-1] += 5  # the last VxG's span no longer fits nnz
         with pytest.raises(FormatError):
-            _validate(bad)
+            validate_cscv(bad)
 
     def test_map_injectivity_checked_in_paranoid_mode(self, data):
-        from repro.core.builder import _validate
+        from repro.core.builder import validate_cscv
         from repro.errors import FormatError
 
         d, _ = data
@@ -163,6 +163,6 @@ class TestFailureInjection:
             config.runtime.paranoid_checks = True
             try:
                 with pytest.raises(FormatError):
-                    _validate(bad)
+                    validate_cscv(bad)
             finally:
                 config.runtime.paranoid_checks = prev
