@@ -1,33 +1,34 @@
-"""Cold-build bench: operator construction wall time vs worker count.
+"""Cold-build bench: operator construction wall time and memory vs workers.
 
-The cold build has two parallel stages — the projector sweep (C kernels
-tracing view ranges concurrently, :mod:`repro.geometry.sweep`) and the
-CSCV packing (block-partitioned sort/pack/merge,
-:func:`repro.core.builder.build_cscv`).  This bench times both, per
-projector, across a ladder of worker counts, and verifies on the way
-that every worker count produced the *same* matrix (nnz and a value
-checksum), which is the determinism contract the operator cache relies
-on.
+The cold build is the facade's CSCV path (:func:`repro.api.operator`
+without the cache): each view group is traced, coalesced and packed on
+its own, on the shared build pool when ``workers > 1``
+(:func:`repro.core.builder.build_cscv_from_geometry`); the global COO is
+never built.  This bench times that path per projector across a ladder
+of worker counts, records the build's peak traced bytes (``tracemalloc``;
+NumPy reports its allocations to it), and verifies on the way that every
+worker count produced the *same* arrays — a sha256 over all of them,
+which is the determinism contract the operator cache relies on.
 
 Run via ``python -m repro bench build``: it prints the scaling table
-and exits 1 when a worker count changed the matrix.  The trajectory
+and exits 1 when a worker count changed the arrays.  The trajectory
 ledger (:mod:`repro.bench.trajectory`) keeps the single-worker strip
 build as its ``build/strip`` case.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.builder import build_cscv
 from repro.core.params import CSCVParams
 from repro.errors import ValidationError
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.sparse.coo import COOMatrix
 from repro.utils.tables import Table
 
 DEFAULT_PROJECTORS = ("strip", "pixel", "siddon")
@@ -35,30 +36,54 @@ DEFAULT_PROJECTORS = ("strip", "pixel", "siddon")
 
 @dataclass
 class BuildBenchRecord:
-    """One cold build: (projector, size, workers) -> stage wall times."""
+    """One cold build: (projector, size, workers) -> wall time and memory."""
 
     projector: str
     size: int
     workers: int
     backend: str
-    sweep_seconds: float
-    pack_seconds: float
     total_seconds: float
+    #: peak bytes traced while building (``tracemalloc``)
+    peak_bytes: int
     nnz: int
-    checksum: float
+    #: :func:`cscv_sha256` of the built arrays
+    digest: str
 
     @property
     def seconds(self) -> float:  # PerfRecord-compatible headline number
         return self.total_seconds
 
 
-def _sweep(projector: str, geom, dtype, workers: int):
-    from repro.api import _resolve_projector
+def cscv_sha256(data) -> str:
+    """sha256 over every :class:`~repro.core.builder.CSCVData` array
+    (name, dtype and bytes), in the on-disk order."""
+    from repro.core.io import _ARRAYS
 
-    rows, cols, vals = _resolve_projector(projector)(
-        geom, dtype=dtype, workers=workers
-    )
-    return COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=dtype)
+    h = hashlib.sha256()
+    for name in _ARRAYS:
+        arr = np.ascontiguousarray(getattr(data, name))
+        h.update(f"{name}:{arr.dtype.str}:{arr.size};".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+def _traced_build(build):
+    """``(result, seconds, peak traced bytes)`` of one ``build()`` call."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    else:
+        tracemalloc.reset_peak()
+    base = tracemalloc.get_traced_memory()[0]
+    try:
+        t0 = time.perf_counter()
+        out = build()
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+    return out, seconds, peak
 
 
 def run_build_bench(
@@ -72,59 +97,50 @@ def run_build_bench(
 ) -> list[BuildBenchRecord]:
     """Cold-build timings for every (projector, workers) pair.
 
-    Nothing touches the operator cache — each measurement runs the sweep
-    and the CSCV conversion from scratch (best of ``repeats``).  Raises
-    :class:`ValidationError` if any worker count changes the built
-    matrix, which would break cache-key determinism.
+    Nothing touches the operator cache — each measurement traces and
+    packs from scratch (best of ``repeats`` for time and peak bytes).
+    Raises :class:`ValidationError` if any worker count changes the
+    built arrays, which would break cache-key determinism.
     """
-    from repro.geometry.parallel_beam import ParallelBeamGeometry
+    from repro.api import operator
     from repro.kernels import dispatch
 
     params = params or CSCVParams()
-    geom = ParallelBeamGeometry.for_image(size)
     backend = dispatch.backend_in_use()
     records: list[BuildBenchRecord] = []
     for projector in projectors:
-        baseline: tuple[int, float] | None = None
+        baseline: str | None = None
         for workers in worker_counts:
-            sweep_s = pack_s = total_s = float("inf")
-            nnz = 0
-            checksum = 0.0
+            total_s = float("inf")
+            peak = None
             for _ in range(max(1, repeats)):
                 with span("bench.build", projector=projector, size=size,
                           workers=workers):
-                    t0 = time.perf_counter()
-                    coo = _sweep(projector, geom, dtype, workers)
-                    t1 = time.perf_counter()
-                    data = build_cscv(
-                        coo.rows, coo.cols, coo.vals, geom, params, dtype,
-                        workers=workers,
+                    op, seconds, traced = _traced_build(lambda: operator(
+                        size, fmt="cscv-z", projector=projector,
+                        params=params, dtype=dtype, cache=False,
+                        build_workers=workers,
+                    ))
+                total_s = min(total_s, seconds)
+                peak = traced if peak is None else min(peak, traced)
+                nnz, digest = op.fmt.nnz, cscv_sha256(op.fmt.data)
+                del op  # before the next repeat builds another
+                baseline = baseline or digest
+                if digest != baseline:
+                    raise ValidationError(
+                        f"{projector} build changed with workers={workers}: "
+                        f"array sha256 {baseline[:16]} -> {digest[:16]}"
                     )
-                    t2 = time.perf_counter()
-                sweep_s = min(sweep_s, t1 - t0)
-                pack_s = min(pack_s, t2 - t1)
-                total_s = min(total_s, t2 - t0)
-                nnz = coo.nnz
-                checksum = float(np.asarray(data.packed, dtype=np.float64).sum())
-            if baseline is None:
-                baseline = (nnz, checksum)
-            elif baseline != (nnz, checksum):
-                raise ValidationError(
-                    f"{projector} build changed with workers={workers}: "
-                    f"nnz/checksum {baseline} -> {(nnz, checksum)}"
-                )
-            rec = BuildBenchRecord(
+            records.append(BuildBenchRecord(
                 projector=projector,
                 size=size,
                 workers=workers,
                 backend=backend,
-                sweep_seconds=sweep_s,
-                pack_seconds=pack_s,
                 total_seconds=total_s,
+                peak_bytes=int(peak),
                 nnz=nnz,
-                checksum=checksum,
-            )
-            records.append(rec)
+                digest=digest,
+            ))
         best = min(r.total_seconds for r in records if r.projector == projector)
         first = next(r for r in records if r.projector == projector)
         obs_metrics.gauge(
@@ -135,10 +151,11 @@ def run_build_bench(
 
 
 def render(records: list[BuildBenchRecord], *, title: str = "") -> str:
-    """One row per (projector, workers); speedup is vs that projector's W=1."""
+    """One row per (projector, workers); speedup is vs that projector's
+    first worker count."""
     t = Table(
-        headers=["projector", "workers", "sweep ms", "pack ms", "total ms",
-                 "speedup", "backend"],
+        headers=["projector", "workers", "total ms", "peak MB", "speedup",
+                 "sha256", "backend"],
         fmt=".1f",
         title=title,
     )
@@ -147,8 +164,7 @@ def render(records: list[BuildBenchRecord], *, title: str = "") -> str:
         base.setdefault(r.projector, r.total_seconds)
         speedup = base[r.projector] / r.total_seconds if r.total_seconds else 0.0
         t.add_row(
-            r.projector, str(r.workers), r.sweep_seconds * 1e3,
-            r.pack_seconds * 1e3, r.total_seconds * 1e3,
-            f"{speedup:.2f}x", r.backend,
+            r.projector, str(r.workers), r.total_seconds * 1e3,
+            r.peak_bytes / 1e6, f"{speedup:.2f}x", r.digest[:12], r.backend,
         )
     return t.render()

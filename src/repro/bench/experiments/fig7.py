@@ -63,11 +63,18 @@ def run(dataset: str = QUICK_DATASET, dtype=np.float32,
     t.add_row("matrix format conversion (once)", f"{convert_s * 1e3:.1f}", "ms")
     pack = next((s for s in spans if s.name == "build.pack"), None)
     stage_parents = {root.id} | ({pack.id} if pack else set())
+    # per-group stages repeat once per view group (concurrently with
+    # build workers): one row each, summed over the groups
+    stages: dict[str, list] = {}
     for s in sorted((s for s in spans
                      if s.parent in stage_parents and s.name != "build.pack"),
                     key=lambda s: s.start):
-        stage = s.name.removeprefix("build.")
-        t.add_row(f"  conversion: {stage}", f"{s.seconds * 1e3:.1f}", "ms")
+        row = stages.setdefault(s.name.removeprefix("build."), [0, 0.0])
+        row[0] += 1
+        row[1] += s.seconds
+    for stage, (count, seconds) in stages.items():
+        label = f"{stage} ({count} groups)" if count > 1 else stage
+        t.add_row(f"  conversion: {label}", f"{seconds * 1e3:.1f}", "ms")
     t.add_row("SpMV iteration, CSCV-Z (reorder+compute)", f"{t_z * 1e3:.3f}", "ms")
     t.add_row("SpMV iteration, CSCV-M (reorder+expand+compute)", f"{t_m * 1e3:.3f}", "ms")
     t.add_row("SpMV iteration, vendor CSR baseline", f"{t_mkl * 1e3:.3f}", "ms")

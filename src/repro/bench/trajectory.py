@@ -264,7 +264,7 @@ def run_trajectory(*, quick: bool = False, sizes=None) -> dict:
         cases.append(_case(
             f"build/strip/{size}", "build", "cscv", size,
             _OneShot(rec.total_seconds), nnz=rec.nnz,
-            traffic_bytes=None, stream_gbs=None,
+            traffic_bytes=None, stream_gbs=None, peak_bytes=rec.peak_bytes,
         ))
     for rec in run_cache_bench(size=size, format_names=("cscv-z",),
                                warm_repeats=3):

@@ -54,6 +54,9 @@ from repro.utils.durable import fsync_file, replace_durable, write_bytes_durable
 #: bump when the entry layout (entry.json schema, file naming) changes
 CACHE_SCHEMA = 1
 
+#: serialises the read-modify-write of ``stats.json`` across threads
+_STATS_LOCK = threading.Lock()
+
 #: seconds a builder may hold the per-key lock before waiters give up and
 #: build redundantly (safe: stores are atomic renames, last writer wins)
 LOCK_TIMEOUT = float(os.environ.get("REPRO_CACHE_LOCK_TIMEOUT", "120"))
@@ -205,15 +208,19 @@ class OperatorCache:
             f"cache.{what}", "persistent operator cache events"
         ).inc(n)
         stats_path = self.root / "stats.json"
-        try:
-            stats = json.loads(stats_path.read_text())
-        except (OSError, ValueError):
-            stats = {}
-        stats[what] = int(stats.get(what, 0)) + n
-        try:
-            write_bytes_durable(stats_path, json.dumps(stats).encode("utf-8"))
-        except OSError:  # read-only cache dir: keep serving, drop the count
-            pass
+        # serialised within the process, or concurrent threads (serve
+        # workers) overwrite each other's increments
+        with _STATS_LOCK:
+            try:
+                stats = json.loads(stats_path.read_text())
+            except (OSError, ValueError):
+                stats = {}
+            stats[what] = int(stats.get(what, 0)) + n
+            try:
+                write_bytes_durable(stats_path,
+                                    json.dumps(stats).encode("utf-8"))
+            except OSError:  # read-only cache dir: keep serving, drop the count
+                pass
 
     def lifetime_stats(self) -> dict:
         """Hit/miss/eviction counters accumulated across all processes."""

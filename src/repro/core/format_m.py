@@ -51,12 +51,15 @@ class CSCVMMatrix(SpMVFormat):
         threads: int | None = None,
         reference_mode: str = "ioblr",
         build_workers: int | None = None,
+        projector: str = "strip",
     ) -> "CSCVMMatrix":
-        """Build from a :class:`~repro.sparse.COOMatrix` and its geometry."""
+        """Build from a :class:`~repro.sparse.COOMatrix` and its geometry,
+        or trace the geometry when ``coo`` is None (see
+        :meth:`CSCVZMatrix.from_ct`)."""
         # identical construction; Z and M share CSCVData
         z = CSCVZMatrix.from_ct(
             coo, geom, params, dtype=dtype, reference_mode=reference_mode,
-            build_workers=build_workers,
+            build_workers=build_workers, projector=projector,
         )
         return cls(z.data, threads)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import INDEX_DTYPE
-from repro.core.builder import CSCVData, build_cscv
+from repro.core.builder import CSCVData, build_cscv, build_cscv_from_geometry
 from repro.core.params import CSCVParams
 from repro.core.spmv import kernel_bytes, product, value_rows_z
 from repro.errors import FormatError, ValidationError
@@ -47,15 +47,34 @@ class CSCVZMatrix(SpMVFormat):
         threads: int | None = None,
         reference_mode: str = "ioblr",
         build_workers: int | None = None,
+        projector: str = "strip",
     ) -> "CSCVZMatrix":
         """Build from a :class:`~repro.sparse.COOMatrix` and its geometry.
 
+        With ``coo=None`` the matrix is traced from *geom* by the named
+        ``projector`` one view group at a time
+        (:func:`repro.core.builder.build_cscv_from_geometry`), so the
+        global COO never exists; ``dtype`` then defaults to float32.
         ``reference_mode="btb"`` selects the view-major ablation layout
         (see :func:`repro.core.builder.build_cscv`);  ``build_workers``
-        overrides ``REPRO_BUILD_WORKERS`` for the packing stages (the
-        result is bitwise-identical for any value).
+        overrides ``REPRO_BUILD_WORKERS`` for the build (the result is
+        bitwise-identical for any value).
         """
         params = params or CSCVParams()
+        if coo is None:
+            from repro.geometry import PROJECTORS
+
+            if projector not in PROJECTORS:
+                raise ValidationError(
+                    f"unknown projector {projector!r}; options: "
+                    f"{sorted(PROJECTORS)}"
+                )
+            data = build_cscv_from_geometry(
+                geom, params, np.float32 if dtype is None else dtype,
+                projector=PROJECTORS[projector],
+                reference_mode=reference_mode, workers=build_workers,
+            )
+            return cls(data, threads)
         if coo.shape != (geom.num_rays, geom.num_pixels):
             raise ValidationError(
                 f"matrix shape {coo.shape} does not match geometry "

@@ -29,7 +29,16 @@ from repro.geometry.trajectory import (
     trajectory_band,
 )
 
+#: Parallel-beam projectors by name: ``fn(geom, dtype=, workers=, views=)``
+#: returns the COO triplets of views ``[v0, v1)`` (default: all).
+PROJECTORS = {
+    "strip": strip_area_matrix,
+    "pixel": pixel_driven_matrix,
+    "siddon": siddon_matrix,
+}
+
 __all__ = [
+    "PROJECTORS",
     "ParallelBeamGeometry",
     "FanBeamGeometry",
     "fan_strip_matrix",

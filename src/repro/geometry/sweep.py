@@ -15,12 +15,15 @@ This module is the one orchestrator they all share:
 * otherwise the per-view NumPy projector runs serially, exactly as
   before.
 
+A sweep may cover a view range (``views=``): the CSCV build traces one
+view group at a time that way (:mod:`repro.core.builder`).
+
 **Determinism contract**: chunk results are concatenated in ascending
 view order and every triplet value depends only on its own ``(view,
 pixel)``, so the emitted COO stream is identical for any worker count or
-chunking — the canonical :class:`~repro.sparse.COOMatrix` (and
-therefore every cache entry hash) never depends on
-``REPRO_BUILD_WORKERS``.
+chunking, and a view range's stream is the full stream's slice — the
+canonical :class:`~repro.sparse.COOMatrix` (and therefore every cache
+entry hash) never depends on ``REPRO_BUILD_WORKERS``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import numpy as np
 
 from repro.config import normalize_dtype
-from repro.errors import KernelError
+from repro.errors import GeometryError, KernelError
 from repro.kernels import dispatch
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
@@ -62,8 +65,9 @@ def sweep_views(
     dtype,
     workers: int | None = None,
     projector: str,
+    views: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a full projector sweep, parallel when the C kernel exists.
+    """Run a projector sweep, parallel when the C kernel exists.
 
     Parameters
     ----------
@@ -84,19 +88,27 @@ def sweep_views(
         Override for ``config.runtime.build_workers``.
     projector : str
         Name recorded on the ``build.sweep`` span and worker gauge.
+    views : (int, int), optional
+        Trace only views ``[v0, v1)`` (default: all).  The triplets are
+        exactly the full sweep's for those views, in the same order.
     """
     dtype = normalize_dtype(dtype)
     workers = resolve_build_workers(workers)
     fn = dispatch.get(kernel, np.float64)
-    num_views = geom.num_views
+    first, last = views if views is not None else (0, geom.num_views)
+    if not 0 <= first < last <= geom.num_views:
+        raise GeometryError(
+            f"view range [{first}, {last}) outside [0, {geom.num_views})"
+        )
     backend = "c" if fn is not None else "numpy"
     used = workers if fn is not None else 1
-    with span("build.sweep", projector=projector, views=num_views,
+    with span("build.sweep", projector=projector, views=last - first,
               backend=backend, workers=used):
         if fn is None:
-            parts = [view_fn(v) for v in range(num_views)]
+            parts = [view_fn(v) for v in range(first, last)]
         else:
-            ranges = _view_chunks(num_views, workers, capacity_per_view)
+            ranges = [(first + v0, first + v1) for v0, v1 in
+                      _view_chunks(last - first, workers, capacity_per_view)]
 
             def trace_range(vr: tuple[int, int]):
                 v0, v1 = vr

@@ -315,6 +315,14 @@ def coalesce(
     order = np.argsort(key, kind="stable")
     key = key[order]
     vals = vals[order]
-    uniq, start = np.unique(key, return_index=True)
-    summed = np.add.reduceat(vals, start) if vals.size else vals
-    return (uniq // n).astype(np.int64), (uniq % n).astype(np.int64), summed
+    if key.size:
+        # the key is sorted: each run of equal keys is one (row, col)
+        is_new = np.empty(key.size, dtype=bool)
+        is_new[0] = True
+        np.not_equal(key[1:], key[:-1], out=is_new[1:])
+        if not is_new.all():
+            start = np.flatnonzero(is_new)
+            vals = np.add.reduceat(vals, start)
+            key = key[start]
+    rows, cols = np.divmod(key, n)
+    return rows.astype(np.int64), cols.astype(np.int64), vals

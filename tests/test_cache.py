@@ -106,7 +106,7 @@ class TestStoreLoad:
     def test_miss_build_hit_counters(self, geom, cache):
         op1 = operator(geom, fmt="cscv-z", cache_obj=cache)
         st = cache.stats()
-        assert st["misses"] >= 1 and st["stores"] == 2  # coo sweep + cscv-z
+        assert st["misses"] >= 1 and st["stores"] == 1  # the cscv-z entry
         assert st["hits"] == 0
         op2 = operator(geom, fmt="cscv-z", cache_obj=cache)
         st = cache.stats()
@@ -225,7 +225,7 @@ class TestCorruptionAndEviction:
 
     def test_clear(self, geom, cache):
         operator(geom, fmt="cscv-z", cache_obj=cache)
-        assert cache.clear() == 2
+        assert cache.clear() == 1
         assert cache.entries() == [] and cache.total_bytes() == 0
 
 
@@ -309,6 +309,31 @@ class TestLoaderHoles:
 
 
 class TestLocking:
+    def test_concurrent_bumps_are_all_counted(self, cache):
+        """N threads x M bumps of the lifetime counters give exactly N*M."""
+        import threading
+
+        threads, bumps = 4, 40
+        start = threading.Barrier(threads)
+
+        def bump():
+            start.wait()
+            for _ in range(bumps):
+                cache._bump("hits")
+
+        workers = [threading.Thread(target=bump) for _ in range(threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert cache.lifetime_stats()["hits"] == threads * bumps
+
     def test_lock_is_exclusive_and_released(self, cache):
         with cache._lock("k1"):
             assert cache._lock_path("k1").exists()
@@ -369,7 +394,7 @@ class TestLocking:
         assert all(p.returncode == 0 for p in procs), outs
         assert outs[0][0] == outs[1][0]  # identical operator either way
         c = OperatorCache(root=root, enabled=True)
-        assert {e.format for e in c.entries()} == {"coo", "cscv-z"}
+        assert {e.format for e in c.entries()} == {"cscv-z"}
         assert not (root / "locks").exists() or not any(
             (root / "locks").iterdir()
         )
@@ -408,14 +433,28 @@ class TestOperatorFacade:
         np.testing.assert_array_equal(op.forward(x), op2.forward(x))
         assert cache.stats()["hits"] >= 1
 
-    def test_shares_coo_sweep_across_formats(self, geom, cache):
-        operator(geom, fmt="cscv-z", cache_obj=cache)
+    def test_non_cscv_formats_share_one_coo_sweep(self, geom, cache):
+        operator(geom, fmt="csr", cache_obj=cache)
         before = cache.stats()["stores"]
-        operator(geom, fmt="cscv-m", cache_obj=cache)
+        operator(geom, fmt="ell", cache_obj=cache)
         st = cache.stats()
-        assert st["stores"] == before + 1  # only the cscv-m entry is new
+        assert st["stores"] == before + 1  # only the ell entry is new
         kinds = sorted(e.format for e in cache.entries())
-        assert kinds == ["coo", "cscv-m", "cscv-z"]
+        assert kinds == ["coo", "csr", "ell"]
+
+    @pytest.mark.parametrize("fmt", ["cscv-z", "cscv-m"])
+    def test_cold_cscv_operator_writes_one_entry_and_no_coo(self, geom, cache,
+                                                           fmt):
+        operator(geom, fmt=fmt, cache_obj=cache)
+        entries = cache.entries()
+        assert [(e.format, e.kind) for e in entries] == [(fmt, "cscv")]
+        assert cache.stats()["stores"] == 1
+        coo_key = operator_key(geom=geom, fmt="coo", projector="strip",
+                               dtype=np.float32, kind="coo")
+        assert not cache._entry_path(coo_key).exists()
+        # a later CSR build of the same geometry sweeps once for itself
+        operator(geom, fmt="csr", cache_obj=cache)
+        assert {e.format for e in cache.entries()} == {"coo", "csr", fmt}
 
     def test_build_ct_matrix_backward_compat(self, geom):
         coo, g = build_ct_matrix(SIZE, geom=geom)

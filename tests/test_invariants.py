@@ -20,7 +20,9 @@ kernel thread count:
 
 (a) also holds for every registered format through
 :class:`~repro.recon.ProjectionOperator` — native adjoints and the
-transposed-CSR fallback alike — on the degenerate geometries.
+transposed-CSR fallback alike — on the degenerate geometries, and (b)
+for the C kernels of the non-CSCV formats (``csr_spmv``, ``csr_spmm``,
+``csc_spmv``, ``ell_spmv``, ``spc5_spmv``) on the same geometries.
 """
 
 from __future__ import annotations
@@ -169,6 +171,28 @@ def test_b_c_matches_numpy(data, monkeypatch, row, k, threads):
     adjoint, variant = row
     _check_c_matches_numpy(_fmt(data, variant, threads), monkeypatch,
                            adjoint, k)
+
+
+#: Non-CSCV formats with C kernels -> the kernels their vector and
+#: ``(·, 3)`` products run (the others loop ``spmv`` per column).
+C_FORMAT_KERNELS = {
+    "csr": ("csr_spmv", "csr_spmm"),
+    "csc": ("csc_spmv",),
+    "ell": ("ell_spmv",),
+    "spc5": ("spc5_spmv",),
+}
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("name", sorted(C_FORMAT_KERNELS))
+def test_b_format_kernels_c_match_numpy(degenerate_coo, monkeypatch, name, k):
+    coo, _ = degenerate_coo
+    fmt = build_format(name, coo)
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() == "c":
+        for kernel in C_FORMAT_KERNELS[name]:
+            assert dispatch.get(kernel, fmt.dtype) is not None, kernel
+    _check_c_matches_numpy(fmt, monkeypatch, False, k)
 
 
 @pytest.fixture(scope="module", params=sorted(DEGENERATE))
