@@ -18,6 +18,7 @@ Layout on disk (``REPRO_CACHE_DIR``, default ``~/.cache/repro``)::
             stamp                mtime = last use (LRU eviction order)
         locks/<key>.lock         cross-process build stampede protection
         stats.json               lifetime hit/miss/eviction counters
+        stats.lock               flock serialising stats.json updates
 
 Keys are sha256 hashes over a canonical JSON encoding of every input the
 arrays depend on, so *any* change — one geometry field, the projector,
@@ -51,10 +52,16 @@ from repro.resilience import faults
 from repro.resilience.retry import backoff_delays
 from repro.utils.durable import fsync_file, replace_durable, write_bytes_durable
 
+try:
+    import fcntl
+except ImportError:  # no POSIX file locks: stats.json is serialised per process
+    fcntl = None
+
 #: bump when the entry layout (entry.json schema, file naming) changes
 CACHE_SCHEMA = 1
 
 #: serialises the read-modify-write of ``stats.json`` across threads
+#: (``stats.lock`` serialises it across processes)
 _STATS_LOCK = threading.Lock()
 
 #: seconds a builder may hold the per-key lock before waiters give up and
@@ -208,9 +215,9 @@ class OperatorCache:
             f"cache.{what}", "persistent operator cache events"
         ).inc(n)
         stats_path = self.root / "stats.json"
-        # serialised within the process, or concurrent threads (serve
-        # workers) overwrite each other's increments
-        with _STATS_LOCK:
+        # serialised, or concurrent threads (serve workers) and processes
+        # sharing the root overwrite each other's increments
+        with _STATS_LOCK, self._stats_flock():
             try:
                 stats = json.loads(stats_path.read_text())
             except (OSError, ValueError):
@@ -221,6 +228,23 @@ class OperatorCache:
                                     json.dumps(stats).encode("utf-8"))
             except OSError:  # read-only cache dir: keep serving, drop the count
                 pass
+
+    @contextlib.contextmanager
+    def _stats_flock(self):
+        """Exclusive ``flock`` on ``<root>/stats.lock`` while held; a
+        no-op without ``fcntl`` or on a read-only root (the stats write
+        then fails and is dropped anyway)."""
+        fd = None
+        if fcntl is not None:
+            with contextlib.suppress(OSError):
+                self.root.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.root / "stats.lock", os.O_CREAT | os.O_RDWR, 0o644)
+                fcntl.flock(fd, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            if fd is not None:
+                os.close(fd)  # releases the lock
 
     def lifetime_stats(self) -> dict:
         """Hit/miss/eviction counters accumulated across all processes."""

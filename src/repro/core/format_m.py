@@ -17,6 +17,8 @@ and ``s_vxg``) CSCV-M can stream more than CSCV-Z.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.core.builder import CSCVData
@@ -39,6 +41,7 @@ class CSCVMMatrix(SpMVFormat):
         self.data = data
         self.threads = threads
         self._value_rows: np.ndarray | None = None
+        self._rows_lock = threading.Lock()
 
     @classmethod
     def from_ct(
@@ -98,8 +101,12 @@ class CSCVMMatrix(SpMVFormat):
         return product(self, Y_in, out, adjoint=True)
 
     def _rows(self) -> np.ndarray:
+        """Row of every value slot (-1 for padding), built once even when
+        threads sharing the matrix ask at the same time."""
         if self._value_rows is None:
-            self._value_rows = value_rows_m(self.data)
+            with self._rows_lock:
+                if self._value_rows is None:
+                    self._value_rows = value_rows_m(self.data)
         return self._value_rows
 
     # ------------------------------------------------------------------ #

@@ -9,6 +9,8 @@ traffic, which caps it once the machine becomes bandwidth-bound.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.config import INDEX_DTYPE
@@ -32,6 +34,7 @@ class CSCVZMatrix(SpMVFormat):
         self.data = data
         self.threads = threads
         self._value_rows: np.ndarray | None = None
+        self._rows_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # construction
@@ -150,8 +153,12 @@ class CSCVZMatrix(SpMVFormat):
         return product(self, Y_in, out, adjoint=True)
 
     def _rows(self) -> np.ndarray:
+        """Row of every value slot (-1 for padding), built once even when
+        threads sharing the matrix ask at the same time."""
         if self._value_rows is None:
-            self._value_rows = value_rows_z(self.data)
+            with self._rows_lock:
+                if self._value_rows is None:
+                    self._value_rows = value_rows_z(self.data)
         return self._value_rows
 
     # ------------------------------------------------------------------ #

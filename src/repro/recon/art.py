@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.recon.driver import Iteration, run
 from repro.recon.linops import ProjectionOperator
-from repro.recon.sirt import sart_weights
 from repro.sparse.csr import CSRMatrix
 
 
@@ -52,9 +51,7 @@ class Art(Iteration):
 
     def __init__(self, op, y, x, params, geom, resumed):
         super().__init__(op, y, x, params)
-        self.inv_row, self.inv_col = sart_weights(
-            op.forward, op.adjoint, op.shape, op.dtype
-        )
+        self.inv_row, self.inv_col = op.sart_weights()
 
     def step(self):
         self.resid = self.y - self.op.forward(self.x)

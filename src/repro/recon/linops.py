@@ -9,9 +9,16 @@ shape (m, k)) and return the matching shape.  Formats that implement
 anything else falls back to an internally-built transposed CSR, assembled
 directly from the format's COO triplets — O(nnz) extra memory, never a
 dense copy — so every format can drive every solver.
+
+One operator may serve several threads at once (the service shares one
+per operator key across its workers): its memoised members — the CSR
+and CSC copies, the fallback adjoint and the SART weights — are each
+built once, under a per-operator lock.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -30,6 +37,10 @@ class ProjectionOperator:
         self._adj_fallback: SpMVFormat | None = None
         self._csr = None
         self._csc = None
+        self._sart = None
+        #: reentrant: building the SART weights runs the adjoint, which
+        #: may build the fallback transpose
+        self._lock = threading.RLock()
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -75,9 +86,7 @@ class ProjectionOperator:
             res = native(y, out)
             guard_check(res, "A^T y", where="operator.adjoint", kind="output")
             return res
-        if self._adj_fallback is None:
-            self._adj_fallback = self._build_fallback()
-        res = self._adj_fallback.spmv(
+        res = self._memo("_adj_fallback", self._build_fallback).spmv(
             ensure_dtype(check_1d(y, self.shape[0], "y"), self.dtype, "y"), out
         )
         guard_check(res, "A^T y", where="operator.adjoint", kind="output")
@@ -91,10 +100,8 @@ class ProjectionOperator:
             return native_mm(Y, out)
         native = getattr(self.fmt, "transpose_spmv", None)
         if native is None:
-            if self._adj_fallback is None:
-                self._adj_fallback = self._build_fallback()
             Yc = np.ascontiguousarray(Y, dtype=self.dtype)
-            return self._adj_fallback.spmm(Yc, out)
+            return self._memo("_adj_fallback", self._build_fallback).spmm(Yc, out)
         out = check_out(out, (self.shape[1], Y.shape[1]), self.dtype)
         for j in range(Y.shape[1]):
             out[:, j] = native(np.ascontiguousarray(Y[:, j]))
@@ -123,12 +130,9 @@ class ProjectionOperator:
 
         if isinstance(self.fmt, CSRMatrix):
             return self.fmt
-        if self._csr is None:
-            rows, cols, vals = self.fmt.to_coo_triplets()
-            self._csr = CSRMatrix.from_coo(
-                self.shape, rows, cols, vals, dtype=self.dtype
-            )
-        return self._csr
+        return self._memo("_csr", lambda: CSRMatrix.from_coo(
+            self.shape, *self.fmt.to_coo_triplets(), dtype=self.dtype
+        ))
 
     def to_csc(self):
         """The operator's matrix as a :class:`CSCMatrix` (memoised).
@@ -140,12 +144,21 @@ class ProjectionOperator:
 
         if isinstance(self.fmt, CSCMatrix):
             return self.fmt
-        if self._csc is None:
-            rows, cols, vals = self.fmt.to_coo_triplets()
-            self._csc = CSCMatrix.from_coo(
-                self.shape, rows, cols, vals, dtype=self.dtype
-            )
-        return self._csc
+        return self._memo("_csc", lambda: CSCMatrix.from_coo(
+            self.shape, *self.fmt.to_coo_triplets(), dtype=self.dtype
+        ))
+
+    def _memo(self, name: str, build):
+        """The memoised member *name*, built once by ``build()`` even
+        when several threads ask for it at the same time."""
+        value = getattr(self, name)
+        if value is None:
+            with self._lock:
+                value = getattr(self, name)
+                if value is None:
+                    value = build()
+                    setattr(self, name, value)
+        return value
 
     # ------------------------------------------------------------------ #
     # derived quantities the solvers need
@@ -159,6 +172,24 @@ class ProjectionOperator:
         """``||a_j||^2`` per column — ICD/SIRT normalisation."""
         vals, _, cols = self._values_rows_cols()
         return np.bincount(cols, weights=vals.astype(np.float64) ** 2, minlength=self.shape[1])
+
+    def sart_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(1 / row sums, 1 / column sums)`` — SIRT/ART weights (memoised).
+
+        Exactly :func:`repro.recon.sirt.sart_weights` over this
+        operator's forward and adjoint, computed on the first call (one
+        forward and one adjoint SpMV) and shared, read-only, by every
+        later solve on the operator.
+        """
+        from repro.recon.sirt import sart_weights
+
+        def build():
+            weights = sart_weights(self.forward, self.adjoint, self.shape, self.dtype)
+            for w in weights:
+                w.setflags(write=False)
+            return weights
+
+        return self._memo("_sart", build)
 
     def _values_and_rows(self):
         vals, rows, _ = self._values_rows_cols()

@@ -45,9 +45,7 @@ class Sirt(Iteration):
 
     def __init__(self, op, y, x, params, geom, resumed):
         super().__init__(op, y, x, params)
-        self.inv_r, self.inv_c = sart_weights(
-            op.forward, op.adjoint, op.shape, op.dtype
-        )
+        self.inv_r, self.inv_c = op.sart_weights()
 
     def step(self):
         self.resid = (self.y - self.op.forward(self.x)).astype(np.float64)

@@ -21,9 +21,12 @@ Scheduling walk-through
    the **same batch key** (operator hash + solver + canonical params)
    from any tenant into the batch.
 3. The scheduler waits for a free worker (``workers`` concurrent batches
-   at most) and hands the batch to the pool: one operator (served by the
-   persistent cache), the k sinograms stacked to an (m, k) array, one
-   call to :func:`repro.api.reconstruct`.  Column-separable solver
+   at most) and hands the batch to the pool: one operator, the k
+   sinograms stacked to an (m, k) array, one call to
+   :func:`repro.api.reconstruct`.  The operator is resolved once per
+   operator key per runner (the persistent cache's sha256-verified load,
+   or a cold build) and reused by every later batch on that key, with
+   its memoised CSC copy and SART weights.  Column-separable solver
    recurrences make every column bitwise-identical to its solo run.
 4. The solver's :class:`~repro.recon.events.IterationEvent` stream feeds
    each job's progress log and enforces mid-run deadlines; a batch whose
@@ -73,6 +76,9 @@ __all__ = ["ServeConfig", "ServiceRunner"]
 #: Buckets sized for batch widths rather than durations.
 _WIDTH_BUCKETS = (1.0, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0, 32.0)
 
+#: Tenants listed by ``stats()``: the deepest queues only.
+_DEEPEST_TENANTS = 10
+
 
 class _BatchAbort(Exception):
     """Internal: raised by the progress callback when no job is left alive."""
@@ -83,6 +89,65 @@ class _BatchSuspend(Exception):
     checkpoint — the batch stops here, its jobs go back to ``queued`` (in
     the journal they have no finish record), and restart recovery resumes
     them from the checkpoint just persisted."""
+
+
+class _OperatorMemo:
+    """Resolved operators by operator key, least recently used first.
+
+    The first batch on a key resolves the operator (``resolve()``: the
+    persistent cache's sha256-verified load, or a cold build) while
+    other batches on that key wait; later batches reuse the object.
+    Once the entries' summed ``memory_bytes()["total"]`` exceed the
+    operator-cache budget (``config.runtime.cache_max_bytes``) the least
+    recently used go; the newest entry always stays.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._ops: "OrderedDict[str, tuple]" = OrderedDict()  # key -> (op, bytes)
+        self._resolving: dict[str, threading.Lock] = {}
+
+    def get(self, key: str, resolve):
+        with self._lock:
+            op = self._hit(key)
+            if op is not None:
+                return op
+            resolving = self._resolving.setdefault(key, threading.Lock())
+        with resolving:
+            with self._lock:
+                op = self._hit(key)
+            if op is not None:
+                return op
+            try:
+                op = resolve()
+                self._insert(key, op)
+            finally:
+                with self._lock:
+                    self._resolving.pop(key, None)
+        return op
+
+    def _hit(self, key: str):
+        """The memoised operator, now most recently used (hold ``_lock``)."""
+        entry = self._ops.get(key)
+        if entry is None:
+            return None
+        self._ops.move_to_end(key)
+        return entry[0]
+
+    def _insert(self, key: str, op) -> None:
+        from repro import config
+
+        nbytes = int(op.fmt.memory_bytes()["total"])
+        with self._lock:
+            self._ops[key] = (op, nbytes)
+            total = sum(n for _, n in self._ops.values())
+            while total > config.runtime.cache_max_bytes and len(self._ops) > 1:
+                _, (_, evicted) = self._ops.popitem(last=False)
+                total -= evicted
+
+    def clear(self) -> None:
+        with self._lock:
+            self._ops.clear()
 
 
 @dataclass(frozen=True)
@@ -105,8 +170,9 @@ class ServeConfig:
     default_deadline_s : float or None
         Deadline applied to jobs that don't carry their own.
     cache : bool
-        Consult the persistent operator cache (leave on; it is what
-        makes operator reuse across batches and processes free).
+        Consult the persistent operator cache when a batch resolves an
+        operator key the runner has not resolved yet (leave on; it is
+        what makes operator reuse across processes free).
     max_jobs_history : int
         Finished jobs retained for ``GET /v1/jobs/<id>`` before the
         oldest are dropped.
@@ -177,6 +243,10 @@ class ServiceRunner:
         #: and rotation slot go when its queue empties
         self._queues: "OrderedDict[str, deque]" = OrderedDict()
         self._rr: deque = deque()               # tenant rotation order
+        #: queued jobs in all, and the queued tenants by queue depth
+        #: (depth -> {tenant: None}), so stats() never walks the tenants
+        self._queued = 0
+        self._by_depth: dict[int, dict] = {}
         #: guards the queues, _jobs, _states, _finished, _idem, _inflight
         #: and lifecycle flags
         self._cond = threading.Condition()
@@ -198,6 +268,8 @@ class ServiceRunner:
             self.journal = JobJournal(self.config.journal_dir)
         #: idempotency_key -> job id of the canonical submission
         self._idem: dict[str, str] = {}
+        #: operator key -> the resolved ProjectionOperator (own lock)
+        self._operators = _OperatorMemo()
         #: readiness: false until start() (and recovery replay) completes
         self._ready = False
         #: what recovery found/did, surfaced in stats() and /healthz
@@ -319,6 +391,7 @@ class ServiceRunner:
             self._cond.notify_all()
         self._join_threads()
         pool.shutdown(wait=True)
+        self._operators.clear()
         with self._cond:
             self._fail_queued_for_shutdown()
         if self.journal is not None:
@@ -350,6 +423,8 @@ class ServiceRunner:
                 failed += 1
         self._queues.clear()
         self._rr.clear()
+        self._by_depth.clear()
+        self._queued = 0
         self._gauge_depth()
         return failed
 
@@ -471,6 +546,19 @@ class ServiceRunner:
             q.appendleft(job)
         else:
             q.append(job)
+        self._track_depth(tenant, len(q) - 1, len(q))
+
+    def _track_depth(self, tenant: str, old: int, new: int) -> None:
+        """Record that *tenant*'s queue went from *old* to *new* jobs
+        (hold ``_cond``)."""
+        if old:
+            bucket = self._by_depth[old]
+            del bucket[tenant]
+            if not bucket:
+                del self._by_depth[old]
+        if new:
+            self._by_depth.setdefault(new, {})[tenant] = None
+        self._queued += new - old
 
     def _journal(self, write) -> None:
         """Run ``write(journal)`` when journaling is on; a persistence
@@ -509,14 +597,24 @@ class ServiceRunner:
         return job
 
     def stats(self) -> dict:
-        """Queue/lifecycle counts for ``/healthz`` and the CLI."""
+        """Queue/lifecycle counts for ``/healthz`` and the CLI.
+
+        ``queued_total`` counts every queued job; ``deepest_tenants``
+        lists the ``_DEEPEST_TENANTS`` longest tenant queues, deepest
+        first.  Both come from counts kept as jobs are queued and taken,
+        so a poller's cost does not grow with the number of tenants.
+        """
         with self._cond:
-            tenants = {t: len(q) for t, q in self._queues.items()}
+            ranked = ((tenant, depth)
+                      for depth in sorted(self._by_depth, reverse=True)
+                      for tenant in self._by_depth[depth])
+            deepest = list(itertools.islice(ranked, _DEEPEST_TENANTS))
+            queued = self._queued
             states = {state: n for state, n in self._states.items() if n}
             ready, draining = self.ready, self._draining
         return {
-            "tenants": tenants,
-            "queued_total": sum(tenants.values()),
+            "queued_total": queued,
+            "deepest_tenants": [{"tenant": t, "queued": n} for t, n in deepest],
             "jobs": states,
             "workers": self.config.workers,
             "max_queue_depth": self.config.max_queue_depth,
@@ -759,12 +857,14 @@ class ServiceRunner:
             tenant = self._rr[0]
             self._rr.rotate(-1)
             q = self._queues[tenant]
+            depth = len(q)
             job = None
             while q and job is None:
                 job = q.popleft()
                 if job.expired(now):
                     self._expire(job)
                     job = None
+            self._track_depth(tenant, depth, len(q))
             if not q:
                 del self._queues[tenant]
                 self._rr.pop()          # the slot just rotated to the back
@@ -793,6 +893,7 @@ class ServiceRunner:
             if len(mates) >= limit:
                 break
             keep: deque = deque()
+            depth = len(q)
             while q:
                 job = q.popleft()
                 if job.expired(now):
@@ -804,6 +905,7 @@ class ServiceRunner:
                 else:
                     keep.append(job)
             q.extend(keep)
+            self._track_depth(tenant, depth, len(q))
             if not q:
                 del self._queues[tenant]
                 self._rr.remove(tenant)
@@ -821,7 +923,7 @@ class ServiceRunner:
         self._journal_finish(job)
 
     def _gauge_depth(self) -> None:
-        self._m_queue_depth.set(sum(len(q) for q in self._queues.values()))
+        self._m_queue_depth.set(self._queued)
 
     # ------------------------------------------------------------------ #
     # execution (worker threads)
@@ -917,13 +1019,13 @@ class ServiceRunner:
                     raise _BatchSuspend()
 
         try:
-            op = api.operator(
+            op = self._operators.get(req.operator_key, lambda: api.operator(
                 req.geom,
                 fmt=req.fmt,
                 projector=req.projector,
                 dtype=req.dtype,
                 cache=self.config.cache,
-            )
+            ))
             if req.resume_from is not None:
                 # recovered jobs run solo (resume vetoes coalescing); a
                 # batch solver's checkpoint holds (n, 1) columns

@@ -334,6 +334,32 @@ class TestLocking:
         assert not any(t.is_alive() for t in workers)
         assert cache.lifetime_stats()["hits"] == threads * bumps
 
+    def test_concurrent_bumps_from_two_processes_are_all_counted(self, cache):
+        """Two processes sharing a root, 200 bumps each, count 400."""
+        go = cache.root.parent / "go"
+        code = (
+            "import pathlib, sys, time;"
+            "from repro.core.cache import OperatorCache;"
+            f"c = OperatorCache(root={str(cache.root)!r}, enabled=True);"
+            f"go = pathlib.Path({str(go)!r});"
+            "sys.stdout.write('ready\\n'); sys.stdout.flush();"
+            "[time.sleep(0.001) for _ in iter(go.exists, True)];"
+            "[c._bump('hits') for _ in range(200)]"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", code], env=env,
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                             text=True)
+            for _ in range(2)
+        ]
+        for p in procs:  # both imported: start them together
+            assert p.stdout.readline() == "ready\n", p.stderr.read()
+        go.touch()
+        outs = [p.communicate(timeout=120) for p in procs]
+        assert all(p.returncode == 0 for p in procs), outs
+        assert cache.lifetime_stats()["hits"] == 400
+
     def test_lock_is_exclusive_and_released(self, cache):
         with cache._lock("k1"):
             assert cache._lock_path("k1").exists()

@@ -71,7 +71,9 @@ def test_metrics_healthz_and_unknown_path(surface):
     health = json.loads(body)
     assert health["status"] == "ok"
     if kind == "runner":
-        assert {"tenants", "ready", "recovery"} <= set(health)
+        assert {"queued_total", "deepest_tenants", "ready",
+                "recovery"} <= set(health)
+        assert "tenants" not in health
     else:
         assert health == {"status": "ok"}
 

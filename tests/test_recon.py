@@ -91,6 +91,35 @@ class TestSIRT:
                          callback=lambda e: count.append(e.k))
         assert len(count) < 100
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 8])
+    def test_weights_computed_once_per_operator(self, k, dtype, monkeypatch):
+        """Three solves on one operator compute the SART weights once and
+        equal, bit for bit, the same solves on fresh operators."""
+        from repro.recon import sirt
+
+        computed = []
+
+        def counting(*args):
+            computed.append(args[2])
+            return real(*args)
+
+        real = sirt.sart_weights
+        monkeypatch.setattr(sirt, "sart_weights", counting)
+        op = operator(16, dtype=dtype)
+        rng = np.random.default_rng(k)
+        shape = (op.shape[1],) if k == 1 else (op.shape[1], k)
+        sinos = [op.forward(rng.random(shape).astype(dtype)) for _ in range(3)]
+        shared = [sirt_reconstruct(op, y, iterations=4) for y in sinos]
+        if k == 1:
+            art_reconstruct(op, sinos[0], iterations=2)  # ART shares them
+        assert len(computed) == 1
+        assert not op.sart_weights()[0].flags.writeable
+        for y, image in zip(sinos, shared):
+            fresh = sirt_reconstruct(operator(16, dtype=dtype), y, iterations=4)
+            assert np.array_equal(image, fresh)
+        assert len(computed) == 4
+
     def test_invalid_args(self, problem):
         from repro.errors import ValidationError
 

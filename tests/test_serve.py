@@ -208,6 +208,145 @@ class TestCoalescing:
 
 
 # --------------------------------------------------------------------- #
+# operator memo: one resolve per operator key per runner
+
+
+def resolves():
+    """``api.operator`` results so far: cache loads plus cold builds."""
+    from repro.obs import metrics
+
+    return sum(metrics.counter(f"api.operator.{how}").value
+               for how in ("cached", "built"))
+
+
+def serve_in_turn(runner, bodies):
+    """Submit each body after the previous job finished: one batch each."""
+    jobs = []
+    for body in bodies:
+        job = runner.wait(runner.submit(body).id, timeout=120)
+        assert job.state == DONE, job.error
+        jobs.append(job)
+    assert len({job.batch_id for job in jobs}) == len(jobs)
+    return jobs
+
+
+class TestOperatorMemo:
+    def test_k_jobs_on_one_key_resolve_the_operator_once(self, sinos):
+        with ServiceRunner(ServeConfig(workers=2)) as runner:
+            before = resolves()
+            serve_in_turn(runner, [payload(s, params={"iterations": 3})
+                                   for s in sinos])
+            assert resolves() - before == 1
+
+    def test_second_icd_job_builds_no_csc_copy(self, sinos, monkeypatch):
+        from repro.sparse.csc import CSCMatrix
+
+        built = []
+        from_coo = CSCMatrix.from_coo.__func__
+
+        def counting(cls, *args, **kwargs):
+            built.append(args[0])
+            return from_coo(cls, *args, **kwargs)
+
+        monkeypatch.setattr(CSCMatrix, "from_coo", classmethod(counting))
+        with ServiceRunner(ServeConfig(workers=1)) as runner:
+            serve_in_turn(runner, [payload(sinos[0], solver="icd",
+                                           params={"iterations": 1})])
+            assert len(built) == 1
+            serve_in_turn(runner, [payload(sinos[1], solver="icd",
+                                           params={"iterations": 1})])
+            assert len(built) == 1
+
+    def test_corrupt_entry_at_the_first_resolve_is_rebuilt(self, op, sinos):
+        """A cache.load.read fault hits the one load a key gets: the entry
+        is evicted and rebuilt, and every job still equals the library."""
+        from repro.obs import metrics
+        from repro.resilience import faults
+
+        with faults.disabled():
+            repro.operator(SIZE)  # the entry exists, whatever the profile
+        fired = metrics.counter("faults.injected.cache.load.read")
+        before = fired.value
+        with ServiceRunner(ServeConfig(workers=1)) as runner:
+            with faults.inject("cache.load.read:corrupt:times=1"):
+                jobs = serve_in_turn(runner, [
+                    payload(s, params={"iterations": 3}) for s in sinos[:2]
+                ])
+        assert fired.value - before == 1
+        for job, sino in zip(jobs, sinos[:2]):
+            ref = repro.reconstruct(op, sino, solver="sirt", iterations=3)
+            assert np.array_equal(job.result, ref.image)
+
+    @pytest.mark.parametrize("solver, params", [
+        ("sirt", {"iterations": 5}),
+        ("cgls", {"iterations": 4, "damping": 0.05}),
+        ("icd", {"iterations": 1}),
+    ])
+    def test_memo_warm_job_equals_library_call(self, geom, sinos, solver,
+                                               params):
+        """First (resolving) and second (memo-warm) batches both equal
+        the library call on a fresh operator, bit for bit."""
+        with ServiceRunner(ServeConfig(workers=1)) as runner:
+            jobs = serve_in_turn(runner, [
+                payload(s, solver=solver, params=params) for s in sinos[:2]
+            ])
+        for job, sino in zip(jobs, sinos[:2]):
+            batch = sino[:, None] if job.request.coalescible else sino
+            ref = repro.reconstruct(repro.operator(geom), batch,
+                                    solver=solver, **params).image
+            assert np.array_equal(job.result, np.asarray(ref).reshape(-1))
+
+    def test_lru_evicts_past_the_cache_byte_budget(self, op, sinos,
+                                                   monkeypatch):
+        from repro import config
+
+        small = repro.operator(16)  # both entries cached before the budget
+        sino16 = small.forward(np.ones(small.shape[1], dtype=small.dtype))
+        budget = max(op.fmt.memory_bytes()["total"],
+                     small.fmt.memory_bytes()["total"])
+        monkeypatch.setattr(config.runtime, "cache_max_bytes", budget)
+        bodies = {
+            32: payload(sinos[0], params={"iterations": 2}),
+            16: payload(sino16, params={"iterations": 2},
+                        geometry={"size": 16}),
+        }
+        with ServiceRunner(ServeConfig(workers=1)) as runner:
+            before = resolves()
+            jobs = serve_in_turn(runner, [bodies[32], bodies[16]])
+            key32, key16 = (job.request.operator_key for job in jobs)
+            assert list(runner._operators._ops) == [key16]  # 32 evicted
+            serve_in_turn(runner, [bodies[16], bodies[32]])
+            assert list(runner._operators._ops) == [key32]
+            assert resolves() - before == 3
+
+    def test_lru_order_follows_use(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro import config
+        from repro.serve.service import _OperatorMemo
+
+        def fake(nbytes):
+            return SimpleNamespace(fmt=SimpleNamespace(
+                memory_bytes=lambda: {"total": nbytes}))
+
+        monkeypatch.setattr(config.runtime, "cache_max_bytes", 250)
+        memo, made = _OperatorMemo(), []
+
+        def resolve(nbytes):
+            made.append(nbytes)
+            return fake(nbytes)
+
+        a = memo.get("a", lambda: resolve(100))
+        memo.get("b", lambda: resolve(100))
+        assert memo.get("a", lambda: resolve(100)) is a  # a: most recent
+        memo.get("c", lambda: resolve(100))               # 300 > 250: b goes
+        assert list(memo._ops) == ["a", "c"]
+        memo.get("d", lambda: resolve(1000))              # over alone: kept
+        assert list(memo._ops) == ["d"]
+        assert made == [100, 100, 100, 1000]
+
+
+# --------------------------------------------------------------------- #
 # fairness & admission control
 
 

@@ -2,7 +2,8 @@
 
 Covers what the scheduler thread, the worker pool and the shared
 condition promise under shutdown and concurrency: a job the scheduler
-holds when ``drain``/``stop`` arrives fails like any queued job,
+holds when ``drain``/``stop`` arrives fails like any queued job, an
+operator shared by the workers builds each lazy member once,
 ``stats()`` is safe while submits create tenants, a journaled submit
 never waits for a solver thread, and the HTTP layer answers a malformed
 ``Content-Length`` with a structured 400.
@@ -142,6 +143,63 @@ class TestShutdownWithHeldBatch:
 # concurrency of the public surface
 
 
+def slow_counted(calls, fn, name):
+    """*fn*, counting its calls under *name* and taking 0.2 s, so two
+    unguarded threads would both be inside it at once."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        time.sleep(0.2)
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def in_two_threads(fn):
+    """Results of *fn* called by two threads released together."""
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        start.wait()
+        results[i] = fn()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(30.0)
+    assert not any(t.is_alive() for t in threads)
+    return results
+
+
+@pytest.mark.parametrize("member", ["to_csc", "to_csr", "sart_weights"])
+def test_shared_operator_builds_each_lazy_member_once(member, monkeypatch):
+    """A served operator is shared by the worker threads: two threads
+    asking for one lazy member at once get the same object, built once."""
+    op = api.operator(SIZE, cache=False)  # fresh: nothing memoised yet
+    calls = Counter()
+    monkeypatch.setattr(op.fmt, "to_coo_triplets", slow_counted(
+        calls, op.fmt.to_coo_triplets, "to_coo_triplets"))
+    monkeypatch.setattr(op.fmt, "spmv", slow_counted(
+        calls, op.fmt.spmv, "spmv"))
+    first, second = in_two_threads(getattr(op, member))
+    assert first is second and first is not None
+    if member == "sart_weights":
+        assert calls == {"spmv": 1}
+    else:
+        assert calls == {"to_coo_triplets": 1}
+
+
+def test_cscv_value_rows_are_built_once(monkeypatch):
+    from repro.core import format_z
+
+    fmt = api.operator(SIZE, cache=False).fmt
+    calls = Counter()
+    monkeypatch.setattr(format_z, "value_rows_z", slow_counted(
+        calls, format_z.value_rows_z, "value_rows_z"))
+    first, second = in_two_threads(fmt._rows)
+    assert first is second and calls == {"value_rows_z": 1}
+
+
 def test_stats_is_safe_while_new_tenants_arrive(sino):
     runner = ServiceRunner(ServeConfig()).start(run_scheduler=False)
     body = payload(sino)
@@ -171,6 +229,56 @@ def test_stats_is_safe_while_new_tenants_arrive(sino):
     assert runner.stats()["jobs"] == {FAILED: 3000}
 
 
+def test_stats_lists_the_deepest_tenants_and_a_true_total(sino):
+    """With 3,000 tenants queued, stats() names the 10 deepest queues,
+    and queued_total follows submits, pops (expired jobs included) and
+    coalesced takes exactly."""
+    runner = ServiceRunner(ServeConfig(max_batch=4)).start(run_scheduler=False)
+
+    def true_depth():
+        with runner._cond:
+            return sum(len(q) for q in runner._queues.values())
+
+    try:
+        body = payload(sino)
+        for i in range(3000):
+            body["tenant"] = f"tenant-{i}"
+            runner.submit(body)
+        for tenant, extra in (("tenant-5", 3), ("tenant-7", 2)):
+            for _ in range(extra):
+                runner.submit(payload(sino, tenant=tenant))
+        doomed = payload(sino, tenant="tenant-0")
+        doomed["deadline_s"] = 0.001
+        doomed = runner.submit(doomed)
+        stats = runner.stats()
+        assert stats["queued_total"] == 3006 == true_depth()
+        deepest = stats["deepest_tenants"]
+        assert len(deepest) == 10
+        assert deepest[:3] == [{"tenant": "tenant-5", "queued": 4},
+                               {"tenant": "tenant-7", "queued": 3},
+                               {"tenant": "tenant-0", "queued": 2}]
+        assert all(d["queued"] == 1 for d in deepest[3:])
+
+        time.sleep(0.01)  # the doomed job's deadline passes
+        with runner._cond:
+            # tenant-0's first job, then tenant-1's and tenant-2's
+            seeds = [runner._pop_next() for _ in range(3)]
+            # expires the doomed job behind tenant-0's, takes three mates
+            mates = runner._take_matching(seeds[-1])
+        assert len(mates) == 3 and doomed.state == CANCELLED
+        stats = runner.stats()
+        assert stats["queued_total"] == 3006 - 3 - 1 - 3 == true_depth()
+        with runner._cond:
+            depths = sorted((len(q) for q in runner._queues.values()),
+                            reverse=True)
+        assert [d["queued"] for d in stats["deepest_tenants"]] == depths[:10]
+        assert stats["deepest_tenants"][0] == {"tenant": "tenant-7",
+                                               "queued": 3}
+    finally:
+        runner.stop()
+    assert runner.stats()["queued_total"] == 0
+
+
 def test_finished_tenants_leave_no_queue_behind(sino):
     """A tenant's FIFO and rotation slot go once its queue empties, both
     when the scheduler pops a job and when it takes coalesced mates."""
@@ -185,7 +293,7 @@ def test_finished_tenants_leave_no_queue_behind(sino):
             with runner._cond:
                 assert not runner._queues and not runner._rr
             stats = runner.stats()
-            assert stats["tenants"] == {} and stats["queued_total"] == 0
+            assert stats["deepest_tenants"] == [] and stats["queued_total"] == 0
         assert any(job.coalesced for job in jobs)
 
 
