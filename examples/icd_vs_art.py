@@ -16,14 +16,9 @@ import time
 
 import numpy as np
 
-from repro import build_ct_matrix
+from repro import build_ct_matrix, reconstruct
 from repro.geometry.phantom import shepp_logan
-from repro.recon import (
-    ProjectionOperator,
-    art_reconstruct,
-    icd_reconstruct,
-    relative_error,
-)
+from repro.recon import ProjectionOperator, relative_error
 from repro.sparse import CSCMatrix, CSRMatrix
 
 
@@ -49,10 +44,11 @@ def main(image_size: int = 48) -> None:
 
     print("convergence (relative error to ground truth):")
     t0 = time.perf_counter()
-    x_art = art_reconstruct(op, sino, iterations=30, relax=0.8)
+    x_art = reconstruct(op, sino, solver="art", iterations=30, relax=0.8).image
     t_art = time.perf_counter() - t0
     t0 = time.perf_counter()
-    x_icd = icd_reconstruct(ProjectionOperator(csc), sino, iterations=6)
+    x_icd = reconstruct(ProjectionOperator(csc), sino, solver="icd",
+                        iterations=6).image
     t_icd = time.perf_counter() - t0
     print(f"  ART x30 sweeps: {relative_error(x_art, truth):.4f}  ({t_art:.2f}s)")
     print(f"  ICD x6 sweeps : {relative_error(x_icd, truth):.4f}  ({t_icd:.2f}s)")

@@ -16,9 +16,9 @@ import time
 
 import numpy as np
 
-from repro import CSCVParams, CSCVZMatrix, build_ct_matrix
+from repro import CSCVParams, CSCVZMatrix, build_ct_matrix, reconstruct
 from repro.geometry.phantom import disk_phantom, shepp_logan
-from repro.recon import ProjectionOperator, cgls_reconstruct, relative_error
+from repro.recon import ProjectionOperator, relative_error
 from repro.recon.noise import add_poisson_noise
 
 
@@ -51,7 +51,8 @@ def main(image_size: int = 48, num_slices: int = 8) -> None:
     t0 = time.perf_counter()
     for s in range(num_slices):
         noisy = add_poisson_noise(sinograms[:, s], i0=1e5, seed=s)
-        x = cgls_reconstruct(op, noisy.astype(A.dtype), iterations=20, damping=0.1)
+        x = reconstruct(op, noisy.astype(A.dtype), solver="cgls", iterations=20,
+                        damping=0.1).image
         errs.append(relative_error(x, volume[s]))
     t_recon = time.perf_counter() - t0
 

@@ -8,12 +8,13 @@ consulting the persistent operator cache (:mod:`repro.core.cache`) so
 repeat constructions are near-instant memory-mapped loads.  CSCV formats
 are traced and packed one view group at a time and never hold the global
 COO; the other formats convert from a cached COO sweep.
-:func:`reconstruct` is the matching solver front door: any registered
-solver (:data:`repro.recon.registry.SOLVERS`) by name, parameters
-validated against the solver's schema, and a structured
-:class:`ReconstructionResult` instead of a bare array.  The older
-helpers :func:`build_ct_matrix` / :func:`build_format` /
-``sirt_reconstruct`` et al. remain as thin equivalents.
+:func:`reconstruct` is the matching solver front door and the only way
+to run a solver: any registered solver
+(:data:`repro.recon.registry.SOLVERS`) by name, parameters validated
+against the solver's schema, and a structured
+:class:`ReconstructionResult` instead of a bare array.
+:func:`build_ct_matrix` and :func:`build_format` expose the two build
+steps (projector sweep, format conversion) one level down.
 
 Error semantics at this boundary are uniform: problems with *your
 arguments* (unknown projector, format or solver name, missing ``geom``,
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.format_m import CSCVMMatrix
-from repro.core.format_z import CSCVZMatrix
+from repro.core.format_z import CSCVMatrix
 from repro.core.params import CSCVParams
 from repro.errors import FormatError, ValidationError
 from repro.geometry import PROJECTORS
@@ -120,7 +120,7 @@ def _construct_format(
 ) -> SpMVFormat:
     """Shared format construction used by the facade and build_format."""
     cls = _resolve_format_class(name)
-    if issubclass(cls, (CSCVZMatrix, CSCVMMatrix)):
+    if issubclass(cls, CSCVMatrix):
         if geom is None:
             raise ValidationError(f"format {name!r} requires geom=")
         return cls.from_ct(coo, geom, params, dtype=dtype, **format_kwargs)
@@ -154,7 +154,7 @@ def operator_cache_key(
     geom = _resolve_geom(image_size_or_geom, num_views)
     cls = _resolve_format_class(fmt)
     _resolve_projector(projector)
-    is_cscv = issubclass(cls, (CSCVZMatrix, CSCVMMatrix))
+    is_cscv = issubclass(cls, CSCVMatrix)
     if is_cscv and params is None:
         params = CSCVParams()
     return operator_key(
@@ -235,7 +235,7 @@ def operator(
     cls = _resolve_format_class(fmt)
     _resolve_projector(projector)
     dtype = np.dtype(dtype)
-    is_cscv = issubclass(cls, (CSCVZMatrix, CSCVMMatrix))
+    is_cscv = issubclass(cls, CSCVMatrix)
     if is_cscv and params is None:
         params = CSCVParams()
 
@@ -294,30 +294,16 @@ def build_ct_matrix(
     projector: str = "strip",
     dtype=np.float64,
     geom: ParallelBeamGeometry | None = None,
-    cache: bool = False,
-    build_workers: int | None = None,
 ) -> tuple[COOMatrix, ParallelBeamGeometry]:
     """Build a parallel-beam CT system matrix (thin facade wrapper).
 
     Returns the canonical :class:`COOMatrix` plus the geometry (needed by
     the CSCV formats).  ``projector`` is ``"strip"`` (default, the paper's
     nnz density), ``"pixel"`` (2 bins/view) or ``"siddon"`` (exact rays).
-    With ``cache=True`` the projector sweep goes through the persistent
-    operator cache, as :func:`operator` does for the non-CSCV formats.
+    The sweep is never cached; :func:`operator` caches whole operators.
     """
     geom = geom if geom is not None else _resolve_geom(image_size, num_views)
-    dtype = np.dtype(dtype)
-    if cache:
-        from repro.core.cache import default_cache
-
-        store = default_cache()
-        coo = _cached_coo(
-            geom, projector, dtype, store if store.enabled else None,
-            build_workers,
-        )
-    else:
-        coo = _project_coo(geom, projector, dtype, build_workers)
-    return coo, geom
+    return _project_coo(geom, projector, np.dtype(dtype)), geom
 
 
 def build_format(
@@ -414,8 +400,10 @@ def reconstruct(
     Parameters
     ----------
     op : ProjectionOperator
-        Forward/adjoint pair from :func:`operator` (any format;
-        OS-SART extracts a CSR view via ``op.to_csr()``).
+        Forward/adjoint pair from :func:`operator`, or
+        ``ProjectionOperator(fmt)`` over any format instance (OS-SART
+        slices the rows of ``op.to_csr()``; ICD reads columns from
+        ``op.to_csc()``).
     sinogram : array
         Measured data: (m,) for one slice, (m, k) for a stack (the
         column-separable solvers run the whole stack in one batched
@@ -429,6 +417,14 @@ def reconstruct(
     x0, callback, watchdog
         Passed through to iterative solvers; ``callback`` receives one
         :class:`~repro.recon.events.IterationEvent` per iteration.
+        ``watchdog`` (``True`` for the defaults, or a configured
+        :class:`~repro.resilience.watchdog.ResidualWatchdog`) guards
+        against divergence: on detection the run restarts from the best
+        iterate with ``relax`` backed off (CGLS re-initialises its
+        recurrence, ICD its residual); once the restart budget is
+        exhausted a :class:`~repro.errors.SolverError` carries the
+        history.  Relax values above 2, the classical convergence
+        bound, are accepted so that a guarded run can recover from them.
     resume_from : CheckpointState, optional
         Continue an interrupted run from a
         :class:`~repro.recon.checkpoint.CheckpointState` (solvers with
@@ -438,7 +434,8 @@ def reconstruct(
         :class:`~repro.errors.ValidationError` rather than resuming a
         silently different run.  The result is bitwise-identical to the
         uninterrupted run; ``iterations`` counts the pre-checkpoint
-        iterations too.
+        iterations too.  Excludes ``x0`` (the checkpoint is the start)
+        and ``watchdog`` (a restarted run is not bitwise-resumable).
     **params
         Solver parameters, validated against the solver's schema.
         Unknown or out-of-range names raise
@@ -531,7 +528,7 @@ def spmv_all_formats(
     out: dict[str, np.ndarray | SkippedFormat] = {}
     for name in names:
         cls = _resolve_format_class(name)
-        needs_geom = issubclass(cls, (CSCVZMatrix, CSCVMMatrix))
+        needs_geom = issubclass(cls, CSCVMatrix)
         if needs_geom and geom is None:
             out[name] = SkippedFormat(
                 reason=f"format {name!r} requires geom= (CSCV follows the "

@@ -14,7 +14,8 @@ Modules
 ``cscve``     CSCVE extraction and zero-padding accounting
 ``vxg``       Vectorized eXecution Group packing
 ``builder``   end-to-end conversion COO + geometry -> CSCV arrays
-``format_z``  CSCV-Z (padding kept)
+``format_z``  the CSCV class body both variants share, and CSCV-Z
+              (padding kept)
 ``format_m``  CSCV-M (padding masked out, soft-vexpand)
 ``spmv``      the one product dispatcher: forward and x = A^T y adjoint
               (back-projection, paper future work), SpMV and SpMM

@@ -5,6 +5,13 @@ is the cheapest possible — load a contiguous vector, FMA, store — with no
 masks and no expansion, making it the **latency-bound champion** (best at
 low thread counts, Section V-E).  The price is ``R_nnzE`` extra memory
 traffic, which caps it once the machine becomes bandwidth-bound.
+
+Both execution variants come from one conversion (Section IV-E): the
+same CSCVEs and VxGs in one :class:`~repro.core.builder.CSCVData`, with
+CSCV-M (:mod:`repro.core.format_m`) storing the padding as lane masks.
+They therefore share one class body, :class:`CSCVMatrix`, whose products
+all run through the one dispatcher (:func:`repro.core.spmv.product`)
+keyed by :attr:`CSCVMatrix.variant`.
 """
 
 from __future__ import annotations
@@ -16,18 +23,22 @@ import numpy as np
 from repro.config import INDEX_DTYPE
 from repro.core.builder import CSCVData, build_cscv, build_cscv_from_geometry
 from repro.core.params import CSCVParams
-from repro.core.spmv import kernel_bytes, product, value_rows_z
+from repro.core.spmv import VALUE_ROWS, kernel_bytes, product
 from repro.errors import FormatError, ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
 
-@register_format
-class CSCVZMatrix(SpMVFormat):
-    """CSCV with padding zeros stored (paper's CSCV-Z)."""
+class CSCVMatrix(SpMVFormat):
+    """The body CSCV-Z and CSCV-M share; unregistered.
 
-    name = "cscv-z"
-    variant = "z"
+    A variant sets :attr:`name`, :attr:`variant` (the key of its kernels,
+    value stream and value-row map in :mod:`repro.core.spmv`) and
+    :meth:`to_coo_triplets`.  ``CSCVMMatrix(z.data)`` views a CSCV-Z
+    conversion as CSCV-M without copying.
+    """
+
+    variant = ""
 
     def __init__(self, data: CSCVData, threads: int | None = None):
         super().__init__(data.shape, data.nnz, data.dtype)
@@ -51,7 +62,7 @@ class CSCVZMatrix(SpMVFormat):
         reference_mode: str = "ioblr",
         build_workers: int | None = None,
         projector: str = "strip",
-    ) -> "CSCVZMatrix":
+    ) -> "CSCVMatrix":
         """Build from a :class:`~repro.sparse.COOMatrix` and its geometry.
 
         With ``coo=None`` the matrix is traced from *geom* by the named
@@ -158,7 +169,7 @@ class CSCVZMatrix(SpMVFormat):
         if self._value_rows is None:
             with self._rows_lock:
                 if self._value_rows is None:
-                    self._value_rows = value_rows_z(self.data)
+                    self._value_rows = VALUE_ROWS[self.variant](self.data)
         return self._value_rows
 
     # ------------------------------------------------------------------ #
@@ -166,7 +177,8 @@ class CSCVZMatrix(SpMVFormat):
 
     @property
     def r_nnze(self) -> float:
-        """Zero-padding rate of the stored values."""
+        """Zero-padding rate of the CSCVEs: of the stored values for
+        CSCV-Z, logical for CSCV-M (whose storage holds no padding)."""
         return self.data.r_nnze
 
     @property
@@ -174,25 +186,36 @@ class CSCVZMatrix(SpMVFormat):
         return self.data.params
 
     def memory_bytes(self):
-        """Paper-model traffic: padded values + VxG index + reorder maps.
+        """Paper-model traffic: value stream + VxG index + reorder maps.
 
         Per VxG one ``(column, start)`` pair; per block the pointer/ysize
         metadata; the ``ymap`` permutation is streamed once per block
-        during the reorder steps of Algorithm 3.  Exactly the arrays the
-        C kernels are handed (:data:`~repro.core.spmv.KERNEL_ARRAYS`).
+        during the reorder steps of Algorithm 3.  The value stream is
+        CSCV-Z's padded values, or CSCV-M's ``nnz`` packed values plus
+        one uint32 mask per VxG slot and one int64 packed offset per
+        VxG.  Exactly the arrays the C kernels are handed
+        (:data:`~repro.core.spmv.KERNEL_ARRAYS`).
         """
         return kernel_bytes(self.data, self.variant)
-
-    def index_compression_vs_csc(self) -> float:
-        """Index bytes relative to CSC (paper: ~0.03x with VxGs)."""
-        csc_idx = (self.shape[1] + 1 + self.nnz) * INDEX_DTYPE.itemsize
-        return self.memory_bytes()["indices"] / csc_idx if csc_idx else 0.0
 
     def to_dense(self):
         dense = np.zeros(self.shape, dtype=self.dtype)
         rows, cols, vals = self.to_coo_triplets()
         dense[rows, cols] = vals
         return dense
+
+
+@register_format
+class CSCVZMatrix(CSCVMatrix):
+    """CSCV with padding zeros stored (paper's CSCV-Z)."""
+
+    name = "cscv-z"
+    variant = "z"
+
+    def index_compression_vs_csc(self) -> float:
+        """Index bytes relative to CSC (paper: ~0.03x with VxGs)."""
+        csc_idx = (self.shape[1] + 1 + self.nnz) * INDEX_DTYPE.itemsize
+        return self.memory_bytes()["indices"] / csc_idx if csc_idx else 0.0
 
     def to_coo_triplets(self):
         d = self.data

@@ -122,6 +122,11 @@ def value_cols_m(data: CSCVData) -> np.ndarray:
     return np.repeat(data.vxg_col.astype(np.int64), spans)
 
 
+#: variant -> the global row of every slot of its value stream
+#: (:data:`VALUE_ARRAY`); -1 marks CSCV-Z padding.
+VALUE_ROWS = {"z": value_rows_z, "m": value_rows_m}
+
+
 def kernel_bytes(data: CSCVData, variant: str) -> dict[str, int]:
     """``memory_bytes()`` of a CSCV variant: the bytes of exactly the
     arrays its C kernels stream (:data:`KERNEL_ARRAYS`), split into the
@@ -138,10 +143,10 @@ def kernel_bytes(data: CSCVData, variant: str) -> dict[str, int]:
 def product(fmt, X, out=None, *, adjoint: bool = False) -> np.ndarray:
     """``A X`` (or ``A^T X``) for a CSCV format; *X* is 1-D or ``(·, k)``.
 
-    *fmt* is a :class:`~repro.core.format_z.CSCVZMatrix` or
-    :class:`~repro.core.format_m.CSCVMMatrix`.  *out* (allocated when
-    ``None``, overwritten otherwise) must be a C-contiguous array of the
-    matrix dtype and the product's shape, else :class:`ValidationError`.
+    *fmt* is a :class:`~repro.core.format_z.CSCVMatrix` (CSCV-Z or
+    CSCV-M).  *out* (allocated when ``None``, overwritten otherwise) must
+    be a C-contiguous array of the matrix dtype and the product's shape,
+    else :class:`ValidationError`.
     """
     data = fmt.data
     m, n = data.shape

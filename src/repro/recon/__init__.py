@@ -13,13 +13,13 @@ run at high frequency with a fixed matrix.  This package provides:
   column-action solver whose access pattern is *why* CSC-style formats
   (and hence CSCV) matter (Section III); all five run on one iteration
   driver (:mod:`repro.recon.driver`) behind one registry
-  (:mod:`repro.recon.registry`);
+  (:mod:`repro.recon.registry`), reached through
+  :func:`repro.reconstruct`;
 * FBP (:mod:`repro.recon.fbp`) as the analytic reference;
 * image metrics (:mod:`repro.recon.metrics`).
 """
 
-from repro.recon.art import art_reconstruct, kaczmarz_sweep
-from repro.recon.cgls import cgls_reconstruct
+from repro.recon.art import kaczmarz_sweep
 from repro.recon.checkpoint import (
     CheckpointState,
     CheckpointWriter,
@@ -30,10 +30,8 @@ from repro.recon.checkpoint import (
 )
 from repro.recon.events import IterationEvent
 from repro.recon.fbp import fbp_reconstruct
-from repro.recon.icd import icd_reconstruct
 from repro.recon.linops import ProjectionOperator
 from repro.recon.metrics import psnr, rmse, relative_error
-from repro.recon.os_sart import os_sart_reconstruct
 from repro.recon.registry import (
     SOLVERS,
     Param,
@@ -41,7 +39,6 @@ from repro.recon.registry import (
     available_solvers,
     get_solver,
 )
-from repro.recon.sirt import sirt_reconstruct
 
 __all__ = [
     "ProjectionOperator",
@@ -57,12 +54,7 @@ __all__ = [
     "SolverSpec",
     "available_solvers",
     "get_solver",
-    "art_reconstruct",
     "kaczmarz_sweep",
-    "sirt_reconstruct",
-    "cgls_reconstruct",
-    "os_sart_reconstruct",
-    "icd_reconstruct",
     "fbp_reconstruct",
     "rmse",
     "psnr",

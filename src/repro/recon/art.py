@@ -5,18 +5,19 @@ ART sweeps the sinogram rows; each row update
 .. math:: x \\leftarrow x + \\lambda \\frac{y_i - a_i^T x}{\\|a_i\\|^2} a_i
 
 needs row access, which is why "CSR-based SpMV does well in ART-type
-algorithms" (Section III).  The implementation here performs *blocked*
-ART: rows are processed in view-sized batches with SpMV on the batch
-(this is also called OS-SART), so the per-iteration cost is dominated by
-the SpMV kernels being benchmarked.
+algorithms" (Section III).  :func:`kaczmarz_sweep` is that row-by-row
+sweep, kept as the exact reference.  The registered ``art`` solver
+(:class:`Art`) does not sweep rows: each iteration is one simultaneous
+SART update over the whole matrix, one forward and one adjoint product
+on a single (m,) sinogram, so its cost is the SpMV kernels being
+benchmarked.  View-subset updates are OS-SART (:mod:`repro.recon.os_sart`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.recon.driver import Iteration, run
-from repro.recon.linops import ProjectionOperator
+from repro.recon.driver import Iteration
 from repro.sparse.csr import CSRMatrix
 
 
@@ -45,7 +46,12 @@ def kaczmarz_sweep(
 
 
 class Art(Iteration):
-    """Blocked-ART state: the SART weights over a single (m,) sinogram."""
+    """ART state: the SART weights over a single (m,) sinogram.
+
+    Each iteration performs ``x += relax * D_c A^T D_r (y - A x)``, where
+    ``D_r`` and ``D_c`` are the inverse row-sum and column-sum diagonal
+    weights (the SART weighting, convergent for consistent data).
+    """
 
     name = "art"
 
@@ -65,45 +71,3 @@ class Art(Iteration):
         if self.nonneg:
             np.maximum(x, 0, out=x)
         self.x = x
-
-
-def art_reconstruct(
-    op: ProjectionOperator,
-    sinogram: np.ndarray,
-    *,
-    iterations: int = 10,
-    relax: float = 0.5,
-    x0: np.ndarray | None = None,
-    nonneg: bool = True,
-    callback=None,
-    watchdog=None,
-) -> np.ndarray:
-    """Blocked ART / SIRT-flavoured row-action reconstruction.
-
-    Each iteration performs ``x += relax * D_c A^T D_r (y - A x)`` where
-    ``D_r`` and ``D_c`` are inverse row-sum and column-sum diagonal
-    weights (the SART weighting, convergent for consistent data).
-
-    Parameters
-    ----------
-    op : ProjectionOperator
-        Forward/adjoint pair (any format).
-    sinogram : array
-        Measured data ``y`` of length ``shape[0]``.
-    iterations : int
-        Full sweeps to run.
-    relax : float
-        Relaxation factor in (0, 2).
-    nonneg : bool
-        Project onto the nonnegative orthant each iteration (attenuation
-        cannot be negative).
-    callback : callable, optional
-        Per-iteration hook receiving one
-        :class:`~repro.recon.events.IterationEvent`.
-    watchdog : bool or ResidualWatchdog, optional
-        Divergence guard; see :func:`repro.recon.sirt.sirt_reconstruct`.
-    """
-    return run(
-        Art, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        iterations=iterations, relax=relax, nonneg=nonneg,
-    ).image

@@ -16,13 +16,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.recon.driver import Iteration, run
+from repro.recon.driver import Iteration
 from repro.recon.events import NORMAL_RESIDUAL
-from repro.recon.linops import ProjectionOperator
 
 
 class Cgls(Iteration):
-    """CGLS state: the per-column CG recurrence, updated in place."""
+    """CGLS state: the per-column CG recurrence, updated in place.
+
+    All arithmetic runs in float64 accumulators.  The driving norm is
+    ``||A^T r||`` (events carry ``meaning="normal_residual"`` and the
+    plain ``||r||`` too).  A checkpoint holds the whole recurrence
+    (``x``, ``r``, ``s``, ``p``, ``gamma``, ``gamma0``, ``active``) and a
+    resumed run restores it verbatim.  CGLS has no relaxation to back
+    off: a watchdog restart re-initialises the recurrence from the best
+    iterate, the standard cure for a recurrence drifting from the true
+    residual.
+    """
 
     name = "cgls"
     meaning = NORMAL_RESIDUAL
@@ -90,52 +99,3 @@ class Cgls(Iteration):
         self.x = x
         self.r, self.s, self.p, self.gamma = self._recurrence(x)
         self.active = np.ones(self.active.size, dtype=bool)
-
-
-def cgls_reconstruct(
-    op: ProjectionOperator,
-    sinogram: np.ndarray,
-    *,
-    iterations: int = 30,
-    x0: np.ndarray | None = None,
-    rtol: float = 1e-8,
-    damping: float = 0.0,
-    callback=None,
-    watchdog=None,
-    resume_from=None,
-) -> np.ndarray:
-    """Run CGLS; returns the iterate with all math in float64 accumulators.
-
-    Parameters
-    ----------
-    rtol : float
-        Stop when ``||A^T r|| / ||A^T y||`` drops below this (checked per
-        column for a sinogram stack).
-    damping : float
-        Tikhonov parameter ``lambda >= 0``: solves
-        ``min ||A x - y||^2 + lambda ||x||^2`` (regularised CGLS, the
-        standard stabiliser for noisy/limited-angle data).
-    callback : callable, optional
-        Per-iteration hook receiving one
-        :class:`~repro.recon.events.IterationEvent` whose ``meaning`` is
-        ``"normal_residual"`` (CGLS drives on ``||A^T r||``; the event
-        carries the plain ``||r||`` too).
-    watchdog : bool or ResidualWatchdog, optional
-        Divergence guard.  CGLS has no relaxation to back off; a restart
-        instead re-initialises the whole CG recurrence (``r``, ``s``,
-        ``p``, ``gamma``) from the best iterate seen — the standard cure
-        for a recurrence drifting from the true residual.
-    resume_from : CheckpointState, optional
-        Continue an interrupted run from a
-        :class:`~repro.recon.checkpoint.CheckpointState`: the complete
-        CG recurrence (``x``, ``r``, ``s``, ``p``, ``gamma``,
-        ``gamma0``, ``active``) is restored verbatim — *not* re-derived
-        from the iterate, which would change the bits — and the loop
-        starts at ``k + 1``, matching the uninterrupted run exactly.
-        Incompatible with ``x0`` and ``watchdog``.
-    """
-    return run(
-        Cgls, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, iterations=iterations, rtol=rtol,
-        damping=damping,
-    ).image

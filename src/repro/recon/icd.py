@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.recon.driver import Iteration, run
-from repro.recon.linops import ProjectionOperator
+from repro.recon.driver import Iteration
 from repro.sparse.csc import CSCMatrix
 
 
 class Icd(Iteration):
     """ICD state: the matrix in CSC (the operator's own format, else its
     memoised copy), the column norms and the float64 residual ``r``, checkpointed
-    because thousands of rank-1 updates are not bitwise ``y - A x``."""
+    because thousands of rank-1 updates are not bitwise ``y - A x``.  A
+    watchdog restart recomputes ``r`` from the best iterate."""
 
     name = "icd"
     work_dtype = np.float64
@@ -91,47 +91,3 @@ def icd_single_update(
         x[j] += delta
         r[rows] -= delta * av
     return float(delta)
-
-
-def icd_reconstruct(
-    op: ProjectionOperator,
-    sinogram: np.ndarray,
-    *,
-    iterations: int = 5,
-    x0: np.ndarray | None = None,
-    nonneg: bool = True,
-    order: str = "sequential",
-    seed: int = 0,
-    callback=None,
-    watchdog=None,
-    resume_from=None,
-) -> np.ndarray:
-    """Run *iterations* ICD sweeps over all pixels.
-
-    Parameters
-    ----------
-    op : ProjectionOperator
-        Forward/adjoint pair over any format; ICD reads the matrix by
-        column, from the format itself when it is a
-        :class:`~repro.sparse.csc.CSCMatrix`, else from a CSC copy made
-        once per operator (:meth:`ProjectionOperator.to_csc`).
-    order : str
-        ``"sequential"`` or ``"random"`` column visit order per sweep;
-        random order draws one permutation per sweep from a generator
-        seeded with *seed*.
-    callback : callable, optional
-        Per-sweep hook receiving one
-        :class:`~repro.recon.events.IterationEvent`.
-    watchdog : bool or ResidualWatchdog, optional
-        Divergence guard; a restart recomputes the residual from the
-        best iterate.
-    resume_from : CheckpointState, optional
-        Continue an interrupted run bitwise from its ``x`` and ``r``
-        (random order included).  Incompatible with ``x0`` and
-        ``watchdog``.
-    """
-    return run(
-        Icd, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, iterations=iterations, nonneg=nonneg,
-        order=order, seed=seed,
-    ).image

@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
-from repro.recon.driver import Iteration, run
-from repro.recon.linops import ProjectionOperator
+from repro.recon.driver import Iteration
 from repro.recon.sirt import sart_weights
 from repro.sparse.csr import CSRMatrix
 
@@ -47,7 +46,14 @@ def _row_slice(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
 
 
 class OsSart(Iteration):
-    """OS-SART state: one CSR row slice and its SART weights per subset."""
+    """OS-SART state: one CSR row slice and its SART weights per subset.
+
+    One iteration is a full pass over all subsets.  A resumed run
+    restores the float64 iterate and recomputes the subset weights
+    deterministically from the matrix.  The watchdog judges a per-pass
+    proxy residual (see :meth:`step`); callback events carry the exact
+    residual of the post-pass iterate instead (:meth:`report`).
+    """
 
     name = "os_sart"
     work_dtype = np.float64
@@ -88,44 +94,3 @@ class OsSart(Iteration):
         full_resid = self.y.astype(np.float64) - self.csr.spmm(
             self.x.astype(self.csr.dtype)).astype(np.float64)
         return replace(event, residual_norm=float(np.linalg.norm(full_resid)))
-
-
-def os_sart_reconstruct(
-    csr: CSRMatrix,
-    geom: ParallelBeamGeometry,
-    sinogram: np.ndarray,
-    *,
-    num_subsets: int = 8,
-    iterations: int = 5,
-    relax: float = 1.0,
-    x0: np.ndarray | None = None,
-    nonneg: bool = True,
-    callback=None,
-    watchdog=None,
-    resume_from=None,
-) -> np.ndarray:
-    """Run OS-SART for *iterations* full passes over all subsets.
-
-    With ``num_subsets=1`` this reduces to plain SART.
-
-    ``resume_from`` continues an interrupted run from a
-    :class:`~repro.recon.checkpoint.CheckpointState` captured after pass
-    ``k``: the float64 iterate is restored verbatim and the loop starts
-    at ``k + 1``, bitwise-identical to the uninterrupted run (the subset
-    scalings are recomputed deterministically from the matrix).
-    Incompatible with ``x0`` and ``watchdog``.
-
-    ``watchdog`` (bool or ResidualWatchdog) enables the divergence
-    guard; its residual stream is a per-pass proxy — the root of the
-    summed squared per-subset residual norms already computed during
-    the pass, costing no extra SpMM.  Relax values above 2 are accepted
-    so a guarded run can recover from over-relaxation (see
-    :func:`repro.recon.sirt.sirt_reconstruct`).  ``callback`` events
-    carry the exact residual of the post-pass iterate instead.
-    """
-    return run(
-        OsSart, ProjectionOperator(csr), sinogram, geom=geom, x0=x0,
-        callback=callback, watchdog=watchdog, resume_from=resume_from,
-        num_subsets=num_subsets, iterations=iterations, relax=relax,
-        nonneg=nonneg,
-    ).image

@@ -1,9 +1,9 @@
-"""Unified solver registry: one schema-checked entry point per solver.
+"""Unified solver registry: one schema per solver, one entry point.
 
-Each reconstruction entry point (``sirt_reconstruct(op, y, relax=...)``,
-``cgls_reconstruct(op, y, damping=...)``, ``icd_reconstruct(op, y,
-order=...)``, ...) accepts its own parameter set.  This module puts every
-solver behind one registry of :class:`SolverSpec` objects carrying
+Every solver runs through :func:`repro.api.reconstruct`
+(``repro.reconstruct(op, y, solver="cgls", damping=0.1)``), which looks
+it up here.  The registry holds one :class:`SolverSpec` per solver,
+carrying
 
 * a **parameter schema** — name, type, default, bounds — used to
   validate caller parameters *by name* (unknown or out-of-range
@@ -21,9 +21,7 @@ solver behind one registry of :class:`SolverSpec` objects carrying
 
 Each iterative spec points at its solver's
 :class:`~repro.recon.driver.Iteration` subclass, which
-:func:`repro.recon.driver.run` drives — the same call the
-``sirt_reconstruct``-style entry points make, so a facade run and a
-direct call execute one code path.  Analytic solvers (FBP) point at
+:func:`repro.recon.driver.run` drives.  Analytic solvers (FBP) point at
 their reconstruction function.
 """
 
@@ -215,7 +213,7 @@ SOLVERS: dict[str, SolverSpec] = {
                 _NONNEG,
                 Param("rtol", float, 0.0, low=0.0,
                       doc="stop once ||resid||/||y|| falls below this "
-                          "(0 disables)"),
+                          "(0 disables); Frobenius norms for a stack"),
             ),
             capabilities=frozenset({"iterative", "batch", "relax", "resume"}),
             batch_guard=_sirt_batch_guard,
@@ -230,7 +228,8 @@ SOLVERS: dict[str, SolverSpec] = {
                 Param("rtol", float, 1e-8, low=0.0,
                       doc="per-column stop on ||A^T r||/||A^T y||"),
                 Param("damping", float, 0.0, low=0.0,
-                      doc="Tikhonov parameter lambda >= 0"),
+                      doc="Tikhonov parameter lambda >= 0: minimises "
+                          "||A x - y||^2 + lambda ||x||^2"),
             ),
             capabilities=frozenset(
                 {"iterative", "batch", "damping", "resume"}
@@ -241,7 +240,8 @@ SOLVERS: dict[str, SolverSpec] = {
         ),
         SolverSpec(
             name="art",
-            doc="Blocked ART (SART weighting, row-action flavour)",
+            doc="ART with the SART weighting: one simultaneous update "
+                "of all rows per iteration",
             solver=Art,
             params=(
                 Param("iterations", int, 10, low=1, doc="full sweeps"),
@@ -260,7 +260,8 @@ SOLVERS: dict[str, SolverSpec] = {
                 Param("iterations", int, 5, low=1,
                       doc="full passes over all subsets"),
                 Param("num_subsets", int, 8, low=1,
-                      doc="interleaved view subsets per pass"),
+                      doc="interleaved view subsets per pass (1 is "
+                          "plain SART)"),
                 Param("relax", float, 1.0, low=0.0, high=4.0, low_open=True,
                       doc="relaxation factor"),
                 _NONNEG,
@@ -277,7 +278,8 @@ SOLVERS: dict[str, SolverSpec] = {
                 Param("iterations", int, 5, low=1, doc="full sweeps"),
                 Param("order", str, "sequential",
                       choices=("sequential", "random"),
-                      doc="column visit order per sweep"),
+                      doc="column visit order per sweep; random draws "
+                          "one permutation per sweep"),
                 Param("seed", int, 0, low=0,
                       doc="random-order permutation seed"),
                 _NONNEG,

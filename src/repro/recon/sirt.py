@@ -21,8 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.recon.driver import Iteration, run
-from repro.recon.linops import ProjectionOperator
+from repro.recon.driver import Iteration
 
 
 def sart_weights(forward, adjoint, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -60,50 +59,3 @@ class Sirt(Iteration):
         if self.nonneg:
             np.maximum(x, 0, out=x)
         self.x = x
-
-
-def sirt_reconstruct(
-    op: ProjectionOperator,
-    sinogram: np.ndarray,
-    *,
-    iterations: int = 50,
-    relax: float = 1.0,
-    x0: np.ndarray | None = None,
-    nonneg: bool = True,
-    rtol: float = 0.0,
-    callback=None,
-    watchdog=None,
-    resume_from=None,
-) -> np.ndarray:
-    """Run SIRT for *iterations* sweeps (early-exit on relative tolerance).
-
-    Parameters
-    ----------
-    rtol : float
-        Stop once ``||resid|| / ||y||`` falls below this (0 disables).
-        For a sinogram stack both norms are Frobenius norms of the stack.
-    callback : callable, optional
-        Per-iteration hook receiving one
-        :class:`~repro.recon.events.IterationEvent`.
-    watchdog : bool or ResidualWatchdog, optional
-        Divergence guard (:mod:`repro.resilience.watchdog`): ``True``
-        for the defaults, or a configured instance.  On detection the
-        run restarts from the best iterate with ``relax`` backed off;
-        when the restart budget is exhausted a
-        :class:`~repro.errors.SolverError` carries the history.  Relax
-        values above 2 (the classical convergence bound) are accepted
-        precisely so a guarded run can recover from them.
-    resume_from : CheckpointState, optional
-        Continue an interrupted run from a
-        :class:`~repro.recon.checkpoint.CheckpointState` captured after
-        iteration ``k``: the iterate is restored verbatim and the loop
-        starts at ``k + 1``, producing output bitwise-identical to the
-        uninterrupted run under the same parameters.  Incompatible with
-        ``x0`` (the checkpoint *is* the start) and ``watchdog`` (a
-        restart-adjusted run is not bitwise-resumable).
-    """
-    return run(
-        Sirt, op, sinogram, x0=x0, callback=callback, watchdog=watchdog,
-        resume_from=resume_from, iterations=iterations, relax=relax,
-        nonneg=nonneg, rtol=rtol,
-    ).image

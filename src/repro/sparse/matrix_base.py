@@ -162,13 +162,6 @@ class SpMVFormat(abc.ABC):
             Y[:, j] = self.spmv(np.ascontiguousarray(X[:, j]))
         return Y
 
-    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Shape-dispatching product: SpMV for 1-D *x*, SpMM for 2-D."""
-        x = np.asarray(x)
-        if x.ndim == 2:
-            return self.spmm(x, out)
-        return self.spmv(x, out)
-
     def _check_x(self, x: np.ndarray) -> np.ndarray:
         x = check_1d(x, self._shape[1], "x")
         return ensure_dtype(x, self._dtype, "x")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import build_ct_matrix
 from repro.core.builder import build_cscv
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
@@ -245,6 +246,14 @@ class TestConstructionErrors:
         z = CSCVZMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals, geom=geom)
         rel = np.abs(z.spmv(x) - y_ref).max() / np.abs(y_ref).max()
         assert rel < 5e-6
+
+    @pytest.mark.parametrize("cls", [CSCVZMatrix, CSCVMMatrix])
+    def test_from_coo_keeps_threads(self, cls):
+        geom = ParallelBeamGeometry.for_image(16)
+        coo, _ = build_ct_matrix(16, geom=geom, dtype=np.float32)
+        fmt = cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals,
+                           geom=geom, threads=3)
+        assert fmt.threads == 3
 
 
 @settings(max_examples=15, deadline=None)

@@ -27,6 +27,8 @@ from repro.recon.checkpoint import (
     save_checkpoint,
     solver_params_hash,
 )
+from repro.recon.driver import run
+from repro.recon.sirt import Sirt
 
 SIZE = 24
 
@@ -217,12 +219,11 @@ class TestResumeValidation:
             params_hash=solver_params_hash("sirt", res.params),
             arrays=state.arrays, residuals=state.residuals,
         )
-        # the same parameterisation resumes; a different one is refused
-        repro.recon.sirt_reconstruct(op, sino, resume_from=stamped, iterations=6)
+        # the driver itself: the same parameterisation resumes, a
+        # different one is refused
+        run(Sirt, op, sino, resume_from=stamped, iterations=6)
         with pytest.raises(ValidationError, match="parameterisation"):
-            repro.recon.sirt_reconstruct(
-                op, sino, resume_from=stamped, iterations=6, relax=0.7
-            )
+            run(Sirt, op, sino, resume_from=stamped, iterations=6, relax=0.7)
 
     def test_unsupporting_solver_rejected(self, op, geom, sino):
         box, cb = capture_checkpoint(1)

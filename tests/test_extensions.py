@@ -222,17 +222,21 @@ class TestSerialization:
 
 class TestOSSART:
     def test_converges_and_beats_plain_sart_per_pass(self):
+        from repro.api import reconstruct
         from repro.geometry.phantom import disk_phantom
-        from repro.recon.os_sart import os_sart_reconstruct
+        from repro.recon import ProjectionOperator
 
         geom = ParallelBeamGeometry.for_image(24, num_views=48)
         rows, cols, vals = strip_area_matrix(geom)
         coo = COOMatrix.from_coo(geom.shape, rows, cols, vals)
-        csr = CSRMatrix.from_coo_matrix(coo)
+        op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
         truth = disk_phantom(24, radius_frac=0.5).ravel()
-        sino = csr.spmv(truth)
-        x_os = os_sart_reconstruct(csr, geom, sino, num_subsets=8, iterations=3)
-        x_plain = os_sart_reconstruct(csr, geom, sino, num_subsets=1, iterations=3)
+        sino = op.forward(truth)
+        x_os, x_plain = (
+            reconstruct(op, sino, solver="os-sart", geom=geom,
+                        num_subsets=subsets, iterations=3).image
+            for subsets in (8, 1)
+        )
         err_os = np.linalg.norm(x_os - truth)
         err_plain = np.linalg.norm(x_plain - truth)
         assert err_os < err_plain  # ordered subsets accelerate

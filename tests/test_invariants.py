@@ -31,7 +31,7 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.api import build_ct_matrix, build_format
+from repro.api import build_ct_matrix, build_format, reconstruct
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
@@ -255,16 +255,16 @@ def test_e_thread_count_bit_equal(data, monkeypatch, row, k, threads):
 
 
 def _check_sirt_stack_column_equals_solo(dtype):
-    from repro.recon import ProjectionOperator, sirt_reconstruct
+    from repro.recon import ProjectionOperator
 
     coo, geom = build_ct_matrix(48, dtype=dtype)
     op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom))
     rng = np.random.default_rng(6)
     sino = op.forward(rng.random((op.shape[1], 4)).astype(dtype))
-    stack = sirt_reconstruct(op, sino, iterations=5)
+    stack = reconstruct(op, sino, solver="sirt", iterations=5).image
     for j in range(4):
-        solo = sirt_reconstruct(op, np.ascontiguousarray(sino[:, j:j + 1]),
-                                iterations=5)
+        solo = reconstruct(op, np.ascontiguousarray(sino[:, j:j + 1]),
+                           solver="sirt", iterations=5).image
         np.testing.assert_array_equal(_bits(stack[:, j]), _bits(solo[:, 0]))
 
 
@@ -282,7 +282,7 @@ def test_c_backed_sirt_runs_no_numpy_product(monkeypatch):
     """A C-backed SIRT on an (m, 1) and an (m, 3) stack runs every
     product, adjoints included, on the compiled kernels."""
     from repro.obs import metrics as obs_metrics
-    from repro.recon import ProjectionOperator, sirt_reconstruct
+    from repro.recon import ProjectionOperator
 
     monkeypatch.setattr(config.runtime, "backend", "auto")
     if dispatch.backend_in_use() != "c":
@@ -295,7 +295,7 @@ def test_c_backed_sirt_runs_no_numpy_product(monkeypatch):
         for k in (1, 3):
             obs_metrics.registry.reset()
             sino = rng.random((op.shape[0], k)).astype(np.float32)
-            sirt_reconstruct(op, sino, iterations=3)
+            reconstruct(op, sino, solver="sirt", iterations=3)
             names = obs_metrics.registry.names()
             assert any(n.startswith("spmv.calls.") and n.endswith(".c")
                        for n in names), names

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.api import build_ct_matrix
+from repro.api import build_ct_matrix, reconstruct
 from repro.bench.harness import PerfRecord
 from repro.bench.report import (
     comparison_table,
@@ -16,7 +16,7 @@ from repro.core.params import CSCVParams
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.geometry.phantom import disk_phantom
-from repro.recon import ProjectionOperator, cgls_reconstruct, relative_error
+from repro.recon import ProjectionOperator, relative_error
 from repro.recon.noise import (
     add_poisson_noise,
     dose_sweep_snrs,
@@ -77,9 +77,9 @@ class TestNoise:
     def test_reconstruction_degrades_gracefully_with_noise(self, problem):
         coo, geom, csr, truth, sino = problem
         op = ProjectionOperator(csr)
-        clean = cgls_reconstruct(op, sino, iterations=15)
-        noisy = cgls_reconstruct(op, add_poisson_noise(sino, i0=1e4, seed=2),
-                                 iterations=15, damping=0.05)
+        clean = reconstruct(op, sino, solver="cgls", iterations=15).image
+        noisy = reconstruct(op, add_poisson_noise(sino, i0=1e4, seed=2),
+                            solver="cgls", iterations=15, damping=0.05).image
         assert relative_error(clean, truth) < relative_error(noisy, truth) < 0.8
 
 
@@ -119,14 +119,14 @@ class TestDampedCGLS:
     def test_damping_shrinks_solution_norm(self, problem):
         coo, geom, csr, truth, sino = problem
         op = ProjectionOperator(csr)
-        x0 = cgls_reconstruct(op, sino, iterations=20, damping=0.0)
-        x1 = cgls_reconstruct(op, sino, iterations=20, damping=10.0)
+        x0 = reconstruct(op, sino, solver="cgls", iterations=20, damping=0.0).image
+        x1 = reconstruct(op, sino, solver="cgls", iterations=20, damping=10.0).image
         assert np.linalg.norm(x1) < np.linalg.norm(x0)
 
     def test_negative_damping_rejected(self, problem):
         coo, geom, csr, truth, sino = problem
         with pytest.raises(ValidationError):
-            cgls_reconstruct(ProjectionOperator(csr), sino, damping=-1.0)
+            reconstruct(ProjectionOperator(csr), sino, solver="cgls", damping=-1.0)
 
 
 class TestReport:

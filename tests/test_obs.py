@@ -336,13 +336,14 @@ class TestPipelineSpans:
 
     def test_solver_iteration_spans_and_residual_gauge(self, traced, clean_metrics,
                                                        small_ct_f32):
-        from repro.recon import ProjectionOperator, sirt_reconstruct
+        from repro.api import reconstruct
+        from repro.recon import ProjectionOperator
         from repro.sparse.csr import CSRMatrix
 
         coo, geom = small_ct_f32
         op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
         sino = op.forward(np.ones(coo.shape[1], dtype=np.float32))
-        sirt_reconstruct(op, sino, iterations=3)
+        reconstruct(op, sino, solver="sirt", iterations=3)
         iters = obs.tracer.find("sirt.iter")
         assert len(iters) == 3
         assert [s.attrs["k"] for s in iters] == [0, 1, 2]

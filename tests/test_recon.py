@@ -3,22 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.api import build_ct_matrix, operator
+from repro.api import build_ct_matrix, operator, reconstruct
 from repro.core.format_z import CSCVZMatrix
 from repro.core.params import CSCVParams
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.geometry.phantom import disk_phantom, shepp_logan
 from repro.recon import (
     ProjectionOperator,
-    art_reconstruct,
-    cgls_reconstruct,
     fbp_reconstruct,
-    icd_reconstruct,
     kaczmarz_sweep,
     psnr,
     relative_error,
     rmse,
-    sirt_reconstruct,
 )
 from repro.recon.fbp import filter_sinogram, ramp_filter
 from repro.recon.icd import icd_single_update
@@ -70,25 +66,25 @@ class TestSIRT:
     def test_reduces_residual(self, problem):
         _, _, op, truth, sino = problem
         errs = []
-        sirt_reconstruct(op, sino, iterations=15,
-                         callback=lambda e: errs.append(e.norm))
+        reconstruct(op, sino, solver="sirt", iterations=15,
+                    callback=lambda e: errs.append(e.norm))
         assert errs[-1] < errs[0]
 
     def test_converges_toward_truth(self, problem):
         _, _, op, truth, sino = problem
-        x = sirt_reconstruct(op, sino, iterations=80)
+        x = reconstruct(op, sino, solver="sirt", iterations=80).image
         assert relative_error(x, truth) < 0.35
 
     def test_nonneg_enforced(self, problem):
         _, _, op, _, sino = problem
-        x = sirt_reconstruct(op, sino, iterations=5)
+        x = reconstruct(op, sino, solver="sirt", iterations=5).image
         assert x.min() >= 0
 
     def test_rtol_early_exit(self, problem):
         _, _, op, _, sino = problem
         count = []
-        sirt_reconstruct(op, sino, iterations=100, rtol=0.9,
-                         callback=lambda e: count.append(e.k))
+        reconstruct(op, sino, solver="sirt", iterations=100, rtol=0.9,
+                    callback=lambda e: count.append(e.k))
         assert len(count) < 100
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -110,13 +106,15 @@ class TestSIRT:
         rng = np.random.default_rng(k)
         shape = (op.shape[1],) if k == 1 else (op.shape[1], k)
         sinos = [op.forward(rng.random(shape).astype(dtype)) for _ in range(3)]
-        shared = [sirt_reconstruct(op, y, iterations=4) for y in sinos]
+        shared = [reconstruct(op, y, solver="sirt", iterations=4).image
+                  for y in sinos]
         if k == 1:
-            art_reconstruct(op, sinos[0], iterations=2)  # ART shares them
+            reconstruct(op, sinos[0], solver="art", iterations=2)  # ART shares them
         assert len(computed) == 1
         assert not op.sart_weights()[0].flags.writeable
         for y, image in zip(sinos, shared):
-            fresh = sirt_reconstruct(operator(16, dtype=dtype), y, iterations=4)
+            fresh = reconstruct(operator(16, dtype=dtype), y, solver="sirt",
+                                iterations=4).image
             assert np.array_equal(image, fresh)
         assert len(computed) == 4
 
@@ -125,23 +123,23 @@ class TestSIRT:
 
         _, _, op, _, sino = problem
         with pytest.raises(ValidationError):
-            sirt_reconstruct(op, sino, iterations=0)
+            reconstruct(op, sino, solver="sirt", iterations=0)
         with pytest.raises(ValidationError):
-            sirt_reconstruct(op, sino, relax=5.0)
+            reconstruct(op, sino, solver="sirt", relax=5.0)
 
 
 class TestCGLS:
     def test_beats_sirt_at_equal_iterations(self, problem):
         _, _, op, truth, sino = problem
-        x_cgls = cgls_reconstruct(op, sino, iterations=20)
-        x_sirt = sirt_reconstruct(op, sino, iterations=20)
+        x_cgls = reconstruct(op, sino, solver="cgls", iterations=20).image
+        x_sirt = reconstruct(op, sino, solver="sirt", iterations=20).image
         assert relative_error(x_cgls, truth) < relative_error(x_sirt, truth)
 
     def test_monotone_normal_residual(self, problem):
         _, _, op, _, sino = problem
         norms = []
-        cgls_reconstruct(op, sino, iterations=15,
-                         callback=lambda e: norms.append(e.norm))
+        reconstruct(op, sino, solver="cgls", iterations=15,
+                    callback=lambda e: norms.append(e.norm))
         assert norms[-1] < norms[0]
 
     def test_consistent_system_high_accuracy(self):
@@ -151,14 +149,14 @@ class TestCGLS:
         op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
         truth = disk_phantom(8, radius_frac=0.6).ravel()
         sino = op.forward(truth)
-        x = cgls_reconstruct(op, sino, iterations=60)
+        x = reconstruct(op, sino, solver="cgls", iterations=60).image
         assert relative_error(op.forward(x), sino) < 1e-3
 
 
 class TestART:
     def test_blocked_art_converges(self, problem):
         _, _, op, truth, sino = problem
-        x = art_reconstruct(op, sino, iterations=40, relax=0.9)
+        x = reconstruct(op, sino, solver="art", iterations=40, relax=0.9).image
         assert relative_error(x, truth) < 0.6
 
     def test_kaczmarz_sweep_reduces_residual(self, problem, rng):
@@ -184,7 +182,7 @@ class TestICD:
     def test_residual_decreases_per_sweep(self, csc_problem):
         op, truth, sino = csc_problem
         events = []
-        icd_reconstruct(op, sino, iterations=4, callback=events.append)
+        reconstruct(op, sino, solver="icd", iterations=4, callback=events.append)
         assert [e.k for e in events] == [0, 1, 2, 3]
         assert all(e.solver == "icd" and e.meaning == "residual" for e in events)
         rs = [e.norm for e in events]
@@ -192,7 +190,7 @@ class TestICD:
 
     def test_converges(self, csc_problem):
         op, truth, sino = csc_problem
-        x = icd_reconstruct(op, sino, iterations=8)
+        x = reconstruct(op, sino, solver="icd", iterations=8).image
         assert relative_error(x, truth) < 0.4
 
     def test_single_update_is_exact_minimiser(self, csc_problem):
@@ -223,7 +221,8 @@ class TestICD:
 
     def test_random_order_also_converges(self, csc_problem):
         op, truth, sino = csc_problem
-        x = icd_reconstruct(op, sino, iterations=8, order="random", seed=1)
+        x = reconstruct(op, sino, solver="icd", iterations=8, order="random",
+                        seed=1).image
         assert relative_error(x, truth) < 0.6
 
     def test_invalid_order(self, csc_problem):
@@ -231,9 +230,9 @@ class TestICD:
 
         op, _, sino = csc_problem
         with pytest.raises(ValidationError, match="order"):
-            icd_reconstruct(op, sino, order="spiral")
+            reconstruct(op, sino, solver="icd", order="spiral")
         with pytest.raises(ValidationError, match="iterations"):
-            icd_reconstruct(op, sino, iterations=0)
+            reconstruct(op, sino, solver="icd", iterations=0)
 
     @pytest.mark.parametrize("order", ["sequential", "random"])
     @pytest.mark.parametrize("fmt", ["cscv-z", "cscv-m", "csr"])
@@ -247,8 +246,8 @@ class TestICD:
         sino = ref.forward(disk_phantom(16, radius_frac=0.5).ravel()
                            .astype(ref.dtype))
         kw = dict(iterations=3, order=order, seed=2)
-        want = icd_reconstruct(ref, sino, **kw)
-        got = icd_reconstruct(other, sino, **kw)
+        want = reconstruct(ref, sino, solver="icd", **kw).image
+        got = reconstruct(other, sino, solver="icd", **kw).image
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
 
@@ -261,8 +260,8 @@ class TestICD:
         triplets = op.fmt.to_coo_triplets
         monkeypatch.setattr(op.fmt, "to_coo_triplets",
                             lambda: calls.append(1) or triplets())
-        first = icd_reconstruct(op, sino, iterations=1)
-        second = icd_reconstruct(op, sino, iterations=1)
+        first = reconstruct(op, sino, solver="icd", iterations=1).image
+        second = reconstruct(op, sino, solver="icd", iterations=1).image
         assert len(calls) == 1
         assert np.array_equal(first, second)
 
@@ -327,6 +326,7 @@ class TestSolversThroughCSCV:
         op_csr = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
         op_cscv = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2)))
         sino = op_csr.forward(truth)
-        x_a = sirt_reconstruct(op_csr, sino, iterations=10)
-        x_b = sirt_reconstruct(op_cscv, sino.astype(np.float64), iterations=10)
+        x_a = reconstruct(op_csr, sino, solver="sirt", iterations=10).image
+        x_b = reconstruct(op_cscv, sino.astype(np.float64), solver="sirt",
+                          iterations=10).image
         assert relative_error(x_a, x_b) < 1e-6

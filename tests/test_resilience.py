@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro import config, obs
-from repro.api import build_ct_matrix, operator
+from repro.api import build_ct_matrix, operator, reconstruct
 from repro.cli import main as cli_main
 from repro.core.cache import OperatorCache
 from repro.core.format_z import CSCVZMatrix
@@ -26,14 +26,7 @@ from repro.errors import (
 )
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.geometry.phantom import disk_phantom, shepp_logan
-from repro.recon import (
-    ProjectionOperator,
-    art_reconstruct,
-    cgls_reconstruct,
-    icd_reconstruct,
-    sirt_reconstruct,
-)
-from repro.recon.os_sart import os_sart_reconstruct
+from repro.recon import ProjectionOperator
 from repro.resilience import faults
 from repro.resilience.faults import PROFILES, FaultInjected, parse_plan
 from repro.resilience.guards import check as guard_check
@@ -502,14 +495,14 @@ class TestGuards:
         bad[0] = np.nan
         config.runtime.guard = "inputs"
         for solver in (
-            lambda: sirt_reconstruct(op, bad, iterations=2),
-            lambda: cgls_reconstruct(op, bad, iterations=2),
-            lambda: art_reconstruct(op, bad, iterations=2),
+            lambda: reconstruct(op, bad, solver="sirt", iterations=2).image,
+            lambda: reconstruct(op, bad, solver="cgls", iterations=2).image,
+            lambda: reconstruct(op, bad, solver="art", iterations=2).image,
         ):
             with pytest.raises(NumericalError, match="sinogram"):
                 solver()
         config.runtime.guard = "off"
-        sirt_reconstruct(op, bad, iterations=1)  # unguarded: no raise
+        reconstruct(op, bad, solver="sirt", iterations=1)  # unguarded: no raise
 
     def test_poisoned_operator_input_caught_at_boundary(self, problem):
         _, _, op, truth, sino = problem
@@ -596,11 +589,11 @@ class TestWatchdogInSolvers:
 
     def test_sirt_overrelaxed_recovers(self, problem):
         _, _, op, truth, sino = problem
-        x_un = sirt_reconstruct(op, sino, iterations=40, relax=3.8,
-                                nonneg=False)
+        x_un = reconstruct(op, sino, solver="sirt", iterations=40, relax=3.8,
+                           nonneg=False).image
         wd = ResidualWatchdog(solver="sirt")
-        x_g = sirt_reconstruct(op, sino, iterations=40, relax=3.8,
-                               nonneg=False, watchdog=wd)
+        x_g = reconstruct(op, sino, solver="sirt", iterations=40, relax=3.8,
+                          nonneg=False, watchdog=wd).image
         r_un = self._rnorm(op, sino, x_un)
         r_g = self._rnorm(op, sino, x_g)
         assert wd.restarts >= 1
@@ -609,27 +602,28 @@ class TestWatchdogInSolvers:
         assert (not np.isfinite(r_un)) or r_g < r_un
 
     def test_os_sart_overrelaxed_recovers(self, problem):
-        csr, geom, op, truth, sino = problem
+        _, geom, op, _, sino = problem
         wd = ResidualWatchdog(solver="os_sart")
-        x_g = os_sart_reconstruct(csr, geom, sino, num_subsets=4,
-                                  iterations=10, relax=3.8, nonneg=False,
-                                  watchdog=wd)
+        x_g = reconstruct(op, sino, solver="os-sart", geom=geom, num_subsets=4,
+                          iterations=10, relax=3.8, nonneg=False,
+                          watchdog=wd).image
         assert wd.restarts >= 1
         r_g = self._rnorm(op, sino, x_g)
         assert np.isfinite(r_g) and r_g < float(np.linalg.norm(sino))
 
     def test_art_watchdog_is_inert_on_convergent_run(self, problem):
         _, _, op, _, sino = problem
-        a = art_reconstruct(op, sino, iterations=8, relax=0.9)
+        a = reconstruct(op, sino, solver="art", iterations=8, relax=0.9).image
         wd = ResidualWatchdog(solver="art")
-        b = art_reconstruct(op, sino, iterations=8, relax=0.9, watchdog=wd)
+        b = reconstruct(op, sino, solver="art", iterations=8, relax=0.9,
+                        watchdog=wd).image
         np.testing.assert_array_equal(a, b)
         assert wd.restarts == 0
 
     def test_sirt_watchdog_is_inert_on_convergent_run(self, problem):
         _, _, op, _, sino = problem
-        a = sirt_reconstruct(op, sino, iterations=8)
-        b = sirt_reconstruct(op, sino, iterations=8, watchdog=True)
+        a = reconstruct(op, sino, solver="sirt", iterations=8).image
+        b = reconstruct(op, sino, solver="sirt", iterations=8, watchdog=True).image
         np.testing.assert_array_equal(a, b)
 
     def test_cgls_restart_reinitialises_recurrence(self, problem):
@@ -644,7 +638,7 @@ class TestWatchdogInSolvers:
                 return out
 
         wd = ForceOneRestart(solver="cgls")
-        x = cgls_reconstruct(op, sino, iterations=25, watchdog=wd)
+        x = reconstruct(op, sino, solver="cgls", iterations=25, watchdog=wd).image
         assert wd.restarts == 1
         assert self._rnorm(op, sino, x) < 0.1 * float(np.linalg.norm(sino))
 
@@ -657,12 +651,12 @@ class TestWatchdogInSolvers:
         op = operator(geom, cache=False)
         sino = op.forward(shepp_logan(24).ravel().astype(op.dtype))
         solve = {
-            "sirt": lambda **kw: sirt_reconstruct(op, sino, **kw),
-            "art": lambda **kw: art_reconstruct(op, sino, **kw),
-            "os_sart": lambda **kw: os_sart_reconstruct(
-                op.to_csr(), geom, sino, num_subsets=4, **kw),
-            "cgls": lambda **kw: cgls_reconstruct(op, sino, **kw),
-            "icd": lambda **kw: icd_reconstruct(op, sino, **kw),
+            "sirt": lambda **kw: reconstruct(op, sino, solver="sirt", **kw).image,
+            "art": lambda **kw: reconstruct(op, sino, solver="art", **kw).image,
+            "os_sart": lambda **kw: reconstruct(
+                op, sino, solver="os-sart", geom=geom, num_subsets=4, **kw).image,
+            "cgls": lambda **kw: reconstruct(op, sino, solver="cgls", **kw).image,
+            "icd": lambda **kw: reconstruct(op, sino, solver="icd", **kw).image,
         }[solver]
 
         class RestartAt3(ResidualWatchdog):
@@ -685,16 +679,16 @@ class TestWatchdogInSolvers:
         _, _, op, _, sino = problem
         wd = ResidualWatchdog(solver="sirt", max_restarts=0)
         with pytest.raises(SolverError) as ei:
-            sirt_reconstruct(op, sino, iterations=60, relax=3.9,
-                             nonneg=False, watchdog=wd)
+            reconstruct(op, sino, solver="sirt", iterations=60, relax=3.9,
+                        nonneg=False, watchdog=wd)
         assert ei.value.history  # post-mortem data travels with the error
 
     def test_relax_validation_bounds(self, problem):
         _, _, op, _, sino = problem
         with pytest.raises(ValidationError):
-            sirt_reconstruct(op, sino, relax=4.5)
+            reconstruct(op, sino, solver="sirt", relax=4.5)
         with pytest.raises(ValidationError):
-            art_reconstruct(op, sino, relax=2.0)  # ART keeps (0, 2)
+            reconstruct(op, sino, solver="art", relax=2.0)  # ART keeps (0, 2)
 
 
 # ---------------------------------------------------------------------- #
@@ -710,7 +704,7 @@ class TestChaosEndToEnd:
         operator(geom, fmt="cscv-z", cache_obj=cache)
         op = operator(geom, fmt="cscv-z", cache_obj=cache)
         sino = op.forward(truth)
-        return sirt_reconstruct(op, sino, iterations=6)
+        return reconstruct(op, sino, solver="sirt", iterations=6).image
 
     def test_chaos_profile_is_bitwise_safe(self, tmp_path):
         with faults.disabled():

@@ -190,12 +190,12 @@ def test_shared_operator_builds_each_lazy_member_once(member, monkeypatch):
 
 
 def test_cscv_value_rows_are_built_once(monkeypatch):
-    from repro.core import format_z
+    from repro.core import spmv
 
     fmt = api.operator(SIZE, cache=False).fmt
     calls = Counter()
-    monkeypatch.setattr(format_z, "value_rows_z", slow_counted(
-        calls, format_z.value_rows_z, "value_rows_z"))
+    monkeypatch.setitem(spmv.VALUE_ROWS, "z", slow_counted(
+        calls, spmv.value_rows_z, "value_rows_z"))
     first, second = in_two_threads(fmt._rows)
     assert first is second and calls == {"value_rows_z": 1}
 

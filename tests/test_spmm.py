@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import config
-from repro.api import build_ct_matrix, build_format
+from repro.api import build_ct_matrix, build_format, reconstruct
 from repro.core.builder import build_cscv
 from repro.core.format_m import CSCVMMatrix
 from repro.core.format_z import CSCVZMatrix
@@ -77,9 +77,10 @@ class TestSpMMEquivalence:
         csr = build_format("csr", coo, geom=geom)
         x = rng.random(csr.shape[1])
         X = np.ascontiguousarray(rng.random((csr.shape[1], 2)))
-        assert csr.matvec(x).ndim == 1
-        assert csr.matvec(X).shape == (csr.shape[0], 2)
-        np.testing.assert_allclose(csr @ X, csr.spmm(X))
+        assert (csr @ x).ndim == 1
+        assert (csr @ X).shape == (csr.shape[0], 2)
+        assert np.array_equal(csr @ x, csr.spmv(x))
+        assert np.array_equal(csr @ X, csr.spmm(X))
 
     def test_empty_matrix(self, backend):
         geom = ParallelBeamGeometry.for_image(4)
@@ -191,46 +192,47 @@ class TestBatchedRecon:
         )
 
     def test_sirt_stack_matches_columns(self, problem, rng):
-        from repro.recon import ProjectionOperator, sirt_reconstruct
+        from repro.recon import ProjectionOperator
 
         coo, geom = problem
         op = ProjectionOperator(build_format("csr", coo, geom=geom))
         truth = rng.random((op.shape[1], 3)).astype(np.float32)
         sino = op.forward(truth)
-        stack = sirt_reconstruct(op, sino, iterations=5)
+        stack = reconstruct(op, sino, solver="sirt", iterations=5).image
         assert stack.shape == truth.shape
         for j in range(3):
-            single = sirt_reconstruct(
-                op, np.ascontiguousarray(sino[:, j]), iterations=5
-            )
+            single = reconstruct(
+                op, np.ascontiguousarray(sino[:, j]), solver="sirt", iterations=5
+            ).image
             np.testing.assert_allclose(stack[:, j], single, rtol=1e-4, atol=1e-5)
 
     def test_cgls_stack_matches_columns(self, problem, rng):
-        from repro.recon import ProjectionOperator, cgls_reconstruct
+        from repro.recon import ProjectionOperator
 
         coo, geom = problem
         op = ProjectionOperator(build_format("csr", coo, geom=geom))
         truth = rng.random((op.shape[1], 3)).astype(np.float32)
         sino = op.forward(truth)
-        stack = cgls_reconstruct(op, sino, iterations=6)
+        stack = reconstruct(op, sino, solver="cgls", iterations=6).image
         for j in range(3):
-            single = cgls_reconstruct(
-                op, np.ascontiguousarray(sino[:, j]), iterations=6
-            )
+            single = reconstruct(
+                op, np.ascontiguousarray(sino[:, j]), solver="cgls", iterations=6
+            ).image
             np.testing.assert_allclose(stack[:, j], single, rtol=1e-3, atol=1e-4)
 
     def test_os_sart_stack_matches_columns(self, problem, rng):
-        from repro.recon.os_sart import os_sart_reconstruct
+        from repro.recon import ProjectionOperator
 
         coo, geom = problem
-        csr = CSRMatrix.from_coo_matrix(coo.astype(np.float32))
-        sino = csr.spmm(rng.random((csr.shape[1], 2)).astype(np.float32))
-        stack = os_sart_reconstruct(csr, geom, sino, iterations=2, num_subsets=4)
+        op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo.astype(np.float32)))
+        sino = op.forward(rng.random((op.shape[1], 2)).astype(np.float32))
+        stack = reconstruct(op, sino, solver="os-sart", geom=geom, iterations=2,
+                            num_subsets=4).image
         for j in range(2):
-            single = os_sart_reconstruct(
-                csr, geom, np.ascontiguousarray(sino[:, j]),
-                iterations=2, num_subsets=4,
-            )
+            single = reconstruct(
+                op, np.ascontiguousarray(sino[:, j]), solver="os-sart",
+                geom=geom, iterations=2, num_subsets=4,
+            ).image
             np.testing.assert_allclose(stack[:, j], single, rtol=1e-4, atol=1e-5)
 
 

@@ -1,5 +1,8 @@
 """Final integration: the run-everything summary, CLI solver paths, docs."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -53,13 +56,30 @@ class TestDocumentation:
             assert token in text, token
 
     def test_walkthrough_code_blocks_reference_real_api(self):
-        text = (self.REPO / "docs" / "cscv-walkthrough.md").read_text()
-        # the names the doc tells users to import must exist
-        import repro
+        # every name a python block of the README or docs/ imports from
+        # repro must exist, as an attribute or a submodule (``fig3``)
+        import ast
+        import importlib
+        import re
 
-        for name in ("build_ct_matrix", "CSCVZMatrix", "CSCVMMatrix", "CSCVParams"):
-            assert name in text
-            assert hasattr(repro, name)
+        docs = [self.REPO / "README.md", *sorted((self.REPO / "docs").glob("*.md"))]
+        imported, missing = [], []
+        for path in docs:
+            for block in re.findall(r"```python\n(.*?)```", path.read_text(), re.S):
+                for node in ast.walk(ast.parse(block)):
+                    if (isinstance(node, ast.ImportFrom)
+                            and (node.module or "").split(".")[0] == "repro"):
+                        imported += [(path.name, node.module, a.name)
+                                     for a in node.names]
+        assert any(doc == "cscv-walkthrough.md" for doc, _, _ in imported)
+        for doc, module, name in imported:
+            if hasattr(importlib.import_module(module), name):
+                continue
+            try:
+                importlib.import_module(f"{module}.{name}")
+            except ImportError:
+                missing.append(f"{doc}: from {module} import {name}")
+        assert not missing, missing
 
     def test_every_bench_file_mentioned_in_design(self):
         design = (self.REPO / "DESIGN.md").read_text()
@@ -74,6 +94,20 @@ class TestDocumentation:
         for path in examples:
             tree = ast.parse(path.read_text())
             assert ast.get_docstring(tree), f"{path.name} missing docstring"
+
+    @pytest.mark.parametrize(
+        "script", sorted((REPO / "examples").glob("*.py")), ids=lambda p: p.name
+    )
+    def test_example_runs_at_size_16(self, script, tmp_path):
+        env = dict(os.environ, REPRO_CACHE="0")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(self.REPO / "src"), env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script), "16"], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
 
     def test_public_modules_have_docstrings(self):
         import importlib
