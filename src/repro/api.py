@@ -401,9 +401,9 @@ def reconstruct(
     ----------
     op : ProjectionOperator
         Forward/adjoint pair from :func:`operator`, or
-        ``ProjectionOperator(fmt)`` over any format instance (OS-SART
-        slices the rows of ``op.to_csr()``; ICD reads columns from
-        ``op.to_csc()``).
+        ``ProjectionOperator(fmt)`` over any format instance (SIRT, ART
+        and OS-SART run on its forward and adjoint products; ICD reads
+        columns from ``op.to_csc()``).
     sinogram : array
         Measured data: (m,) for one slice, (m, k) for a stack (the
         column-separable solvers run the whole stack in one batched

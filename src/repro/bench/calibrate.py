@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 
-from repro.bench.harness import measure_stream_bandwidth
+from repro.obs.perf import measure_stream_bandwidth
 from repro.perfmodel.platform import HOST, Machine
 from repro.utils.timing import min_time
 

@@ -6,17 +6,13 @@ property that CSCV exploits — fine angular steps, detector covering the
 image diagonal, the same nnz density per (pixel, view), and the
 limited-angle setup of the largest case — at sizes that build in seconds.
 Benches print the paper's original rows next to ours so the
-correspondence is explicit.
-
-Matrices are cached on disk (``~/.cache/repro-datasets``) after first
-build; delete the directory to force regeneration.
+correspondence is explicit.  Each load traces the matrix afresh, which
+is faster than reading it back from disk.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,9 +51,9 @@ class Dataset:
         )
 
     def load(self, dtype=np.float32) -> tuple[COOMatrix, ParallelBeamGeometry]:
-        """Build (or load from disk cache) the system matrix."""
+        """Build the system matrix."""
         geom = self.geometry()
-        rows, cols, vals = _cached_triplets(self.name, geom)
+        rows, cols, vals = strip_area_matrix(geom, dtype=np.float64)
         coo = COOMatrix(
             geom.shape,
             rows.astype(np.int64),
@@ -71,29 +67,6 @@ class Dataset:
         d = geom.describe()
         d["name"] = self.name
         return d
-
-
-def _cache_dir() -> Path:
-    default = Path.home() / ".cache" / "repro-datasets"
-    return Path(os.environ.get("REPRO_DATASET_CACHE", default))
-
-
-def _cached_triplets(name: str, geom: ParallelBeamGeometry):
-    cache = _cache_dir()
-    key = (
-        f"{name}-{geom.image_size}-{geom.num_bins}-{geom.num_views}-"
-        f"{geom.delta_angle_deg:.6f}.npz"
-    )
-    path = cache / key
-    if path.exists():
-        with np.load(path) as z:
-            return z["rows"], z["cols"], z["vals"]
-    rows, cols, vals = strip_area_matrix(geom, dtype=np.float64)
-    cache.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(tmp, rows=rows.astype(np.int64), cols=cols.astype(np.int64), vals=vals)
-    os.replace(tmp, path)
-    return rows, cols, vals
 
 
 #: The four datasets, in the paper's Table II order.  The largest mirrors

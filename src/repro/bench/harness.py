@@ -121,9 +121,3 @@ def run_suite(
             measure_format(fmt, iterations=iterations, max_seconds=max_seconds)
         )
     return records
-
-
-# The measurement itself now lives in repro.obs.perf (next to the
-# per-host cache that dispatch accounting reads); re-exported here so
-# existing harness callers keep working.
-from repro.obs.perf import measure_stream_bandwidth  # noqa: E402,F401

@@ -8,7 +8,8 @@ run at high frequency with a fixed matrix.  This package provides:
   :class:`~repro.sparse.SpMVFormat` as forward/adjoint operator;
 * ART/Kaczmarz (:mod:`repro.recon.art`), SIRT (:mod:`repro.recon.sirt`),
   CGLS (:mod:`repro.recon.cgls`), OS-SART (:mod:`repro.recon.os_sart`) —
-  row-action and gradient solvers that consume CSR-style access — and
+  simultaneous and gradient solvers that run on the operator's forward
+  and adjoint products (Kaczmarz's row sweep kept as a reference) — and
   ICD, Iterative Coordinate Descent (:mod:`repro.recon.icd`), the
   column-action solver whose access pattern is *why* CSC-style formats
   (and hence CSCV) matter (Section III); all five run on one iteration

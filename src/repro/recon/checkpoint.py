@@ -34,7 +34,7 @@ their internal 2-D batch forms; ``k_cols`` is the batch width):
 =========  =============================================================
 solver     arrays
 =========  =============================================================
-sirt       ``x`` (n, k_cols) in the operator dtype
+sirt, art  ``x`` (n, k_cols) in the operator dtype
 cgls       ``x, r, s, p`` (2-D float64), ``gamma, gamma0`` (k_cols,)
            float64, ``active`` (k_cols,) bool — the full CG recurrence,
            from which the resumed run re-derives every later step

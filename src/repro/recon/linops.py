@@ -10,10 +10,14 @@ anything else falls back to an internally-built transposed CSR, assembled
 directly from the format's COO triplets — O(nnz) extra memory, never a
 dense copy — so every format can drive every solver.
 
+Every SART-family solver (SIRT, ART, OS-SART) runs on these two
+products alone; only ICD's column access needs a second copy of the
+matrix (:meth:`ProjectionOperator.to_csc`).
+
 One operator may serve several threads at once (the service shares one
-per operator key across its workers): its memoised members — the CSR
-and CSC copies, the fallback adjoint and the SART weights — are each
-built once, under a per-operator lock.
+per operator key across its workers): its memoised members — the CSC
+copy, the fallback adjoint and the SART weights — are each built once,
+under a per-operator lock.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ class ProjectionOperator:
     def __init__(self, fmt: SpMVFormat):
         self.fmt = fmt
         self._adj_fallback: SpMVFormat | None = None
-        self._csr = None
         self._csc = None
         self._sart = None
         #: reentrant: building the SART weights runs the adjoint, which
@@ -119,21 +122,6 @@ class ProjectionOperator:
         m, n = self.shape
         return CSRMatrix.from_coo((n, m), cols, rows, vals, dtype=self.dtype)
 
-    def to_csr(self):
-        """The operator's matrix as a :class:`CSRMatrix` (memoised).
-
-        Row-sliced solvers (OS-SART) need CSR access regardless of the
-        format the operator was built with; the conversion runs once per
-        operator via the O(nnz) COO-triplet hook.
-        """
-        from repro.sparse.csr import CSRMatrix
-
-        if isinstance(self.fmt, CSRMatrix):
-            return self.fmt
-        return self._memo("_csr", lambda: CSRMatrix.from_coo(
-            self.shape, *self.fmt.to_coo_triplets(), dtype=self.dtype
-        ))
-
     def to_csc(self):
         """The operator's matrix as a :class:`CSCMatrix` (memoised).
 
@@ -163,18 +151,8 @@ class ProjectionOperator:
     # ------------------------------------------------------------------ #
     # derived quantities the solvers need
 
-    def row_norms_sq(self) -> np.ndarray:
-        """``||a_i||^2`` per row — ART step sizes."""
-        vals, rows = self._values_and_rows()
-        return np.bincount(rows, weights=vals.astype(np.float64) ** 2, minlength=self.shape[0])
-
-    def col_norms_sq(self) -> np.ndarray:
-        """``||a_j||^2`` per column — ICD/SIRT normalisation."""
-        vals, _, cols = self._values_rows_cols()
-        return np.bincount(cols, weights=vals.astype(np.float64) ** 2, minlength=self.shape[1])
-
     def sart_weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(1 / row sums, 1 / column sums)`` — SIRT/ART weights (memoised).
+        """``(1 / row sums, 1 / column sums)`` — SART weights (memoised).
 
         Exactly :func:`repro.recon.sirt.sart_weights` over this
         operator's forward and adjoint, computed on the first call (one
@@ -190,12 +168,3 @@ class ProjectionOperator:
             return weights
 
         return self._memo("_sart", build)
-
-    def _values_and_rows(self):
-        vals, rows, _ = self._values_rows_cols()
-        return vals, rows
-
-    def _values_rows_cols(self):
-        """(vals, rows, cols) triplets of the underlying matrix."""
-        rows, cols, vals = self.fmt.to_coo_triplets()
-        return vals, rows, cols

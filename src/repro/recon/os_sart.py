@@ -3,12 +3,13 @@
 The acceleration used by clinical iterative reconstructors: partition the
 views into ``num_subsets`` interleaved subsets and apply a SART update
 per subset instead of per full sweep, multiplying the effective iteration
-count.  Each subset update is SpMV over a row slice of the matrix — the
-workload distribution the paper's row-partitioned threading mirrors.
+count.  Each subset update runs on the operator's own forward and adjoint
+products: the residual is weighted by the subset's rows only (zero
+elsewhere), so the back-projection sums the subset alone.
 
 The sinogram may be a single vector (m,) or a stack (m, k); a stack runs
-every subset update as a batched SpMM over the row slice and returns an
-(n, k) image stack with each slice equal to its single-sinogram run.
+every subset update as a batched SpMM and returns an (n, k) image stack
+with each slice equal to its single-sinogram run.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.recon.driver import Iteration
-from repro.recon.sirt import sart_weights
-from repro.sparse.csr import CSRMatrix
 
 
 def view_subsets(geom: ParallelBeamGeometry, num_subsets: int) -> list[np.ndarray]:
@@ -31,22 +30,10 @@ def view_subsets(geom: ParallelBeamGeometry, num_subsets: int) -> list[np.ndarra
     return [np.arange(s, geom.num_views, num_subsets) for s in range(num_subsets)]
 
 
-def _row_slice(csr: CSRMatrix, rows: np.ndarray) -> CSRMatrix:
-    """CSR sub-matrix containing only *rows* (same column space)."""
-    ptr = csr.row_ptr
-    counts = np.diff(ptr)[rows]
-    new_ptr = np.zeros(rows.size + 1, dtype=ptr.dtype)
-    np.cumsum(counts, out=new_ptr[1:])
-    take = np.concatenate(
-        [np.arange(ptr[r], ptr[r + 1]) for r in rows]
-    ) if rows.size else np.zeros(0, dtype=np.int64)
-    return CSRMatrix(
-        (rows.size, csr.shape[1]), new_ptr, csr.col_idx[take], csr.vals[take]
-    )
-
-
 class OsSart(Iteration):
-    """OS-SART state: one CSR row slice and its SART weights per subset.
+    """OS-SART state: per subset, its rows, its row weights (the SART row
+    weights on those rows, zero elsewhere) and its column weights
+    ``1 / (A^T 1_S)``.
 
     One iteration is a full pass over all subsets.  A resumed run
     restores the float64 iterate and recomputes the subset weights
@@ -61,36 +48,39 @@ class OsSart(Iteration):
 
     def __init__(self, op, y, x, params, geom, resumed):
         super().__init__(op, y, x, params)
-        self.csr = csr = op.to_csr()
+        inv_r = op.sart_weights()[0]
         self.pieces = []
         for views in view_subsets(geom, params["num_subsets"]):
             rows = (views[:, None] * geom.num_bins
                     + np.arange(geom.num_bins)[None, :]).ravel()
-            sub = _row_slice(csr, rows)
-            inv_r, inv_c = sart_weights(
-                sub.spmv, sub.transpose_spmv, sub.shape, csr.dtype
-            )
-            self.pieces.append((sub, rows, inv_r, inv_c))
+            row_w = np.zeros_like(inv_r)
+            row_w[rows] = inv_r[rows]
+            indicator = np.zeros(op.shape[0], dtype=op.dtype)
+            indicator[rows] = 1
+            col_sums = op.adjoint(indicator).astype(np.float64)
+            inv_c = np.divide(1.0, col_sums, out=np.zeros_like(col_sums),
+                              where=col_sums > 1e-12)
+            self.pieces.append((rows, row_w, inv_c))
         self.span_attrs = {"subsets": len(self.pieces), **self.span_attrs}
 
     def step(self):
         # the driving norm is a per-pass proxy: the root of the summed
         # squared per-subset residual norms, costing no extra SpMM
-        x, dtype = self.x, self.csr.dtype
+        x, op = self.x, self.op
         x_pass = x.copy() if self.watched else None
+        y = self.y.astype(np.float64)
         resid_sq = 0.0
-        for sub, rows, inv_r, inv_c in self.pieces:
-            ax = sub.spmm(x.astype(dtype)).astype(np.float64)
-            resid = self.y[rows].astype(np.float64) - ax
-            resid_sq += float(np.linalg.norm(resid)) ** 2
-            scaled = np.ascontiguousarray((resid * inv_r[:, None]).astype(dtype))
-            back = sub.transpose_spmm(scaled).astype(np.float64)
+        for rows, row_w, inv_c in self.pieces:
+            resid = y - op.forward(x.astype(op.dtype)).astype(np.float64)
+            resid_sq += float(np.linalg.norm(resid[rows])) ** 2
+            scaled = (resid * row_w[:, None]).astype(op.dtype)
+            back = op.adjoint(scaled).astype(np.float64)
             x += self.relax * inv_c[:, None] * back
             if self.nonneg:
                 np.maximum(x, 0, out=x)
         return x_pass, float(np.sqrt(resid_sq)), None
 
     def report(self, event):
-        full_resid = self.y.astype(np.float64) - self.csr.spmm(
-            self.x.astype(self.csr.dtype)).astype(np.float64)
+        full_resid = self.y.astype(np.float64) - self.op.forward(
+            self.x.astype(self.op.dtype)).astype(np.float64)
         return replace(event, residual_norm=float(np.linalg.norm(full_resid)))

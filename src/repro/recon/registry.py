@@ -240,8 +240,8 @@ SOLVERS: dict[str, SolverSpec] = {
         ),
         SolverSpec(
             name="art",
-            doc="ART with the SART weighting: one simultaneous update "
-                "of all rows per iteration",
+            doc="ART with the SART weighting: SIRT's simultaneous "
+                "update of all rows under ART's defaults",
             solver=Art,
             params=(
                 Param("iterations", int, 10, low=1, doc="full sweeps"),
@@ -250,11 +250,12 @@ SOLVERS: dict[str, SolverSpec] = {
                       doc="relaxation factor in (0, 2)"),
                 _NONNEG,
             ),
-            capabilities=frozenset({"iterative", "relax"}),
+            capabilities=frozenset({"iterative", "batch", "relax", "resume"}),
         ),
         SolverSpec(
             name="os-sart",
-            doc="Ordered-subsets SART",
+            doc="Ordered-subsets SART: one SART update per interleaved "
+                "view subset, on the operator's own products",
             solver=OsSart,
             params=(
                 Param("iterations", int, 5, low=1,

@@ -65,10 +65,12 @@ BATCH_CASES = [
     ("cgls", {"iterations": 12, "damping": 1e-3}),
     ("os-sart", {"iterations": 10, "num_subsets": 4}),
 ]
-# ICD has no batch capability: single-sinogram state only
+# ICD has no batch capability: single-sinogram state only; ART is
+# SIRT's iteration under ART's schema, its batch path covered by SIRT's
 SOLVER_CASES = BATCH_CASES + [
     ("icd", {"iterations": 9}),
     ("icd", {"iterations": 9, "order": "random", "seed": 3}),
+    ("art", {"iterations": 10, "relax": 0.7}),
 ]
 
 
@@ -230,8 +232,7 @@ class TestResumeValidation:
         api.reconstruct(op, sino, solver="sirt", callback=cb, iterations=3)
         with pytest.raises(ValidationError, match="resume"):
             api.reconstruct(
-                op, sino, solver="art", resume_from=box["state"],
-                iterations=3,
+                op, sino, solver="fbp", geom=geom, resume_from=box["state"],
             )
 
     @pytest.mark.parametrize("solver,params", SOLVER_CASES)

@@ -241,6 +241,29 @@ class TestOSSART:
         err_plain = np.linalg.norm(x_plain - truth)
         assert err_os < err_plain  # ordered subsets accelerate
 
+    def test_runs_on_cscv_products_without_a_csr_copy(self, monkeypatch):
+        import repro
+        from repro.recon import ProjectionOperator
+
+        geom = ParallelBeamGeometry.for_image(16, num_views=24)
+        op = repro.operator(geom, fmt="cscv-z", cache=False)
+        rows, cols, vals = op.fmt.to_coo_triplets()
+        op_csr = ProjectionOperator(
+            CSRMatrix.from_coo(op.shape, rows, cols, vals, dtype=op.dtype))
+        sino = op.forward(np.ones(op.shape[1], dtype=op.dtype))
+
+        def no_csr(*args, **kwargs):
+            raise AssertionError("OS-SART built a CSR copy")
+
+        monkeypatch.setattr(CSRMatrix, "from_coo", no_csr)
+        monkeypatch.setattr(CSRMatrix, "from_coo_matrix", no_csr)
+        image = repro.reconstruct(op, sino, solver="os-sart", geom=geom,
+                                  iterations=2, num_subsets=4).image
+        monkeypatch.undo()
+        want = repro.reconstruct(op_csr, sino, solver="os-sart", geom=geom,
+                                 iterations=2, num_subsets=4).image
+        np.testing.assert_allclose(image, want, rtol=1e-5, atol=1e-6)
+
     def test_subsets_partition_views(self):
         from repro.recon.os_sart import view_subsets
 

@@ -23,6 +23,8 @@ kernel thread count:
 transposed-CSR fallback alike — on the degenerate geometries, and (b)
 for the C kernels of the non-CSCV formats (``csr_spmv``, ``csr_spmm``,
 ``csc_spmv``, ``ell_spmv``, ``spc5_spmv``) on the same geometries.
+End to end, the SART-family solvers (SIRT, ART, OS-SART) on CSCV-Z keep
+(c) — each column of a stack solve equals its solo solve — and (e).
 """
 
 from __future__ import annotations
@@ -254,28 +256,62 @@ def test_e_thread_count_bit_equal(data, monkeypatch, row, k, threads):
     np.testing.assert_array_equal(_bits(got), _bits(serial))
 
 
-def _check_sirt_stack_column_equals_solo(dtype):
+#: The SART-family solvers and their non-default parameters: all three
+#: run on the operator's forward and adjoint products alone.
+SART_FAMILY = {"sirt": {}, "art": {}, "os-sart": {"num_subsets": 4}}
+
+
+def _sart_problem(dtype, k: int):
     from repro.recon import ProjectionOperator
 
     coo, geom = build_ct_matrix(48, dtype=dtype)
     op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom))
     rng = np.random.default_rng(6)
-    sino = op.forward(rng.random((op.shape[1], 4)).astype(dtype))
-    stack = reconstruct(op, sino, solver="sirt", iterations=5).image
+    return op, geom, op.forward(rng.random((op.shape[1], k)).astype(dtype))
+
+
+def _check_stack_column_equals_solo(dtype, solver: str = "sirt"):
+    op, geom, sino = _sart_problem(dtype, 4)
+    params = dict(SART_FAMILY[solver], solver=solver, geom=geom, iterations=5)
+    stack = reconstruct(op, sino, **params).image
     for j in range(4):
         solo = reconstruct(op, np.ascontiguousarray(sino[:, j:j + 1]),
-                           solver="sirt", iterations=5).image
+                           **params).image
         np.testing.assert_array_equal(_bits(stack[:, j]), _bits(solo[:, 0]))
 
 
 def test_sirt_stack_column_equals_solo_float64(kernels):
     """End to end: a float64 CSCV-Z SIRT stack reproduces its solo runs."""
-    _check_sirt_stack_column_equals_solo(np.float64)
+    _check_stack_column_equals_solo(np.float64)
 
 
 def test_sirt_stack_column_equals_solo_float32(kernels):
     """The same at float32, where the C kernels accumulate in float32."""
-    _check_sirt_stack_column_equals_solo(np.float32)
+    _check_stack_column_equals_solo(np.float32)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("solver", ["art", "os-sart"])
+def test_sart_stack_column_equals_solo(kernels, solver, dtype):
+    """ART and OS-SART on a CSCV-Z stack reproduce their solo runs."""
+    _check_stack_column_equals_solo(dtype, solver)
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("solver", sorted(SART_FAMILY))
+def test_sart_thread_count_bit_equal(monkeypatch, solver, dtype):
+    """A SART-family solve on CSCV-Z is bit-equal at 1 and 2 kernel
+    threads (the ``REPRO_THREADS`` default)."""
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() != "c":
+        pytest.skip("compiled kernels unavailable")
+    op, geom, sino = _sart_problem(dtype, 3)
+    images = []
+    for threads in (1, 2):
+        monkeypatch.setattr(config.runtime, "threads", threads)
+        images.append(reconstruct(op, sino, solver=solver, geom=geom,
+                                  iterations=4, **SART_FAMILY[solver]).image)
+    np.testing.assert_array_equal(_bits(images[1]), _bits(images[0]))
 
 
 def test_c_backed_sirt_runs_no_numpy_product(monkeypatch):

@@ -107,8 +107,8 @@ class TestParseJob:
         assert parse_job(payload(sinos[0])).coalescible
         rtol = parse_job(payload(sinos[0], params={"rtol": 1e-6}))
         assert not rtol.coalescible and "rtol" in rtol.no_batch_reason
-        art = parse_job(payload(sinos[0], solver="art", params={}))
-        assert not art.coalescible
+        icd = parse_job(payload(sinos[0], solver="icd", params={}))
+        assert not icd.coalescible
 
     def test_unknown_solver_param_names_solver(self, sinos):
         with pytest.raises(ValidationError, match="solver 'sirt'.*bogus"):
@@ -480,14 +480,12 @@ class TestFacadeEquivalence:
         assert np.array_equal(res.image, direct.image)
 
     def test_os_sart_matches_direct_call(self, op, geom, sinos):
-        from repro.recon import ProjectionOperator
         from repro.recon.driver import run
         from repro.recon.os_sart import OsSart
 
-        # the facade on the CSCV operator equals the driver on a CSR one
         res = repro.reconstruct(op, sinos[0], solver="os-sart", geom=geom,
                                 iterations=2, num_subsets=4)
-        direct = run(OsSart, ProjectionOperator(op.to_csr()), sinos[0],
+        direct = run(OsSart, op, sinos[0],
                      geom=geom, iterations=2, num_subsets=4)
         assert np.array_equal(res.image, direct.image)
 

@@ -171,7 +171,7 @@ def in_two_threads(fn):
     return results
 
 
-@pytest.mark.parametrize("member", ["to_csc", "to_csr", "sart_weights"])
+@pytest.mark.parametrize("member", ["to_csc", "sart_weights"])
 def test_shared_operator_builds_each_lazy_member_once(member, monkeypatch):
     """A served operator is shared by the worker threads: two threads
     asking for one lazy member at once get the same object, built once."""

@@ -263,21 +263,6 @@ class TestAdjointFallback:
             op.adjoint(Y), dense_t @ Y, **_tol(np.float32)
         )
 
-    def test_norm_helpers_use_triplets(self, small_ct, rng):
-        from repro.recon.linops import ProjectionOperator
-
-        coo, geom = small_ct
-        fmt = build_format("csr", coo, geom=geom)
-        dense = fmt.to_dense()
-        fmt.to_dense = lambda: (_ for _ in ()).throw(AssertionError("densified"))
-        op = ProjectionOperator(fmt)
-        np.testing.assert_allclose(
-            op.row_norms_sq(), (dense.astype(np.float64) ** 2).sum(axis=1)
-        )
-        np.testing.assert_allclose(
-            op.col_norms_sq(), (dense.astype(np.float64) ** 2).sum(axis=0)
-        )
-
     def test_all_shipped_formats_override_triplets(self, small_ct):
         """The base-class to_dense-backed default must stay unused in-tree."""
         from repro.sparse.matrix_base import SpMVFormat, _REGISTRY
