@@ -7,7 +7,9 @@ wraps the result in a :class:`~repro.recon.linops.ProjectionOperator`,
 consulting the persistent operator cache (:mod:`repro.core.cache`) so
 repeat constructions are near-instant memory-mapped loads.  CSCV formats
 are traced and packed one view group at a time and never hold the global
-COO; the other formats convert from a cached COO sweep.
+COO; every other format traces the whole geometry and converts the
+triplets with its own ``from_coo``.  Either way a cold build writes one
+cache entry, under the format's own key.
 :func:`reconstruct` is the matching solver front door and the only way
 to run a solver: any registered solver
 (:data:`repro.recon.registry.SOLVERS`) by name, parameters validated
@@ -71,42 +73,6 @@ def _resolve_format_class(name: str):
         return get_format(name)
     except FormatError as exc:  # registry lookup failure = bad user argument
         raise ValidationError(str(exc)) from None
-
-
-def _project_coo(
-    geom: ParallelBeamGeometry, projector: str, dtype, workers: int | None = None
-) -> COOMatrix:
-    """Run the projector sweep: geometry -> canonical COO matrix."""
-    rows, cols, vals = _resolve_projector(projector)(
-        geom, dtype=dtype, workers=workers
-    )
-    return COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=dtype)
-
-
-def _cached_coo(
-    geom: ParallelBeamGeometry, projector: str, dtype, cache,
-    workers: int | None = None,
-) -> COOMatrix:
-    """COO matrix for (geom, projector, dtype), through the cache.
-
-    The projector sweep itself is expensive enough to persist: every
-    non-CSCV format built for the same geometry shares one cached sweep
-    (the CSCV formats trace per view group and never read it).  The
-    sweep emits identical triplets for any ``workers`` (see
-    :mod:`repro.geometry.sweep`), so the key never includes it.
-    """
-    from repro.core.cache import operator_key
-
-    if cache is None:
-        return _project_coo(geom, projector, dtype, workers)
-    _resolve_projector(projector)  # validate before hashing
-    key = operator_key(
-        geom=geom, fmt="coo", projector=projector, dtype=dtype, kind="coo"
-    )
-    coo, _ = cache.get_or_build(
-        key, COOMatrix, lambda: _project_coo(geom, projector, dtype, workers)
-    )
-    return coo
 
 
 def _construct_format(
@@ -253,8 +219,12 @@ def operator(
                 reference_mode=reference_mode, build_workers=build_workers,
                 projector=projector,
             )
-        coo = _cached_coo(geom, projector, dtype, store, build_workers)
-        return _construct_format(fmt, coo, dtype=dtype)
+        # one trace, one coalesce, one entry under this format's own key
+        return cls.from_coo(
+            geom.shape,
+            *PROJECTORS[projector](geom, dtype=dtype, workers=build_workers),
+            dtype=dtype,
+        )
 
     if store is None:
         return ProjectionOperator(build())
@@ -303,7 +273,9 @@ def build_ct_matrix(
     The sweep is never cached; :func:`operator` caches whole operators.
     """
     geom = geom if geom is not None else _resolve_geom(image_size, num_views)
-    return _project_coo(geom, projector, np.dtype(dtype)), geom
+    dtype = np.dtype(dtype)
+    rows, cols, vals = _resolve_projector(projector)(geom, dtype=dtype)
+    return COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=dtype), geom
 
 
 def build_format(
@@ -427,8 +399,8 @@ def reconstruct(
         bound, are accepted so that a guarded run can recover from them.
     resume_from : CheckpointState, optional
         Continue an interrupted run from a
-        :class:`~repro.recon.checkpoint.CheckpointState` (solvers with
-        the ``resume`` capability).  The checkpoint must come from the
+        :class:`~repro.recon.checkpoint.CheckpointState` (any iterative
+        solver).  The checkpoint must come from the
         same solver under the same validated parameterisation — the
         stored ``params_hash`` is checked and a mismatch raises
         :class:`~repro.errors.ValidationError` rather than resuming a

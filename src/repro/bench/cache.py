@@ -65,7 +65,8 @@ def run_cache_bench(
     """Measure cold build vs warm load per format on a ``size``^2 CT matrix.
 
     Uses a throwaway cache root (unless ``root`` is given) so "cold" is
-    genuinely cold; warm time is the best of ``warm_repeats`` reloads.
+    genuinely cold, and every format's cold time includes its own
+    projector trace; warm time is the best of ``warm_repeats`` reloads.
     """
     tmp = root or tempfile.mkdtemp(prefix="repro-cache-bench-")
     cache = OperatorCache(root=tmp, enabled=True)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.api import build_ct_matrix
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
-from repro.geometry.projector_strip import strip_area_matrix
 from repro.sparse.coo import COOMatrix
 
 
@@ -51,16 +51,9 @@ class Dataset:
         )
 
     def load(self, dtype=np.float32) -> tuple[COOMatrix, ParallelBeamGeometry]:
-        """Build the system matrix."""
+        """Build the canonical (row-major sorted, deduplicated) system matrix."""
         geom = self.geometry()
-        rows, cols, vals = strip_area_matrix(geom, dtype=np.float64)
-        coo = COOMatrix(
-            geom.shape,
-            rows.astype(np.int64),
-            cols.astype(np.int64),
-            vals.astype(dtype),
-        )
-        return coo, geom
+        return build_ct_matrix(geom.image_size, geom=geom, dtype=dtype)
 
     def describe(self) -> dict:
         geom = self.geometry()

@@ -147,11 +147,6 @@ def run(solver: type[Iteration], op, sinogram, *, geom=None, x0=None,
     dtype = solver.work_dtype or op.dtype
     start, resumed = 0, None
     if resume_from is not None:
-        if not spec.supports("resume"):
-            raise ValidationError(
-                f"solver {spec.name!r} does not support resume_from "
-                f"(capability: resume)"
-            )
         if x0 is not None:
             raise ValidationError(
                 "x0 cannot be combined with resume_from (the checkpoint "
@@ -195,7 +190,6 @@ def run(solver: type[Iteration], op, sinogram, *, geom=None, x0=None,
     it = solver(op, y, x, params, geom, resumed)
     it.watched, it.start = wd is not None, start
     x_init = x.copy() if wd is not None else None
-    provider = it.state if spec.supports("resume") else None
     name = solver.name
     iter_span = f"{name}.iter"
     residual_gauge = obs_metrics.gauge(
@@ -222,7 +216,7 @@ def run(solver: type[Iteration], op, sinogram, *, geom=None, x0=None,
             event = IterationEvent(
                 k=k, x=x_seen, residual_norm=rnorm,
                 normal_residual_norm=normal_rnorm, meaning=it.meaning,
-                solver=name, state_provider=provider,
+                solver=name, state_provider=it.state,
             )
             if wd is not None and wd.observe_event(event) == "restart":
                 # discard this step: continue from the best iterate with

@@ -9,9 +9,10 @@ carrying
   validate caller parameters *by name* (unknown or out-of-range
   parameters raise :class:`~repro.errors.ValidationError` messages that
   name the solver and its accepted parameters);
-* **capabilities** — ``iterative``, ``batch`` (accepts an (m, k)
-  sinogram stack), ``relax``, ``damping``, ``needs_geom``, ``resume``
-  (accepts ``resume_from=`` checkpoints) — so generic
+* **capabilities** — ``iterative`` (driven by
+  :func:`repro.recon.driver.run`, which checkpoints and resumes every
+  iterative solver), ``batch`` (accepts an (m, k) sinogram stack),
+  ``relax``, ``damping``, ``needs_geom`` — so generic
   callers (the :func:`repro.api.reconstruct` facade, the CLI, the
   serving layer) can branch on declared facts instead of solver names;
 * a **batch guard** — whether a *specific* parameterisation may be
@@ -215,7 +216,7 @@ SOLVERS: dict[str, SolverSpec] = {
                       doc="stop once ||resid||/||y|| falls below this "
                           "(0 disables); Frobenius norms for a stack"),
             ),
-            capabilities=frozenset({"iterative", "batch", "relax", "resume"}),
+            capabilities=frozenset({"iterative", "batch", "relax"}),
             batch_guard=_sirt_batch_guard,
         ),
         SolverSpec(
@@ -231,9 +232,7 @@ SOLVERS: dict[str, SolverSpec] = {
                       doc="Tikhonov parameter lambda >= 0: minimises "
                           "||A x - y||^2 + lambda ||x||^2"),
             ),
-            capabilities=frozenset(
-                {"iterative", "batch", "damping", "resume"}
-            ),
+            capabilities=frozenset({"iterative", "batch", "damping"}),
             # per-column gamma/alpha/beta and the active-column freeze
             # keep every column bitwise equal to its solo run, rtol
             # included — no guard needed
@@ -250,7 +249,7 @@ SOLVERS: dict[str, SolverSpec] = {
                       doc="relaxation factor in (0, 2)"),
                 _NONNEG,
             ),
-            capabilities=frozenset({"iterative", "batch", "relax", "resume"}),
+            capabilities=frozenset({"iterative", "batch", "relax"}),
         ),
         SolverSpec(
             name="os-sart",
@@ -268,7 +267,7 @@ SOLVERS: dict[str, SolverSpec] = {
                 _NONNEG,
             ),
             capabilities=frozenset(
-                {"iterative", "batch", "relax", "needs_geom", "resume"}
+                {"iterative", "batch", "relax", "needs_geom"}
             ),
         ),
         SolverSpec(
@@ -285,7 +284,7 @@ SOLVERS: dict[str, SolverSpec] = {
                       doc="random-order permutation seed"),
                 _NONNEG,
             ),
-            capabilities=frozenset({"iterative", "resume"}),
+            capabilities=frozenset({"iterative"}),
         ),
         SolverSpec(
             name="fbp",

@@ -971,13 +971,10 @@ class ServiceRunner:
             ))
 
         # checkpoint every N iterations when the journal is on and the
-        # solver can resume; a recovered job's prior iterations resumed
-        # from `resume_from` shift the cadence phase, which is harmless
-        ckpt_on = (
-            self.journal is not None
-            and spec_iterative
-            and spec.supports("resume")
-        )
+        # solver is iterative (every iterative solver resumes); a
+        # recovered job's prior iterations resumed from `resume_from`
+        # shift the cadence phase, which is harmless
+        ckpt_on = self.journal is not None and spec_iterative
         params_hash = ""
         ckpt_every = 1
         if ckpt_on:

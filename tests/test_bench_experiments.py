@@ -31,6 +31,19 @@ class TestDatasets:
         assert coo1.nnz == coo2.nnz
         assert geom1 == geom2
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_load_is_the_canonical_coo(self, dtype):
+        """A dataset loads the same row-major sorted, deduplicated COO as
+        build_ct_matrix, so from_coo_matrix/to_csr_arrays may trust it."""
+        from repro.api import build_ct_matrix
+
+        coo, geom = get_dataset("clinical-small").load(dtype=dtype)
+        ref, _ = build_ct_matrix(geom.image_size, geom=geom, dtype=dtype)
+        for name in ("rows", "cols", "vals"):
+            np.testing.assert_array_equal(getattr(coo, name),
+                                          getattr(ref, name))
+            assert getattr(coo, name).dtype == getattr(ref, name).dtype
+
     def test_density_matches_paper_within_band(self):
         from repro.bench.experiments.table2 import density_match
 

@@ -156,10 +156,12 @@ class TestBuildDeterminism:
             cache = OperatorCache(root=tmp_path / f"w{workers}", enabled=True)
             # a fault profile's failed file writes would leave no entry
             with faults.disabled():
-                operator(
-                    24, fmt="cscv-z", params=CSCVParams(8, 8, 2),
-                    dtype=np.float32, cache_obj=cache, build_workers=workers,
-                )
+                for fmt in ("cscv-z", "csr"):
+                    operator(
+                        24, fmt=fmt, params=CSCVParams(8, 8, 2),
+                        dtype=np.float32, cache_obj=cache,
+                        build_workers=workers,
+                    )
             entries = {}
             for entry_dir in sorted((cache.root / "entries").iterdir()):
                 meta = json.loads((entry_dir / "entry.json").read_text())
@@ -169,7 +171,7 @@ class TestBuildDeterminism:
                 }
             manifests[workers] = entries
         assert manifests[1] == manifests[2] == manifests[8]
-        assert len(manifests[1]) == 1  # the cscv-z entry, no coo sweep
+        assert len(manifests[1]) == 2  # cscv-z and csr, no coo sweep
 
 
 def _whole_matrix_pack(coo, geom, params, dtype, reference_mode) -> dict:

@@ -459,14 +459,15 @@ class TestOperatorFacade:
         np.testing.assert_array_equal(op.forward(x), op2.forward(x))
         assert cache.stats()["hits"] >= 1
 
-    def test_non_cscv_formats_share_one_coo_sweep(self, geom, cache):
+    def test_non_cscv_formats_store_one_entry_each(self, geom, cache):
         operator(geom, fmt="csr", cache_obj=cache)
-        before = cache.stats()["stores"]
+        assert cache.stats()["stores"] == 1  # the csr entry, no coo sweep
         operator(geom, fmt="ell", cache_obj=cache)
-        st = cache.stats()
-        assert st["stores"] == before + 1  # only the ell entry is new
-        kinds = sorted(e.format for e in cache.entries())
-        assert kinds == ["coo", "csr", "ell"]
+        assert cache.stats()["stores"] == 2  # ell traces for itself
+        assert sorted(e.format for e in cache.entries()) == ["csr", "ell"]
+        coo_key = operator_key(geom=geom, fmt="coo", projector="strip",
+                               dtype=np.float32, kind="coo")
+        assert not cache._entry_path(coo_key).exists()
 
     @pytest.mark.parametrize("fmt", ["cscv-z", "cscv-m"])
     def test_cold_cscv_operator_writes_one_entry_and_no_coo(self, geom, cache,
@@ -478,9 +479,9 @@ class TestOperatorFacade:
         coo_key = operator_key(geom=geom, fmt="coo", projector="strip",
                                dtype=np.float32, kind="coo")
         assert not cache._entry_path(coo_key).exists()
-        # a later CSR build of the same geometry sweeps once for itself
+        # a later CSR build of the same geometry stores only its own entry
         operator(geom, fmt="csr", cache_obj=cache)
-        assert {e.format for e in cache.entries()} == {"coo", "csr", fmt}
+        assert {e.format for e in cache.entries()} == {"csr", fmt}
 
     def test_build_ct_matrix_backward_compat(self, geom):
         coo, g = build_ct_matrix(SIZE, geom=geom)
