@@ -4,6 +4,11 @@
  * every kernel is plain scalar C — no intrinsics, no inline assembly —
  * written so the compiler's auto-vectoriser turns the fixed-length
  * contiguous inner loops into wide SIMD (AVX-512 on the build host).
+ * The one exception is AVX-512 behind HAVE_VEXPAND (see there), which
+ * the CSCV kernels use twice: CSCV-M's 1-wide forward expansion, and the
+ * 1-wide adjoints' per-VxG vector products with their transposed sums
+ * (the SPC5 baseline's expansion uses it too).  Each keeps a scalar body
+ * for every other build, bitwise equal to it.
  * The CSCV inner loops in particular are straight-line multiply-add
  * streams over contiguous memory, which is the entire point of the format.
  *
@@ -30,11 +35,16 @@
 #include <omp.h>
 #endif
 
-/* The single exception to the no-intrinsics rule, taken straight from the
- * paper (Section IV-E): "On Intel platforms, CSCV-M uses the hardware
- * vexpand instructions in AVX-512 for vector expansion; on other
- * platforms, vector expansion is implemented by software code denoted as
- * soft-vexpand".  We guard the hardware path behind __AVX512F__. */
+/* The exception to the no-intrinsics rule, taken straight from the paper
+ * (Section IV-E): "On Intel platforms, CSCV-M uses the hardware vexpand
+ * instructions in AVX-512 for vector expansion; on other platforms,
+ * vector expansion is implemented by software code denoted as
+ * soft-vexpand".  The CSCV kernels use it twice, both behind
+ * __AVX512F__: the 1-wide CSCV-M forward expands each CSCVE, and the
+ * 1-wide adjoints of both variants form each VxG's products as one vector
+ * (CSCV-M's by one expansion under the VxG's joined masks) and sum W VxGs
+ * at once through an in-register transpose.  Every other build runs the
+ * scalar bodies. */
 #if defined(__AVX512F__)
 #include <immintrin.h>
 #define HAVE_VEXPAND 1
@@ -347,9 +357,10 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
 /* the same for any thread count.  The output must hold zeros on entry. */
 /*                                                                      */
 /* k == 1 runs a 1-wide body (the block kernels above with vexpand for  */
-/* CSCV-M, a scalar dot per VxG in the adjoint); k > 1 runs the k-wide  */
-/* body.  Both sum every output entry over the same terms in the same   */
-/* order, so column j of a k-wide product is bitwise its solo run.      */
+/* CSCV-M; in the adjoint, a dot per VxG, W VxGs at a time on AVX-512); */
+/* k > 1 runs the k-wide body.  Both sum every output entry over the    */
+/* same terms in the same order, so column j of a k-wide product is     */
+/* bitwise its solo run.                                                */
 
 /* Forward body: per block, zero K ytilde lanes per slot, run the block */
 /* kernel call passed as the trailing arguments, then scatter-add the   */
@@ -382,11 +393,11 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
 
 /* Adjoint (CT back-projection) body, gather-only: per block, gather K  */
 /* lanes per ytilde slot through the map (the forward reorder run in    */
-/* reverse; 0 where the map holds -1), then run the per-VxG statement   */
-/* passed as the trailing arguments.  It sees the VxG's lanes `yt` and  */
-/* its output row `yr`.  The scratch starts zeroed and carries          */
-/* CSCV_LANES entries past its end, so a k-wide statement may read a    */
-/* full lane chunk past its last live lane.                             */
+/* reverse; 0 where the map holds -1), then run the block statement     */
+/* passed as the trailing arguments on the block's VxGs [g0, g1).  The  */
+/* scratch starts zeroed and carries CSCV_LANES entries past its end,   */
+/* so a k-wide statement may read a full lane chunk past its last live  */
+/* lane.                                                                */
 #define CSCV_LANES 8
 #define CSCV_ADJOINT(T, K, ...)                                             \
     _Pragma("omp parallel num_threads(nthreads)")                           \
@@ -409,15 +420,21 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
                         for (int64_t j = 0; j < (K); ++j) yt[j] = xr[j];    \
                     }                                                       \
                 }                                                           \
-                for (int64_t g = blk_vxg_ptr[b]; g < blk_vxg_ptr[b + 1];    \
-                     ++g) {                                                 \
-                    const T *yt = ytilde + (int64_t)vxg_start[g] * (K);     \
-                    T *yr = Y + (int64_t)vxg_col[g] * (K);                  \
-                    __VA_ARGS__;                                            \
-                }                                                           \
+                const int64_t g0 = blk_vxg_ptr[b], g1 = blk_vxg_ptr[b + 1]; \
+                __VA_ARGS__;                                                \
             }                                                               \
         }                                                                   \
         free(ytilde);                                                       \
+    }
+
+/* Runs the per-VxG statement passed as the trailing arguments on each  */
+/* VxG g of [g0, g1) in ascending order.  It sees the VxG's K-wide      */
+/* lanes `yt` and its output row `yr`.                                  */
+#define CSCV_EACH_VXG(T, K, ...)                                            \
+    for (int64_t g = g0; g < g1; ++g) {                                     \
+        const T *yt = ytilde + (int64_t)vxg_start[g] * (K);                 \
+        T *yr = Y + (int64_t)vxg_col[g] * (K);                              \
+        __VA_ARGS__;                                                        \
     }
 
 /* Per-VxG adjoint statements.  The 1-wide ones keep a scalar           */
@@ -483,6 +500,154 @@ DEFINE_CSCV_M_SPMM_BLOCK(f64, double)
         const int32_t *map, const T *X, T *Y, int64_t max_ysize,            \
         int nthreads
 
+/* 1-wide adjoint block bodies: the VxGs [g0, g1) of one block, their   */
+/* sums added into Y in ascending g.                                    */
+#define CSCV_TBLOCK_ARGS(T)                                                 \
+        int64_t g0, int64_t g1, const int32_t *vxg_col,                     \
+        const int32_t *vxg_start, const T *ytilde, T *Y
+#define CSCV_Z_TBLOCK(SUF, T)                                               \
+static void cscv_z_tblock_##SUF(CSCV_TBLOCK_ARGS(T), CSCV_Z_VALUES(T))
+#define CSCV_M_TBLOCK(SUF, T)                                               \
+static void cscv_m_tblock_##SUF(CSCV_TBLOCK_ARGS(T), CSCV_M_VALUES(T))
+
+#ifdef HAVE_VEXPAND
+/* AVX-512 bodies, the second use of the vexpand exception: a VxG's     */
+/* products form one vector per W lanes (W = 16 floats or 8 doubles),   */
+/* CSCV-M's expanded from the packed stream under the VxG's joined      */
+/* CSCVE masks with unset lanes exactly +0.  W VxGs are taken at once,  */
+/* their product vectors transposed in registers, and lanes l = 0, 1,   */
+/* ... added in ascending order into one accumulator that holds a VxG   */
+/* per vector lane.  So each VxG's sum is the scalar dot's, term by     */
+/* term: padding lanes and CSCV-M's unset lanes add +0 to a running sum */
+/* that starts at +0 and so is never -0, which leaves it unchanged.     */
+/* A block's last W VxGs may be fewer than W; the missing rows are zero */
+/* and their sums are never written.                                    */
+
+/* In-place transposes of a W x W tile: r[i][l] -> r[l][i]. */
+static inline void transpose_f32(__m512 r[16]) {
+    __m512 t[16];
+    for (int i = 0; i < 16; i += 2) {
+        t[i] = _mm512_unpacklo_ps(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_ps(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 16; i += 4) {
+        for (int j = 0; j < 2; ++j) {
+            r[i + 2 * j] = _mm512_castpd_ps(_mm512_unpacklo_pd(
+                _mm512_castps_pd(t[i + j]), _mm512_castps_pd(t[i + j + 2])));
+            r[i + 2 * j + 1] = _mm512_castpd_ps(_mm512_unpackhi_pd(
+                _mm512_castps_pd(t[i + j]), _mm512_castps_pd(t[i + j + 2])));
+        }
+    }
+    /* r[4q + c] holds column c + 4 * lane128 of rows 4q .. 4q + 3 */
+    for (int q = 0; q < 2; ++q) {
+        for (int c = 0; c < 4; ++c) {
+            t[8 * q + c] = _mm512_shuffle_f32x4(r[8 * q + c], r[8 * q + c + 4],
+                                                0x88);
+            t[8 * q + c + 4] = _mm512_shuffle_f32x4(r[8 * q + c],
+                                                    r[8 * q + c + 4], 0xDD);
+        }
+    }
+    for (int c = 0; c < 8; ++c) {
+        r[c] = _mm512_shuffle_f32x4(t[c], t[c + 8], 0x88);
+        r[c + 8] = _mm512_shuffle_f32x4(t[c], t[c + 8], 0xDD);
+    }
+}
+
+static inline void transpose_f64(__m512d r[8]) {
+    __m512d t[8];
+    for (int i = 0; i < 8; i += 2) {
+        t[i] = _mm512_unpacklo_pd(r[i], r[i + 1]);
+        t[i + 1] = _mm512_unpackhi_pd(r[i], r[i + 1]);
+    }
+    for (int i = 0; i < 8; i += 4) {
+        for (int j = 0; j < 2; ++j) {
+            r[i + j] = _mm512_shuffle_f64x2(t[i + j], t[i + j + 2], 0x88);
+            r[i + j + 2] = _mm512_shuffle_f64x2(t[i + j], t[i + j + 2], 0xDD);
+        }
+    }
+    /* r[4h + c] holds columns c and c + 4 of rows 4h .. 4h + 3 */
+    for (int c = 0; c < 4; ++c) {
+        t[c] = _mm512_shuffle_f64x2(r[c], r[c + 4], 0x88);
+        t[c + 4] = _mm512_shuffle_f64x2(r[c], r[c + 4], 0xDD);
+    }
+    for (int c = 0; c < 8; ++c) r[c] = t[c];
+}
+
+/* Bits [c, c + w) of a VxG's joined CSCVE masks, in which bit          */
+/* e * s_vvec + b is bit b of CSCVE e's mask.                           */
+static inline uint32_t vxg_chunk_mask(const uint32_t *gm, int64_t s_vxg,
+                                      int64_t s_vvec, int64_t c, int w) {
+    uint64_t m = 0;
+    for (int64_t e = c / s_vvec; e < s_vxg && e * s_vvec < c + w; ++e) {
+        const int64_t off = e * s_vvec - c;
+        m |= off >= 0 ? (uint64_t)gm[e] << off : (uint64_t)gm[e] >> -off;
+    }
+    return (uint32_t)m & ((1u << w) - 1u);
+}
+
+/* The shared body: W lanes of vector type V under mask type MASK,      */
+/* intrinsics suffix PS.  SETUP(T, W) runs once per W VxGs; ROW(PS,     */
+/* MASK) sets r[i] to VxG gi's products of lanes [c, c + W), masked by  */
+/* `live` (no lane for a missing row).                                  */
+#define CSCV_TSUM(T, V, W, MASK, PS, SUF, LEN, SETUP, ROW)                  \
+    for (int64_t g = g0; g < g1; g += W) {                                  \
+        const int n = g1 - g < W ? (int)(g1 - g) : W;                       \
+        SETUP(T, W)                                                         \
+        V acc = _mm512_setzero_##PS();                                      \
+        for (int64_t c = 0; c < (LEN); c += W) {                            \
+            const int w = (LEN) - c < W ? (int)((LEN) - c) : W;             \
+            const MASK lanes = (MASK)((1u << w) - 1u);                      \
+            V r[W];                                                         \
+            for (int i = 0; i < W; ++i) {                                   \
+                const int64_t gi = g + (i < n ? i : 0);                     \
+                const MASK live = i < n ? lanes : (MASK)0;                  \
+                ROW(PS, MASK)                                               \
+            }                                                               \
+            transpose_##SUF(r);                                             \
+            for (int l = 0; l < W; ++l) acc = _mm512_add_##PS(acc, r[l]);   \
+        }                                                                   \
+        T sum[W];                                                           \
+        _mm512_storeu_##PS(sum, acc);                                       \
+        for (int i = 0; i < n; ++i) Y[vxg_col[g + i]] += sum[i];            \
+    }
+
+#define CSCV_Z_SETUP(T, W)
+#define CSCV_Z_ROW(PS, MASK)                                                \
+    r[i] = _mm512_mul_##PS(                                                 \
+        _mm512_maskz_loadu_##PS(live, values + gi * vxg_len + c),           \
+        _mm512_maskz_loadu_##PS(live, ytilde + vxg_start[gi] + c));
+#define CSCV_M_SETUP(T, W)                                                  \
+    const T *pv[W];                                                         \
+    for (int i = 0; i < W; ++i) pv[i] = packed + vxg_voff[g + (i < n ? i : 0)];
+#define CSCV_M_ROW(PS, MASK)                                                \
+    const MASK em = live & (MASK)vxg_chunk_mask(vxg_masks + gi * s_vxg,     \
+                                                s_vxg, s_vvec, c, w);       \
+    r[i] = _mm512_maskz_mul_##PS(em,                                        \
+        _mm512_maskz_expandloadu_##PS(em, pv[i]),                           \
+        _mm512_maskz_loadu_##PS(em, ytilde + vxg_start[gi] + c));          \
+    pv[i] += _mm_popcnt_u32((unsigned)em);
+
+#define DEFINE_CSCV_TBLOCKS(SUF, T, V, W, MASK, PS)                         \
+CSCV_Z_TBLOCK(SUF, T) {                                                     \
+    CSCV_TSUM(T, V, W, MASK, PS, SUF, vxg_len, CSCV_Z_SETUP, CSCV_Z_ROW)    \
+}                                                                           \
+CSCV_M_TBLOCK(SUF, T) {                                                     \
+    CSCV_TSUM(T, V, W, MASK, PS, SUF, s_vxg * s_vvec, CSCV_M_SETUP,         \
+              CSCV_M_ROW)                                                   \
+}
+
+DEFINE_CSCV_TBLOCKS(f32, float, __m512, 16, __mmask16, ps)
+DEFINE_CSCV_TBLOCKS(f64, double, __m512d, 8, __mmask8, pd)
+#else
+/* Portable bodies: the scalar dot of each VxG in turn. */
+#define DEFINE_CSCV_TBLOCKS(SUF, T)                                         \
+CSCV_Z_TBLOCK(SUF, T) { CSCV_EACH_VXG(T, 1, CSCV_Z_DOT1(T)); }              \
+CSCV_M_TBLOCK(SUF, T) { CSCV_EACH_VXG(T, 1, CSCV_M_DOT1(T)); }
+
+DEFINE_CSCV_TBLOCKS(f32, float)
+DEFINE_CSCV_TBLOCKS(f64, double)
+#endif
+
 #define DEFINE_CSCV_DRIVERS(SUF, T)                                         \
 EXPORT void cscv_z_spmm_##SUF(CSCV_PARTS, CSCV_Z_VALUES(T),                 \
                               CSCV_MAPS(T)) {                               \
@@ -510,17 +675,20 @@ EXPORT void cscv_m_spmm_##SUF(CSCV_PARTS, CSCV_M_VALUES(T),                 \
 EXPORT void cscv_z_tspmm_##SUF(CSCV_PARTS, CSCV_Z_VALUES(T),                \
                                CSCV_MAPS(T)) {                              \
     if (k == 1) {                                                           \
-        CSCV_ADJOINT(T, 1, CSCV_Z_DOT1(T))                                  \
+        CSCV_ADJOINT(T, 1, cscv_z_tblock_##SUF(g0, g1, vxg_col, vxg_start,  \
+                     ytilde, Y, values, vxg_len))                           \
     } else {                                                                \
-        CSCV_ADJOINT(T, k, CSCV_Z_DOTK(T))                                  \
+        CSCV_ADJOINT(T, k, CSCV_EACH_VXG(T, k, CSCV_Z_DOTK(T)))             \
     }                                                                       \
 }                                                                           \
 EXPORT void cscv_m_tspmm_##SUF(CSCV_PARTS, CSCV_M_VALUES(T),                \
                                CSCV_MAPS(T)) {                              \
     if (k == 1) {                                                           \
-        CSCV_ADJOINT(T, 1, CSCV_M_DOT1(T))                                  \
+        CSCV_ADJOINT(T, 1, cscv_m_tblock_##SUF(g0, g1, vxg_col, vxg_start,  \
+                     ytilde, Y, vxg_voff, vxg_masks, packed, s_vxg,         \
+                     s_vvec))                                               \
     } else {                                                                \
-        CSCV_ADJOINT(T, k, CSCV_M_DOTK(T))                                  \
+        CSCV_ADJOINT(T, k, CSCV_EACH_VXG(T, k, CSCV_M_DOTK(T)))             \
     }                                                                       \
 }
 

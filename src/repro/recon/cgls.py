@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.recon.driver import Iteration
 from repro.recon.events import NORMAL_RESIDUAL
+from repro.utils.arrays import norm2
 
 
 class Cgls(Iteration):
@@ -83,7 +84,7 @@ class Cgls(Iteration):
         self.s = back - self.damping * self.x
         self.gamma_new = np.einsum("ij,ij->j", self.s, self.s)
         rnorm = float(np.sqrt(self.gamma_new[active].sum()))
-        return self.x, float(np.linalg.norm(self.r)), rnorm
+        return self.x, norm2(self.r), rnorm
 
     def commit(self):
         # advancing here, before the callback, means a checkpoint taken

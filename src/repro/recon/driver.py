@@ -50,7 +50,7 @@ from repro.obs.trace import span
 from repro.recon.events import RESIDUAL, IterationEvent
 from repro.resilience.guards import check as guard_check
 from repro.resilience.watchdog import resolve_watchdog
-from repro.utils.arrays import as_column_batch, check_1d, ensure_dtype
+from repro.utils.arrays import as_column_batch, check_1d, ensure_dtype, norm2
 
 
 class Run(NamedTuple):
@@ -83,7 +83,7 @@ class Iteration:
         self.op, self.y, self.x = op, y, x
         self.relax, self.nonneg = params.get("relax"), params.get("nonneg")
         self.rtol = params.get("rtol", 0.0)
-        self.y_norm = float(np.linalg.norm(y)) or 1.0
+        self.y_norm = norm2(y) or 1.0
         self.span_attrs = {"batch": y.shape[1]} if y.ndim == 2 else {}
 
     def converged(self, last: float | None) -> bool:

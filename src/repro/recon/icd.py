@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.recon.driver import Iteration
 from repro.sparse.csc import CSCMatrix
+from repro.utils.arrays import norm2
 
 
 class Icd(Iteration):
@@ -65,7 +66,7 @@ class Icd(Iteration):
         for j in cols:
             icd_single_update(self.csc, self.x, self.r, j, self.norms,
                               nonneg=self.nonneg)
-        return self.x, float(np.linalg.norm(self.r)), None
+        return self.x, norm2(self.r), None
 
     def restart(self, x, relax):
         self.x = x

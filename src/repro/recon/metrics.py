@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ValidationError
+from repro.utils.arrays import norm2
 
 
 def _pair(a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -24,8 +25,8 @@ def rmse(image, reference) -> float:
 def relative_error(image, reference) -> float:
     """``||image - reference|| / ||reference||`` (2-norm)."""
     a, b = _pair(image, reference)
-    denom = float(np.linalg.norm(b)) or 1.0
-    return float(np.linalg.norm(a - b)) / denom
+    denom = norm2(b) or 1.0
+    return norm2(a - b) / denom
 
 
 def psnr(image, reference, data_range: float | None = None) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 from repro.errors import ValidationError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
 from repro.recon.driver import Iteration
+from repro.utils.arrays import norm2, sum_squares
 
 
 def view_subsets(geom: ParallelBeamGeometry, num_subsets: int) -> list[np.ndarray]:
@@ -72,7 +73,7 @@ class OsSart(Iteration):
         resid_sq = 0.0
         for rows, row_w, inv_c in self.pieces:
             resid = y - op.forward(x.astype(op.dtype)).astype(np.float64)
-            resid_sq += float(np.linalg.norm(resid[rows])) ** 2
+            resid_sq += sum_squares(resid[rows])
             scaled = (resid * row_w[:, None]).astype(op.dtype)
             back = op.adjoint(scaled).astype(np.float64)
             x += self.relax * inv_c[:, None] * back
@@ -83,4 +84,4 @@ class OsSart(Iteration):
     def report(self, event):
         full_resid = self.y.astype(np.float64) - self.op.forward(
             self.x.astype(self.op.dtype)).astype(np.float64)
-        return replace(event, residual_norm=float(np.linalg.norm(full_resid)))
+        return replace(event, residual_norm=norm2(full_resid))

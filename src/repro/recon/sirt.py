@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.recon.driver import Iteration
+from repro.utils.arrays import norm2
 
 
 def sart_weights(forward, adjoint, shape, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +49,7 @@ class Sirt(Iteration):
 
     def step(self):
         self.resid = (self.y - self.op.forward(self.x)).astype(np.float64)
-        return self.x, float(np.linalg.norm(self.resid)), None
+        return self.x, norm2(self.resid), None
 
     def commit(self):
         op = self.op

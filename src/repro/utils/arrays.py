@@ -129,3 +129,21 @@ def bincount_lengths(indices: np.ndarray, n: int) -> np.ndarray:
             f"indices out of range [0, {n}): min={idx.min()}, max={idx.max()}"
         )
     return np.bincount(idx, minlength=n).astype(np.int64)
+
+
+def sum_squares(a) -> float:
+    """``sum(a ** 2)`` over every entry of *a*, accumulated in float64.
+
+    A NumPy ``einsum`` loop, not a BLAS dot: its summation order depends
+    on the array alone, never on how many threads the BLAS library that
+    NumPy links runs, and it starts no BLAS threads that would compete
+    with the C kernels' OpenMP threads.
+    """
+    a = np.ravel(a)
+    return float(np.einsum("i,i->", a, a, dtype=np.float64))
+
+
+def norm2(a) -> float:
+    """The 2-norm of *a* flattened (Frobenius for a 2-D array), computed
+    by :func:`sum_squares`; the solvers' residual norms use it."""
+    return float(np.sqrt(sum_squares(a)))

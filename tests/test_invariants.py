@@ -25,6 +25,13 @@ for the C kernels of the non-CSCV formats (``csr_spmv``, ``csr_spmm``,
 ``csc_spmv``, ``ell_spmv``, ``spc5_spmv``) on the same geometries.
 End to end, the SART-family solvers (SIRT, ART, OS-SART) on CSCV-Z keep
 (c) — each column of a stack solve equals its solo solve — and (e).
+
+The 1-wide adjoint, which sums 16 VxGs (8 in float64) at once on
+AVX-512, is checked on its edges: VxGs of 8 to 32 lanes, blocks whose
+VxG count leaves a partial group, and operands holding signed zeros,
+infinities and NaNs, for (b) and (c) at 1 and 2 threads.  (c) also
+holds for ``csr``'s one-pass ``spmm``.  Solver event norms are bitwise
+independent of the BLAS library's thread count.
 """
 
 from __future__ import annotations
@@ -337,3 +344,160 @@ def test_c_backed_sirt_runs_no_numpy_product(monkeypatch):
                        for n in names), names
             assert not [n for n in names
                         if n.startswith("spmv.calls.") and n.endswith(".flat")]
+
+
+#: One process's event norms: SIRT, CGLS and OS-SART on an (m, 8) stack
+#: (23,360 residual entries at 64², past the length from which OpenBLAS
+#: splits a dot over its threads), ICD on one column, and the final
+#: images' relative errors, all as exact hex.
+_NORMS_SCRIPT = """
+import json
+import numpy as np
+from repro.api import build_ct_matrix, reconstruct
+from repro.core.format_z import CSCVZMatrix
+from repro.recon import ProjectionOperator
+from repro.recon.metrics import relative_error
+
+coo, geom = build_ct_matrix(64, dtype=np.float64)
+op = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom))
+rng = np.random.default_rng(9)
+truth = rng.random((op.shape[1], 8))
+sino = op.forward(truth)
+out = {}
+for solver, y, extra in [("sirt", sino, {}), ("cgls", sino, {}),
+                         ("os-sart", sino, {"num_subsets": 4}),
+                         ("icd", np.ascontiguousarray(sino[:, 0]), {})]:
+    events = []
+    res = reconstruct(op, y, solver=solver, geom=geom, iterations=3,
+                      callback=events.append, **extra)
+    out[solver] = [[None if v is None else float(v).hex()
+                    for v in (e.residual_norm, e.normal_residual_norm)]
+                   for e in events]
+    ref = truth if res.image.ndim == 2 else truth[:, 0]
+    out[solver + "/error"] = relative_error(res.image, ref).hex()
+print(json.dumps(out))
+"""
+
+
+def test_event_norms_independent_of_blas_threads():
+    """Event norms and image errors are bitwise equal whether the BLAS
+    library NumPy links runs one thread or two: every solver-path
+    reduction is a fixed-order NumPy loop, not a threaded BLAS dot."""
+    import os
+    import subprocess
+    import sys
+
+    runs = []
+    for blas_threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+               "OPENBLAS_NUM_THREADS": blas_threads}
+        proc = subprocess.run([sys.executable, "-c", _NORMS_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------- #
+# Edge cases of the 1-wide adjoint, which sums W VxGs at once on AVX-512
+# (W = 16 floats, 8 doubles) and a VxG's lanes W at a time.
+
+#: (s_vvec, s_imgb, s_vxg): VxGs of 8, 16, 24 and 32 lanes; (12, 8, 2)
+#: puts a CSCVE across the 16-lane chunk boundary.
+EDGE_PARAMS = [(8, 8, 1), (8, 8, 2), (8, 8, 3), (12, 8, 2), (16, 8, 2)]
+#: Operand kinds: signed zeros; signed zeros and infinities; and NaNs too.
+EDGE_KINDS = ("zeros", "inf", "nan")
+
+
+@pytest.fixture(scope="module",
+                params=[(p, np.dtype(d)) for p in EDGE_PARAMS for d in DTYPES],
+                ids=lambda p: f"vxg{p[0][0] * p[0][2]}-{p[0][0]}x{p[0][2]}"
+                              f"-{p[1].name}")
+def edge_data(request):
+    params, dtype = request.param
+    coo, geom = build_ct_matrix(64, dtype=dtype)
+    data = CSCVZMatrix.from_ct(coo, geom, CSCVParams(*params)).data
+    counts = np.diff(data.blk_vxg_ptr)
+    # blocks whose VxG count leaves a partial group of W, for both W
+    assert np.any(counts % 16) and np.any(counts % 8)
+    return data
+
+
+def _edge_operand(fmt, k: int, kind: str) -> np.ndarray:
+    rng = np.random.default_rng(11)
+    v = _operand(fmt, True, k, 10)
+    flat = v.reshape(-1)
+    spots = rng.permutation(flat.size)[: 16 * k]  # few: most pixels stay finite
+    specials = {"zeros": [0.0, -0.0], "inf": [0.0, -0.0, np.inf, -np.inf],
+                "nan": [0.0, -0.0, np.inf, -np.inf, np.nan]}[kind]
+    flat[spots] = np.resize(np.array(specials, dtype=v.dtype), spots.size)
+    return v
+
+
+def _assert_same(got, want, kind: str, err_msg: str = ""):
+    """Bitwise equal; for NaN operands only the NaN positions, since a
+    sum of two NaNs keeps the payload of whichever operand comes first."""
+    if kind == "nan":
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want),
+                                      err_msg=err_msg)
+    else:
+        np.testing.assert_array_equal(_bits(got), _bits(want), err_msg=err_msg)
+
+
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variant", ["z", "m"])
+def test_c_adjoint_vector_equals_batch_column_edges(edge_data, monkeypatch,
+                                                    variant, threads, kind):
+    """(c) for the 1-wide adjoint on every VxG length, partial groups and
+    non-finite operands: each vector product is column j of the k-wide
+    one."""
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() != "c":
+        pytest.skip("compiled kernels unavailable")
+    fmt = _fmt(edge_data, variant, threads)
+    v = _edge_operand(fmt, 8, kind)
+    full = _apply(fmt, True, v)
+    for j in range(v.shape[1]):
+        solo = _apply(fmt, True, np.ascontiguousarray(v[:, j]))
+        _assert_same(solo, full[:, j], kind, err_msg=f"column {j}")
+
+
+@pytest.mark.parametrize("kind", EDGE_KINDS)
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variant", ["z", "m"])
+def test_b_adjoint_vector_matches_numpy_edges(edge_data, monkeypatch,
+                                              variant, threads, kind):
+    """(b) for the same cases: the C vector adjoint has NaNs and signed
+    infinities where NumPy has them, and its finite entries agree within
+    :data:`C_VS_NUMPY_TOL`."""
+    fmt = _fmt(edge_data, variant, threads)
+    v = _edge_operand(fmt, 1, kind)[:, 0]
+    monkeypatch.setattr(config.runtime, "backend", "numpy")
+    with np.errstate(invalid="ignore"):  # 0 * inf and inf - inf
+        ref = _apply(fmt, True, v)
+    monkeypatch.setattr(config.runtime, "backend", "auto")
+    if dispatch.backend_in_use() != "c":
+        pytest.skip("compiled kernels unavailable")
+    got = _apply(fmt, True, v).astype(np.float64)
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(ref))
+    np.testing.assert_array_equal(np.isinf(got) * np.sign(got),
+                                  np.isinf(ref) * np.sign(ref))
+    finite = np.isfinite(ref)
+    assert finite.any()
+    err = np.abs(got[finite] - ref[finite]).max()
+    assert err <= C_VS_NUMPY_TOL[fmt.dtype] * np.abs(ref[finite]).max()
+
+
+@pytest.mark.parametrize("dtype", DTYPES, ids=lambda d: np.dtype(d).name)
+def test_c_csr_batch_column_equals_solo(kernels, dtype):
+    """(c) for ``csr``'s one-pass ``spmm`` (C ``csr_spmm``, or one NumPy
+    ``reduceat`` over all columns): column j is its ``(·, 1)`` solo run."""
+    coo, _ = build_ct_matrix(33, dtype=dtype)
+    fmt = build_format("csr", coo)
+    v = _operand(fmt, False, 8, 12)
+    full = fmt.spmm(v)
+    for j in range(v.shape[1]):
+        solo = fmt.spmm(np.ascontiguousarray(v[:, j:j + 1]))
+        np.testing.assert_array_equal(_bits(full[:, j]), _bits(solo[:, 0]),
+                                      err_msg=f"column {j}")

@@ -1,9 +1,12 @@
 """Tests for the kernel build/dispatch layer."""
 
+import subprocess
+
 import numpy as np
 import pytest
 
 from repro import config
+from repro.api import build_ct_matrix
 from repro.kernels import dispatch
 from repro.kernels.cbindings import load_library
 from repro.kernels.cbuild import library_path
@@ -125,3 +128,58 @@ class TestBuildFallback:
         monkeypatch.setenv("REPRO_THREADS", "0")
         with pytest.raises(ValueError):
             config.env_threads()
+
+
+@pytest.fixture(scope="module")
+def portable_library(tmp_path_factory):
+    """The kernels built for the generic target of the compiler (no
+    ``-march=native``, so no AVX-512 and no ``HAVE_VEXPAND``): the
+    scalar CSCV bodies, soft-vexpand included."""
+    from repro.kernels import cbuild
+    from repro.kernels.cbindings import KernelLibrary
+
+    out = tmp_path_factory.mktemp("portable-kernels") / "libportable.so"
+    for cc in cbuild._compilers():
+        for flags in cbuild._FLAG_SETS:
+            flags = [f for f in flags if f != "-march=native"]
+            cmd = [cc, *flags, str(cbuild._SRC), "-lm", "-o", str(out)]
+            try:
+                proc = subprocess.run(cmd, capture_output=True, timeout=120)
+            except (OSError, subprocess.TimeoutExpired):
+                continue
+            if proc.returncode == 0:
+                return KernelLibrary(str(out))
+    pytest.skip("no C compiler builds the portable kernels")
+
+
+@pytest.mark.skipif(not c_available(), reason="no C compiler")
+@pytest.mark.parametrize("params", [(8, 16, 2), (12, 8, 2)],
+                         ids=lambda p: "x".join(map(str, p)))
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=lambda d: np.dtype(d).name)
+def test_portable_cscv_bodies_equal_native(portable_library, dtype, params):
+    """The four CSCV drivers of the portable build are bitwise the native
+    build's for k in {1, 3, 8}: on an AVX-512 host this pits the scalar
+    1-wide bodies (soft-vexpand, the per-VxG dot) against the vector
+    ones."""
+    from repro.core.format_z import CSCVZMatrix
+    from repro.core.params import CSCVParams
+    from repro.core.spmv import ROUTES, _c_args
+
+    coo, geom = build_ct_matrix(64, dtype=dtype)
+    data = CSCVZMatrix.from_ct(coo, geom, CSCVParams(*params)).data
+    native = load_library()
+    rng = np.random.default_rng(13)
+    for (adjoint, variant), kernel in sorted(ROUTES.items()):
+        m, n = data.shape
+        size_in, size_out = (m, n) if adjoint else (n, m)
+        for k in (1, 3, 8):
+            X = (rng.random((size_in, k)) - 0.5).astype(dtype)
+            X.reshape(-1)[rng.integers(0, X.size, X.size // 20)] = -0.0
+            outs = []
+            for lib in (native, portable_library):
+                Y = np.zeros((size_out, k), dtype)
+                lib.get(kernel, dtype)(*_c_args(variant, adjoint, data, X, Y, 2))
+                outs.append(Y.view(np.uint32 if Y.dtype == np.float32 else np.uint64))
+            np.testing.assert_array_equal(outs[1], outs[0],
+                                          err_msg=f"{kernel} k={k}")
