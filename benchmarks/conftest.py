@@ -2,8 +2,8 @@
 
 Each bench file regenerates one table or figure of the paper (printed to
 stdout; run with ``-s`` to see them) and times its representative kernel
-through pytest-benchmark.  Matrices are cached on disk after the first
-build, so the first invocation is slower than the rest.
+through pytest-benchmark.  The fixtures below build each matrix once per
+pytest run; nothing is cached on disk, so every run traces them afresh.
 """
 
 from __future__ import annotations

@@ -5,11 +5,12 @@ call from operator to a reconstructed image.
 runs the projector sweep, converts to the requested sparse format and
 wraps the result in a :class:`~repro.recon.linops.ProjectionOperator`,
 consulting the persistent operator cache (:mod:`repro.core.cache`) so
-repeat constructions are near-instant memory-mapped loads.  CSCV formats
-are traced and packed one view group at a time and never hold the global
-COO; every other format traces the whole geometry and converts the
-triplets with its own ``from_coo``.  Either way a cold build writes one
-cache entry, under the format's own key.
+repeat constructions are near-instant memory-mapped loads.  Every build
+traces and coalesces one view group at a time
+(:func:`repro.core.builder.trace_group`): CSCV formats pack each group
+at once and never hold the global COO; every other format concatenates
+the groups and converts them with its own ``from_coo``.  Either way a
+cold build writes one cache entry, under the format's own key.
 :func:`reconstruct` is the matching solver front door and the only way
 to run a solver: any registered solver
 (:data:`repro.recon.registry.SOLVERS`) by name, parameters validated
@@ -32,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.builder import trace_matrix
 from repro.core.format_z import CSCVMatrix
 from repro.core.params import CSCVParams
 from repro.errors import FormatError, ValidationError
@@ -73,29 +75,6 @@ def _resolve_format_class(name: str):
         return get_format(name)
     except FormatError as exc:  # registry lookup failure = bad user argument
         raise ValidationError(str(exc)) from None
-
-
-def _construct_format(
-    name: str,
-    coo: COOMatrix,
-    *,
-    geom: ParallelBeamGeometry | None = None,
-    params: CSCVParams | None = None,
-    dtype=None,
-    **format_kwargs,
-) -> SpMVFormat:
-    """Shared format construction used by the facade and build_format."""
-    cls = _resolve_format_class(name)
-    if issubclass(cls, CSCVMatrix):
-        if geom is None:
-            raise ValidationError(f"format {name!r} requires geom=")
-        return cls.from_ct(coo, geom, params, dtype=dtype, **format_kwargs)
-    kwargs = dict(format_kwargs)
-    kwargs.pop("reference_mode", None)   # CSCV-only knobs
-    kwargs.pop("build_workers", None)
-    if dtype is not None:
-        kwargs["dtype"] = dtype
-    return cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals, **kwargs)
 
 
 def operator_cache_key(
@@ -182,10 +161,10 @@ def operator(
     reference_mode : str
         CSCV reference-curve ablation (``"ioblr"`` / ``"btb"``).
     build_workers : int, optional
-        Worker threads for the cold build (projector sweep + CSCV
-        packing); defaults to ``REPRO_BUILD_WORKERS``.  The built
-        operator — and its cache entry — is bitwise-identical for any
-        value, so this is purely a wall-clock knob.
+        Worker threads for the cold build, one view group each; defaults
+        to ``REPRO_BUILD_WORKERS``.  The built operator — and its cache
+        entry — is bitwise-identical for any value, so this is purely a
+        wall-clock knob.
 
     Returns
     -------
@@ -219,10 +198,10 @@ def operator(
                 reference_mode=reference_mode, build_workers=build_workers,
                 projector=projector,
             )
-        # one trace, one coalesce, one entry under this format's own key
+        # the groups' traces in order, one entry under this format's own key
         return cls.from_coo(
             geom.shape,
-            *PROJECTORS[projector](geom, dtype=dtype, workers=build_workers),
+            *trace_matrix(geom, PROJECTORS[projector], dtype, build_workers),
             dtype=dtype,
         )
 
@@ -270,11 +249,12 @@ def build_ct_matrix(
     Returns the canonical :class:`COOMatrix` plus the geometry (needed by
     the CSCV formats).  ``projector`` is ``"strip"`` (default, the paper's
     nnz density), ``"pixel"`` (2 bins/view) or ``"siddon"`` (exact rays).
-    The sweep is never cached; :func:`operator` caches whole operators.
+    View groups are traced on ``REPRO_BUILD_WORKERS`` threads, with the
+    same result for any count.  :func:`operator` caches whole operators.
     """
     geom = geom if geom is not None else _resolve_geom(image_size, num_views)
     dtype = np.dtype(dtype)
-    rows, cols, vals = _resolve_projector(projector)(geom, dtype=dtype)
+    rows, cols, vals = trace_matrix(geom, _resolve_projector(projector), dtype)
     return COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=dtype), geom
 
 
@@ -287,14 +267,22 @@ def build_format(
     dtype=None,
     **format_kwargs,
 ) -> SpMVFormat:
-    """Instantiate any registered format from a COO matrix (thin wrapper).
+    """Instantiate any registered format from a COO matrix.
 
     CSCV formats additionally need ``geom`` (and optionally ``params``).
     For the cached end-to-end path use :func:`operator` instead.
     """
-    return _construct_format(
-        name, coo, geom=geom, params=params, dtype=dtype, **format_kwargs
-    )
+    cls = _resolve_format_class(name)
+    if issubclass(cls, CSCVMatrix):
+        if geom is None:
+            raise ValidationError(f"format {name!r} requires geom=")
+        return cls.from_ct(coo, geom, params, dtype=dtype, **format_kwargs)
+    kwargs = dict(format_kwargs)
+    kwargs.pop("reference_mode", None)   # CSCV-only knobs
+    kwargs.pop("build_workers", None)
+    if dtype is not None:
+        kwargs["dtype"] = dtype
+    return cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -507,7 +495,7 @@ def spmv_all_formats(
                 "integral-operator geometry); pass geom to include it"
             )
             continue
-        fmt = _construct_format(
+        fmt = build_format(
             name, coo, geom=geom if needs_geom else None, params=params
         )
         out[name] = fmt.spmv(np.asarray(x, dtype=fmt.dtype))

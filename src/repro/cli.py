@@ -52,7 +52,7 @@ def _cmd_info(args) -> int:
     print(f"backend in use : {dispatch.backend_in_use()}")
     print(f"omp max threads: {dispatch.omp_threads()}")
     print(f"build workers  : {config.runtime.build_workers} "
-          f"(REPRO_BUILD_WORKERS; parallel sweep + CSCV packing, "
+          f"(REPRO_BUILD_WORKERS; one view group each, "
           f"output identical for any value)")
     print(f"tracing        : {'on' if st['tracing'] else 'off'} "
           f"(REPRO_TRACE; exporter: jsonl -> {st['trace_path']})")

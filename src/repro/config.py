@@ -31,8 +31,8 @@ Environment variables
     count).  The CSCV kernels give bitwise-identical results for any
     value.  The NumPy fallback is single-threaded and ignores it.
 ``REPRO_BUILD_WORKERS``
-    Default worker count for the parallel cold build — the projector
-    sweep over view ranges and the block-partitioned CSCV packing
+    Default worker count for the parallel cold build, one view group
+    per worker: its trace, coalesce and, for CSCV, packing
     (default: CPU count).  Any value produces bitwise-identical
     operators; this knob trades cores for cold-build wall time only.
 ``REPRO_CKPT_EVERY``
@@ -279,7 +279,7 @@ class RuntimeConfig:
 
     backend: str = field(default_factory=env_backend)
     threads: int = field(default_factory=env_threads)
-    #: Workers for the parallel cold build (projector sweep + CSCV pack);
+    #: Workers for the parallel cold build (one view group each);
     #: results are bitwise-identical for any value (``REPRO_BUILD_WORKERS``).
     build_workers: int = field(default_factory=env_build_workers)
     #: When True, CSCV builders double-check permutations and paddings.

@@ -27,11 +27,11 @@ Every matrix block is one (view group, image tile) pair, and rows are
 ``view * num_bins + bin``, so view group ``g`` owns one contiguous row
 range and every block it touches.  The build therefore runs steps 1-5
 per view group: take the group's triplets (trace its views with
-:func:`build_cscv_from_geometry`, or slice a row-sorted COO in
-:func:`build_cscv`), pack its blocks, and merge the groups in ascending
-order by concatenation plus integer pointer rebasing.  Peak memory is
-the output plus one group's working set per worker; the global COO is
-never needed.
+:func:`trace_group` in :func:`build_cscv_from_geometry`, or slice a
+row-sorted COO in :func:`build_cscv`), pack its blocks, and merge the
+groups in ascending order by concatenation plus integer pointer
+rebasing.  Peak memory is the output plus one group's working set per
+worker; the global COO is never needed.
 
 The output is **bitwise** the same however the groups are scheduled.
 The pack's sort key ``(block, col, d, lane)`` is unique per nonzero, so
@@ -41,6 +41,11 @@ operation is group-local.  A group's coalesced trace equals the full
 coalesced sweep restricted to its rows, because duplicates share a row.
 With ``workers > 1`` whole groups run concurrently on the shared build
 pool.
+
+The other formats are built from the same group traces:
+:func:`trace_matrix` concatenates every group's :func:`trace_group` in
+order, which is bitwise the coalesced whole sweep for the same reason,
+and the format's ``from_coo`` takes it from there.
 """
 
 from __future__ import annotations
@@ -49,16 +54,16 @@ import ctypes
 import ctypes.util
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
+from repro import config
 from repro.config import INDEX_DTYPE, normalize_dtype
 from repro.core.blocks import BlockGrid
 from repro.core.params import CSCVParams
 from repro.errors import FormatError
 from repro.geometry.parallel_beam import ParallelBeamGeometry
-from repro.geometry.sweep import resolve_build_workers
 from repro.obs import metrics as obs_metrics
 from repro.obs import perf as obs_perf
 from repro.obs.profile import profiled
@@ -157,6 +162,48 @@ def _parts(owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(([0], starts, [order.size])).astype(np.int64), order
 
 
+def resolve_build_workers(workers: int | None, num_groups: int) -> int:
+    """Workers a build over *num_groups* view groups uses: *workers*, else
+    ``runtime.build_workers``, at least one and at most one per group."""
+    n = workers if workers is not None else config.runtime.build_workers
+    return max(1, min(int(n), num_groups))
+
+
+def _map_groups(fn, num_groups: int, used: int, label: str) -> list:
+    """``[fn(g) for g in range(num_groups)]``, on the build pool when
+    ``used > 1``; results come back in group order either way."""
+    if used <= 1:
+        return [fn(g) for g in range(num_groups)]
+    return run_resilient(build_pool, fn, range(num_groups), used,
+                         label=label)
+
+
+def trace_group(geom, projector, dtype, s_vvec: int, g: int):
+    """Trace view group *g* with ``projector(geom, dtype=, views=)``
+    (:data:`repro.geometry.PROJECTORS`) and coalesce it."""
+    views = (g * s_vvec, min((g + 1) * s_vvec, geom.num_views))
+    return coalesce(*projector(geom, dtype=dtype, views=views), geom.shape)
+
+
+def trace_matrix(geom, projector, dtype, workers: int | None = None):
+    """Coalesced COO triplets of the whole geometry, one view group at a time.
+
+    :func:`trace_group` of every ``CSCVParams().s_vvec`` views on the
+    build pool, concatenated in order: bitwise the coalesced whole sweep,
+    for any group size and worker count.
+    """
+    s_vvec = CSCVParams().s_vvec
+    num_groups = -(-geom.num_views // s_vvec)
+    used = resolve_build_workers(workers, num_groups)
+    with span("build.trace", workers=used, groups=num_groups):
+        parts = _map_groups(partial(trace_group, geom, projector, dtype, s_vvec),
+                            num_groups, used, "trace")
+        # drop each group's copy of a field as it is merged
+        parts = [list(p) for p in parts]
+        return tuple(np.concatenate([p.pop(0) for p in parts])
+                     for _ in range(3))
+
+
 def build_cscv(
     rows: np.ndarray,
     cols: np.ndarray,
@@ -226,22 +273,13 @@ def build_cscv_from_geometry(
 ) -> CSCVData:
     """Trace *geom* and pack it into CSCV arrays, one view group at a time.
 
-    ``projector(geom, dtype=, workers=, views=)`` returns the triplets of
-    a view range (:data:`repro.geometry.PROJECTORS`).  Each group traces
-    its ``s_vvec`` views, coalesces them and packs them, so the global
-    COO never exists; the arrays are bitwise those of :func:`build_cscv`
-    on the coalesced full sweep.  ``reference_mode`` and ``workers`` are
-    as in :func:`build_cscv`.
+    Each group's :func:`trace_group` (its ``s_vvec`` views, coalesced)
+    is packed at once, so the global COO never exists; the arrays are
+    bitwise those of :func:`build_cscv` on the coalesced full sweep.
+    ``reference_mode`` and ``workers`` are as in :func:`build_cscv`.
     """
     dtype = normalize_dtype(dtype)
-    s_vvec = params.s_vvec
-
-    def triplets(g: int):
-        # one worker: groups already run concurrently, pools never nest
-        views = (g * s_vvec, min((g + 1) * s_vvec, geom.num_views))
-        rows, cols, vals = projector(geom, dtype=dtype, workers=1, views=views)
-        return coalesce(rows, cols, vals, geom.shape)
-
+    triplets = partial(trace_group, geom, projector, dtype, params.s_vvec)
     return _build_groups(triplets, geom, params, dtype,
                          reference_mode, workers)
 
@@ -253,24 +291,19 @@ def _build_groups(triplets, geom, params, dtype, reference_mode,
         raise FormatError(f"unknown reference_mode {reference_mode!r}")
     shape = (geom.num_rays, geom.num_pixels)
     s_vvec, s_vxg = params.s_vvec, params.s_vxg
-    workers = resolve_build_workers(workers)
     t0 = obs_perf.clock() if obs_perf.active else 0.0
     with span("build.cscv", reference_mode=reference_mode, s_vvec=s_vvec,
               s_imgb=params.s_imgb, s_vxg=s_vxg) as build_span, \
             profiled("build.cscv"):
         shared = _shared_inputs(geom, params, dtype, reference_mode)
-        groups = range(shared["grid"].num_view_groups)
-        used = min(workers, len(groups))
+        num_groups = shared["grid"].num_view_groups
+        used = resolve_build_workers(workers, num_groups)
 
         def pack(g: int) -> dict | None:
             return _pack_group(g, *triplets(g), shared)
 
-        with span("build.pack", workers=used, groups=len(groups)):
-            if used <= 1:
-                parts = [pack(g) for g in groups]
-            else:
-                parts = run_resilient(build_pool, pack, groups, used,
-                                      label="pack")
+        with span("build.pack", workers=used, groups=num_groups):
+            parts = _map_groups(pack, num_groups, used, "pack")
             parts = [p for p in parts if p is not None]
             nnz = sum(p["packed"].size for p in parts)
             num_cscve = sum(p["num_e"] for p in parts)
@@ -614,7 +647,6 @@ def validate_cscv(data: CSCVData, source: str = "build_cscv") -> None:
     map-injectivity check runs only under
     ``config.runtime.paranoid_checks``.
     """
-    from repro import config
 
     def fail(msg: str):
         raise FormatError(f"{source}: corrupt CSCV arrays: {msg}")

@@ -29,8 +29,9 @@ from repro.geometry.trajectory import (
     trajectory_band,
 )
 
-#: Parallel-beam projectors by name: ``fn(geom, dtype=, workers=, views=)``
-#: returns the COO triplets of views ``[v0, v1)`` (default: all).
+#: Parallel-beam projectors by name: ``fn(geom, dtype=, views=)`` traces
+#: views ``[v0, v1)`` (default: all) serially and returns their COO
+#: triplets; builds run it once per view group (:mod:`repro.core.builder`).
 PROJECTORS = {
     "strip": strip_area_matrix,
     "pixel": pixel_driven_matrix,

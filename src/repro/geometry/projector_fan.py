@@ -60,14 +60,14 @@ def fan_strip_view(
 
 
 def fan_strip_matrix(
-    geom: FanBeamGeometry, dtype=np.float64, *, workers: int | None = None,
+    geom: FanBeamGeometry, dtype=np.float64, *,
     views: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full fan-beam system matrix as COO triplets.
 
-    Served by the compiled ``fan_strip_views`` kernel across ``workers``
-    threads when available (:mod:`repro.geometry.sweep`), else by the
-    per-view NumPy path.  ``views=(v0, v1)`` traces only those views.
+    Served by the compiled ``fan_strip_views`` kernel when available
+    (:mod:`repro.geometry.sweep`), else by the per-view NumPy path.
+    ``views=(v0, v1)`` traces only those views.
     """
     from repro.geometry.sweep import sweep_views
 
@@ -89,7 +89,6 @@ def fan_strip_matrix(
         capacity_per_view=geom.num_pixels * span_max,
         view_fn=lambda v: fan_strip_view(geom, v),
         dtype=dtype,
-        workers=workers,
         views=views,
         projector="fan",
     )

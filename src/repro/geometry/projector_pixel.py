@@ -56,16 +56,15 @@ def pixel_driven_view(
 
 
 def pixel_driven_matrix(
-    geom: ParallelBeamGeometry, dtype=np.float64, *, workers: int | None = None,
+    geom: ParallelBeamGeometry, dtype=np.float64, *,
     views: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full system matrix as COO triplets ``(rows, cols, vals)``.
 
     The sweep runs on the compiled ``pixel_footprint_views`` kernel
-    across ``workers`` threads when available (see
-    :mod:`repro.geometry.sweep`), falling back to the per-view NumPy
-    path; both emit the same matrix.  ``views=(v0, v1)`` traces only
-    those views.
+    when available (see :mod:`repro.geometry.sweep`), falling back to
+    the per-view NumPy path; both emit the same matrix.
+    ``views=(v0, v1)`` traces only those views.
 
     Returns
     -------
@@ -86,7 +85,6 @@ def pixel_driven_matrix(
         capacity_per_view=2 * geom.num_pixels,
         view_fn=lambda v: pixel_driven_view(geom, v),
         dtype=dtype,
-        workers=workers,
         views=views,
         projector="pixel",
     )

@@ -123,14 +123,14 @@ def siddon_view(
 
 
 def siddon_matrix(
-    geom: ParallelBeamGeometry, dtype=np.float64, *, workers: int | None = None,
+    geom: ParallelBeamGeometry, dtype=np.float64, *,
     views: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full Siddon system matrix as COO triplets ``(rows, cols, vals)``.
 
     Rays pass through bin centres.  With the compiled backend the sweep
-    runs on ``siddon_trace_views`` across ``workers`` threads at any
-    image size; the per-ray NumPy tracer serves smaller geometries only.
+    runs on ``siddon_trace_views`` at any image size; the per-ray NumPy
+    tracer serves smaller geometries only.
     ``views=(v0, v1)`` traces only those views.
     """
     if geom.num_pixels > _NUMPY_PIXEL_CAP:
@@ -157,7 +157,6 @@ def siddon_matrix(
         capacity_per_view=cap,
         view_fn=lambda v: siddon_view(geom, v),
         dtype=dtype,
-        workers=workers,
         views=views,
         projector="siddon",
     )

@@ -105,15 +105,14 @@ def strip_area_view(
 
 
 def strip_area_matrix(
-    geom: ParallelBeamGeometry, dtype=np.float64, *, workers: int | None = None,
+    geom: ParallelBeamGeometry, dtype=np.float64, *,
     views: tuple[int, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full strip-area system matrix as COO triplets ``(rows, cols, vals)``.
 
-    Served by the compiled ``strip_footprint_views`` kernel across
-    ``workers`` threads when available (:mod:`repro.geometry.sweep`),
-    else by the per-view NumPy path.  ``views=(v0, v1)`` traces only
-    those views.
+    Served by the compiled ``strip_footprint_views`` kernel when
+    available (:mod:`repro.geometry.sweep`), else by the per-view NumPy
+    path.  ``views=(v0, v1)`` traces only those views.
     """
     from repro.geometry.sweep import sweep_views
 
@@ -131,7 +130,6 @@ def strip_area_matrix(
         capacity_per_view=geom.num_pixels * span_max,
         view_fn=lambda v: strip_area_view(geom, v),
         dtype=dtype,
-        workers=workers,
         views=views,
         projector="strip",
     )

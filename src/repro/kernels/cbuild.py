@@ -1,10 +1,15 @@
 """Build machinery for the compiled kernel library.
 
 Compiles ``c_src/kernels.c`` into a shared object on first use, caching by
-a hash of (source, flags, compiler version) under
-``~/.cache/repro-kernels``.  Mirrors the paper's build: ``-O3`` plus the
-host-ISA flag (``-march=native``, their ``-xHost`` equivalent) so the
-compiler auto-vectorises the scalar loops.
+a hash of (source, flags, compiler, platform) under ``<cache_root>/kernels``
+(:func:`repro.config.cache_dir`; ``~/.cache/repro/kernels`` by default).
+Mirrors the paper's build: ``-O3`` plus the host-ISA flag
+(``-march=native``, their ``-xHost`` equivalent) so the compiler
+auto-vectorises the scalar loops.
+
+A library is named ``libreprokernels-<source tag>-<key>.so``; each
+compile writes a temporary file of its own and renames it into place,
+then removes the libraries of every other kernel source.
 
 Build failures are remembered twice over: in-process (reported once,
 callers fall back to the NumPy backend) and *persistently* via a failure
@@ -16,6 +21,7 @@ build``) always retries for real and clears the marker on success.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import subprocess
@@ -42,6 +48,10 @@ def _compilers() -> list[str]:
     if env:
         return [env]
     return ["cc", "gcc", "clang"]
+
+
+def _source_tag(source: bytes) -> str:
+    return hashlib.sha256(source).hexdigest()[:12]
 
 
 def _cache_key(cc: str, flags: list[str], source: bytes) -> str:
@@ -85,30 +95,24 @@ def build_library(verbose: bool = False) -> str:
     source = _SRC.read_bytes()
     cache = Path(config.cache_dir())
     cache.mkdir(parents=True, exist_ok=True)
+    tag = _source_tag(source)
 
     errors: list[str] = []
     for cc in _compilers():
         for flags in _FLAG_SETS:
             key = _cache_key(cc, flags, source)
-            out = cache / f"libreprokernels-{key}.so"
+            out = cache / f"libreprokernels-{tag}-{key}.so"
             if out.exists():
                 _clear_failure()
                 return str(out)
-            cmd = [cc, *flags, str(_SRC), "-lm", "-o", str(out) + ".tmp"]
-            try:
-                proc = subprocess.run(
-                    cmd, capture_output=True, text=True, timeout=120
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                errors.append(f"{cc} {' '.join(flags)}: {exc}")
-                continue
-            if proc.returncode == 0:
-                os.replace(out.with_name(out.name + ".tmp"), out)
+            error = _compile(cc, flags, out)
+            if error is None:
                 _clear_failure()
+                _prune_other_sources(cache, tag)
                 if verbose:  # pragma: no cover - diagnostics
                     print(f"[repro.kernels] built {out} with {cc} {' '.join(flags)}")
                 return str(out)
-            errors.append(f"{cc} {' '.join(flags)}: {proc.stderr.strip()[:500]}")
+            errors.append(f"{cc} {' '.join(flags)}: {error}")
     message = (
         "could not compile kernel library; attempts:\n" + "\n".join(errors)
     )
@@ -116,10 +120,35 @@ def build_library(verbose: bool = False) -> str:
     raise KernelError(message)
 
 
+def _compile(cc: str, flags: list[str], out: Path) -> str | None:
+    """Compile into *out* via a temporary file; None, else the error."""
+    fd, tmp = tempfile.mkstemp(dir=out.parent, prefix=out.name, suffix=".tmp")
+    os.close(fd)
+    try:
+        proc = subprocess.run([cc, *flags, str(_SRC), "-lm", "-o", tmp],
+                              capture_output=True, text=True, timeout=120)
+        if proc.returncode == 0:
+            os.replace(tmp, out)
+            return None
+        error = proc.stderr.strip()[:500]
+    except (OSError, subprocess.TimeoutExpired) as exc:
+        error = str(exc)
+    with contextlib.suppress(OSError):
+        os.unlink(tmp)
+    return error
+
+
+def _prune_other_sources(cache: Path, tag: str) -> None:
+    """Remove the libraries of every kernel source but *tag*'s (a process
+    that has one loaded keeps its mapping)."""
+    for lib in cache.glob("libreprokernels-*.so"):
+        if not lib.name.startswith(f"libreprokernels-{tag}-"):
+            with contextlib.suppress(OSError):
+                lib.unlink()
+
+
 def _record_failure(message: str) -> None:
     """Write the persistent marker so later imports skip the compile."""
-    import contextlib
-
     with contextlib.suppress(OSError):
         marker = failure_marker_path()
         marker.parent.mkdir(parents=True, exist_ok=True)
@@ -127,8 +156,6 @@ def _record_failure(message: str) -> None:
 
 
 def _clear_failure() -> None:
-    import contextlib
-
     with contextlib.suppress(OSError):
         failure_marker_path().unlink()
 

@@ -23,7 +23,7 @@ site                             actions understood by the call site
 ``kernel.load``                  ``missing`` (.so vanished), ``corrupt``
                                  (unloadable .so)
 ``pool.task.<subsystem>``        ``raise`` (worker crash); subsystems:
-                                 ``pack``, ``sweep``
+                                 ``pack``, ``trace``
 ``operator.input.<direction>``   ``nan`` / ``inf`` (poisoned operand);
                                  directions: ``forward``, ``adjoint``
 ``journal.append``               ``oserror`` / ``enospc`` (job-journal

@@ -2,7 +2,7 @@
 
 Stores sorted, deduplicated ``(row, col, value)`` triplets.  Every other
 format's ``from_coo`` consumes the arrays this class produces, and the CT
-projectors emit raw triplets that :meth:`COOMatrix.from_triplets`
+projectors emit raw triplets that :meth:`COOMatrix.from_coo`
 canonicalises.  Its SpMV is a reference scatter-add, useful for testing but
 never competitive — exactly its role in the paper's taxonomy.
 """
@@ -36,9 +36,6 @@ class COOMatrix(SpMVFormat):
         rows, cols, vals = coo_validate(shape, rows, cols, vals, dtype)
         rows, cols, vals = coalesce(rows, cols, vals, shape)
         return cls(shape, rows, cols, vals)
-
-    #: alias with a more natural name for projector output
-    from_triplets = from_coo
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, dtype=None) -> "COOMatrix":

@@ -1,8 +1,8 @@
 """Process-wide worker pool for the cold operator build.
 
-The cold-build sweep fans out once per view range and the packing stages
-once per view group; spawning a fresh ``ThreadPoolExecutor`` per
-fan-out costs more than the compute on small work items.
+The cold build fans out once per view group (trace, coalesce and, for
+CSCV, pack); spawning a fresh ``ThreadPoolExecutor`` per fan-out costs
+more than the compute on small work items.
 :class:`SharedPool` keeps one lazily-created executor and resizes it
 against a config-driven ceiling:
 
@@ -102,7 +102,7 @@ def run_resilient(shared: SharedPool, fn, items, workers: int, *, label: str) ->
     Item order (and therefore any downstream reduction order) is
     preserved, so results are bitwise-identical to the fault-free run
     whenever *fn* is idempotent per item — which every repro fan-out
-    (sweep chunks, view-group packs) guarantees.
+    (view-group traces and packs) guarantees.
     """
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import tracer
@@ -143,7 +143,7 @@ def run_resilient(shared: SharedPool, fn, items, workers: int, *, label: str) ->
     return out
 
 
-# The cold-build sweep/pack pool (ceiling = config.runtime.build_workers),
+# The cold-build view-group pool (ceiling = config.runtime.build_workers),
 # imported lazily at the call sites so `repro.config` stays import-light.
 
 

@@ -5,6 +5,8 @@ Covers the layers of the parallel build:
 * the view-range C projector kernels must emit the same matrix as the
   per-view NumPy projectors for every projector, parity of image size,
   and view count (including multi-chunk sweeps);
+* the view-group trace behind ``build_ct_matrix`` and every non-CSCV
+  operator must equal the coalesced whole sweep, bitwise;
 * the per-view-group build — from the geometry or from a COO — must
   produce the arrays of the whole-matrix pack, bitwise, for any worker
   count, and therefore identical cache entries, file by file;
@@ -73,14 +75,34 @@ class TestCKernelEquivalence:
         np.testing.assert_array_equal(c.cols, py.cols)
         np.testing.assert_allclose(c.vals, py.vals, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("workers", [1, 3, 8])
-    def test_sweep_worker_count_invariant(self, workers):
-        """The emitted COO stream never depends on the sweep chunking."""
-        geom = ParallelBeamGeometry.for_image(24, 31)
-        base = strip_area_matrix(geom, dtype=np.float64, workers=1)
-        got = strip_area_matrix(geom, dtype=np.float64, workers=workers)
-        for a, b in zip(base, got):
-            np.testing.assert_array_equal(a, b)
+
+#: One view, and 37 views: five groups of 8, the last one ragged.
+_TRACE_GEOMS = {"one-view": (17, 1), "ragged-37": (16, 37)}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64],
+                         ids=lambda d: np.dtype(d).name)
+@pytest.mark.parametrize("geom_name", sorted(_TRACE_GEOMS))
+@pytest.mark.parametrize("projector", ["strip", "pixel", "siddon"])
+def test_build_ct_matrix_equals_serial_sweep(projector, geom_name, dtype,
+                                             workers, monkeypatch):
+    """Concatenated per-group coalesces equal one coalesce of the whole
+    serial sweep, array for array, for any build worker count."""
+    from repro.api import build_ct_matrix
+    from repro.geometry import PROJECTORS
+
+    monkeypatch.setattr(config.runtime, "build_workers", workers)
+    geom = ParallelBeamGeometry.for_image(*_TRACE_GEOMS[geom_name])
+    got, _ = build_ct_matrix(geom.image_size, geom=geom, projector=projector,
+                             dtype=dtype)
+    ref = COOMatrix.from_coo(
+        geom.shape, *PROJECTORS[projector](geom, dtype=dtype), dtype=dtype
+    )
+    for name in ("rows", "cols", "vals"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 class TestSiddonScaleGate:
@@ -106,6 +128,10 @@ class TestSiddonScaleGate:
         geom = ParallelBeamGeometry.for_image(16, 4)
         rows, _, _ = siddon_matrix(geom)
         assert rows.size > 0
+
+
+#: CSCV and non-CSCV formats whose cold entries must not depend on workers.
+_ENTRY_FORMATS = ("cscv-z", "csr", "ell", "coo", "csc")
 
 
 class TestBuildDeterminism:
@@ -156,7 +182,7 @@ class TestBuildDeterminism:
             cache = OperatorCache(root=tmp_path / f"w{workers}", enabled=True)
             # a fault profile's failed file writes would leave no entry
             with faults.disabled():
-                for fmt in ("cscv-z", "csr"):
+                for fmt in _ENTRY_FORMATS:
                     operator(
                         24, fmt=fmt, params=CSCVParams(8, 8, 2),
                         dtype=np.float32, cache_obj=cache,
@@ -171,7 +197,7 @@ class TestBuildDeterminism:
                 }
             manifests[workers] = entries
         assert manifests[1] == manifests[2] == manifests[8]
-        assert len(manifests[1]) == 2  # cscv-z and csr, no coo sweep
+        assert len(manifests[1]) == len(_ENTRY_FORMATS)  # no shared sweep
 
 
 def _whole_matrix_pack(coo, geom, params, dtype, reference_mode) -> dict:

@@ -1,6 +1,7 @@
 """Tests for the kernel build/dispatch layer."""
 
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,6 +129,61 @@ class TestBuildFallback:
         monkeypatch.setenv("REPRO_THREADS", "0")
         with pytest.raises(ValueError):
             config.env_threads()
+
+
+#: A stand-in compiler: creates the file named after ``-o``, or fails.
+_FAKE_CC = """#!/bin/sh
+while [ $# -gt 0 ]; do
+  if [ "$1" = -o ]; then : > "$2"; exit 0; fi
+  shift
+done
+exit 1
+"""
+
+
+@pytest.mark.skipif(not Path("/bin/sh").exists(), reason="needs /bin/sh")
+class TestLibraryCache:
+    """``build_library`` keeps the current source's libraries only."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        cache = tmp_path / "kernels"
+        cache.mkdir()
+        monkeypatch.setattr(config, "cache_dir", lambda: str(cache))
+        return cache
+
+    def test_build_prunes_other_sources_and_keeps_current(
+        self, cache, tmp_path, monkeypatch
+    ):
+        from repro.kernels import cbuild
+
+        fake_cc = tmp_path / "fake-cc"
+        fake_cc.write_text(_FAKE_CC)
+        fake_cc.chmod(0o755)
+        monkeypatch.setenv("REPRO_CC", str(fake_cc))
+        tag = cbuild._source_tag(cbuild._SRC.read_bytes())
+        stale = [cache / "libreprokernels-0123456789abcdef.so",
+                 cache / "libreprokernels-000000000000-0123456789abcdef.so"]
+        other_flags = cache / f"libreprokernels-{tag}-0123456789abcdef.so"
+        for lib in (*stale, other_flags):
+            lib.write_bytes(b"")
+
+        built = Path(cbuild.build_library())
+        assert built.parent == cache and built.is_file()
+        assert built.name.startswith(f"libreprokernels-{tag}-")
+        assert other_flags.is_file()
+        assert not any(lib.exists() for lib in stale)
+        assert not list(cache.glob("*.tmp"))
+
+    def test_failed_compile_leaves_no_temporary_file(self, cache,
+                                                     monkeypatch):
+        from repro.errors import KernelError
+        from repro.kernels import cbuild
+
+        monkeypatch.setenv("REPRO_CC", "false")
+        with pytest.raises(KernelError):
+            cbuild.build_library()
+        assert not list(cache.glob("*.so")) and not list(cache.glob("*.tmp"))
 
 
 @pytest.fixture(scope="module")
