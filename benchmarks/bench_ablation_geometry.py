@@ -39,7 +39,7 @@ def test_ablation_geometry(benchmark):
     for name, geom, (rows, cols, vals) in _cases():
         coo = COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=np.float32)
         x = np.linspace(0.5, 1.5, coo.shape[1]).astype(np.float32)
-        ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         z = CSCVZMatrix.from_ct(coo, geom, params)
         err = float(np.abs(z.spmv(x) - ref).max() / np.abs(ref).max())
         rec = measure_format(z, iterations=10, max_seconds=1.0)

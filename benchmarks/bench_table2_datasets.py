@@ -9,7 +9,7 @@ from repro.sparse.csr import CSRMatrix
 
 def test_table2_datasets(benchmark, quick_matrix):
     coo, geom = quick_matrix
-    csr = CSRMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     x = np.ones(coo.shape[1], dtype=np.float32)
     y = np.zeros(coo.shape[0], dtype=np.float32)
     benchmark(csr.spmv_into, x, y)

@@ -37,8 +37,8 @@ def column_gather_csc(csc: CSCMatrix, j: int) -> np.ndarray:
 def main(image_size: int = 48) -> None:
     coo, geom = build_ct_matrix(image_size, num_views=2 * image_size)
     truth = shepp_logan(image_size).ravel()
-    csr = CSRMatrix.from_coo_matrix(coo)
-    csc = CSCMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
+    csc = CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     op = ProjectionOperator(csr)
     sino = op.forward(truth)
 

@@ -52,7 +52,7 @@ def main(image_size: int = 48) -> None:
     for name, geom, (rows, cols, vals) in cases:
         coo = COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=np.float32)
         x = np.linspace(0.5, 1.5, coo.shape[1]).astype(np.float32)
-        ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         z = CSCVZMatrix.from_ct(coo, geom, params)
         m = CSCVMMatrix(z.data)
         err = float(np.abs(z.spmv(x) - ref).max() / np.abs(ref).max())

@@ -278,8 +278,6 @@ def build_format(
             raise ValidationError(f"format {name!r} requires geom=")
         return cls.from_ct(coo, geom, params, dtype=dtype, **format_kwargs)
     kwargs = dict(format_kwargs)
-    kwargs.pop("reference_mode", None)   # CSCV-only knobs
-    kwargs.pop("build_workers", None)
     if dtype is not None:
         kwargs["dtype"] = dtype
     return cls.from_coo(coo.shape, coo.rows, coo.cols, coo.vals, **kwargs)

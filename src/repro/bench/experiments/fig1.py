@@ -19,7 +19,7 @@ def run(image_size: int = 64, num_views: int = 60, max_cells: int = 24) -> str:
     """Generate the sinogram and render a downsampled heatmap."""
     coo, geom = build_ct_matrix(image_size, num_views=num_views)
     x = shepp_logan(image_size).ravel()
-    y = CSRMatrix.from_coo_matrix(coo).spmv(x)
+    y = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
     sino = y.reshape(geom.num_views, geom.num_bins)
 
     # downsample for terminal rendering

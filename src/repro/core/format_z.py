@@ -198,12 +198,6 @@ class CSCVMatrix(SpMVFormat):
         """
         return kernel_bytes(self.data, self.variant)
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
-
 
 @register_format
 class CSCVZMatrix(CSCVMatrix):

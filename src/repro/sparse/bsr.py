@@ -98,20 +98,6 @@ class BSRMatrix(SpMVFormat):
         slots = self.blocks.size
         return self.nnz / slots if slots else 0.0
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        m, n = self.shape
-        nbr = self.block_row_ptr.shape[0] - 1
-        brow_of_block = np.repeat(np.arange(nbr), np.diff(self.block_row_ptr))
-        for b in range(self.num_blocks):
-            i0 = int(brow_of_block[b]) * self.r
-            j0 = int(self.block_col[b]) * self.c
-            tile = self.blocks[b]
-            dense[i0 : min(i0 + self.r, m), j0 : min(j0 + self.c, n)] = tile[
-                : min(self.r, m - i0), : min(self.c, n - j0)
-            ]
-        return dense
-
     def to_coo_triplets(self):
         m, n = self.shape
         nbr = self.block_row_ptr.shape[0] - 1

@@ -3,8 +3,13 @@
 Stores sorted, deduplicated ``(row, col, value)`` triplets.  Every other
 format's ``from_coo`` consumes the arrays this class produces, and the CT
 projectors emit raw triplets that :meth:`COOMatrix.from_coo`
-canonicalises.  Its SpMV is a reference scatter-add, useful for testing but
-never competitive — exactly its role in the paper's taxonomy.
+canonicalises (triplets that already are canonical are copied, not
+sorted).  Row-major formats read the matrix's own canonical COO;
+column-major ones (CSC, CSC-vec, VHCC) read the transpose's
+(:func:`transposed_coo`), whose CSR arrays are the matrix's CSC arrays,
+so no format sorts twice.  Its SpMV is a reference scatter-add, useful
+for testing but never competitive — exactly its role in the paper's
+taxonomy.
 """
 
 from __future__ import annotations
@@ -30,12 +35,8 @@ class COOMatrix(SpMVFormat):
 
     @classmethod
     def from_coo(cls, shape, rows, cols, vals, **kwargs) -> "COOMatrix":
-        dtype = kwargs.pop("dtype", None)
-        if kwargs:
-            raise ValidationError(f"unknown kwargs: {sorted(kwargs)}")
-        rows, cols, vals = coo_validate(shape, rows, cols, vals, dtype)
-        rows, cols, vals = coalesce(rows, cols, vals, shape)
-        return cls(shape, rows, cols, vals)
+        rows, cols, vals = _validated(shape, rows, cols, vals, kwargs)
+        return cls(shape, *coalesce(rows, cols, vals, shape))
 
     @classmethod
     def from_dense(cls, dense: np.ndarray, dtype=None) -> "COOMatrix":
@@ -57,16 +58,11 @@ class COOMatrix(SpMVFormat):
         values = self.nnz * self.dtype.itemsize
         return {"values": values, "indices": idx, "total": values + idx}
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        dense[self.rows, self.cols] = self.vals
-        return dense
-
     def to_coo_triplets(self):
         return self.rows.astype(np.int64), self.cols.astype(np.int64), self.vals
 
     # ------------------------------------------------------------------ #
-    # conversion helpers shared by the compressed formats
+    # conversion helper shared by the compressed formats
 
     def to_csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(row_ptr, col_idx, vals)`` with 32-bit indices."""
@@ -76,18 +72,6 @@ class COOMatrix(SpMVFormat):
         np.cumsum(counts, out=row_ptr[1:])
         # self.rows is already row-major sorted
         return row_ptr, self.cols.astype(INDEX_DTYPE), self.vals.copy()
-
-    def to_csc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(col_ptr, row_idx, vals)`` with 32-bit indices."""
-        _, n = self.shape
-        order = np.argsort(self.cols * self.shape[0] + self.rows, kind="stable")
-        cols = self.cols[order]
-        rows = self.rows[order]
-        vals = self.vals[order]
-        counts = np.bincount(cols, minlength=n)
-        col_ptr = np.zeros(n + 1, dtype=INDEX_DTYPE)
-        np.cumsum(counts, out=col_ptr[1:])
-        return col_ptr, rows.astype(INDEX_DTYPE), vals
 
     def astype(self, dtype) -> "COOMatrix":
         """Copy with values cast to *dtype*."""
@@ -101,3 +85,21 @@ class COOMatrix(SpMVFormat):
     def col_nnz(self) -> np.ndarray:
         """Per-column nonzero counts."""
         return np.bincount(self.cols, minlength=self.shape[1]).astype(np.int64)
+
+
+def transposed_coo(shape, rows, cols, vals, **kwargs) -> COOMatrix:
+    """Canonical COO of the transpose of the *shape* matrix the triplets
+    describe: the matrix's nonzeros in column-major order, so its CSR
+    arrays are the matrix's CSC arrays.  One sort, none when the triplets
+    already are column-major; range errors name *shape*'s axes."""
+    rows, cols, vals = _validated(shape, rows, cols, vals, kwargs)
+    t_shape = (shape[1], shape[0])
+    return COOMatrix(t_shape, *coalesce(cols, rows, vals, t_shape))
+
+
+def _validated(shape, rows, cols, vals, kwargs):
+    """:func:`coo_validate`, with ``dtype`` the only keyword accepted."""
+    dtype = kwargs.pop("dtype", None)
+    if kwargs:
+        raise ValidationError(f"unknown kwargs: {sorted(kwargs)}")
+    return coo_validate(shape, rows, cols, vals, dtype)

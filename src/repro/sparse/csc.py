@@ -15,7 +15,7 @@ import numpy as np
 from repro.config import INDEX_DTYPE
 from repro.errors import ValidationError
 from repro.kernels import dispatch
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import transposed_coo
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
 
@@ -39,12 +39,8 @@ class CSCMatrix(SpMVFormat):
 
     @classmethod
     def from_coo(cls, shape, rows, cols, vals, **kwargs) -> "CSCMatrix":
-        coo = COOMatrix.from_coo(shape, rows, cols, vals, **kwargs)
-        return cls(shape, *coo.to_csc_arrays())
-
-    @classmethod
-    def from_coo_matrix(cls, coo: COOMatrix) -> "CSCMatrix":
-        return cls(coo.shape, *coo.to_csc_arrays())
+        t = transposed_coo(shape, rows, cols, vals, **kwargs)
+        return cls(shape, *t.to_csr_arrays())
 
     def spmv_into(self, x, y):
         x = self._check_x(x)
@@ -77,12 +73,6 @@ class CSCMatrix(SpMVFormat):
             "indices": idx,
             "total": self.vals.nbytes + idx,
         }
-
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
 
     def to_coo_triplets(self):
         cols = np.repeat(np.arange(self.shape[1], dtype=np.int64), np.diff(self.col_ptr))

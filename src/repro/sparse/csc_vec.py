@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.config import INDEX_DTYPE
 from repro.errors import FormatError
-from repro.sparse.coo import COOMatrix
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.matrix_base import register_format
 
@@ -50,9 +48,8 @@ class CSCVecMatrix(CSCMatrix):
 
     @classmethod
     def from_coo(cls, shape, rows, cols, vals, *, s_vvec: int = 8, **kwargs):
-        coo = COOMatrix.from_coo(shape, rows, cols, vals, **kwargs)
-        col_ptr, row_idx, v = coo.to_csc_arrays()
-        return cls(shape, col_ptr, row_idx, v, s_vvec)
+        csc = CSCMatrix.from_coo(shape, rows, cols, vals, **kwargs)
+        return cls(shape, csc.col_ptr, csc.row_idx, csc.vals, s_vvec)
 
     @property
     def num_segments(self) -> int:

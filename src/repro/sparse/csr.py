@@ -67,10 +67,6 @@ class CSRMatrix(SpMVFormat):
         coo = COOMatrix.from_coo(shape, rows, cols, vals, **kwargs)
         return cls(shape, *coo.to_csr_arrays())
 
-    @classmethod
-    def from_coo_matrix(cls, coo: COOMatrix) -> "CSRMatrix":
-        return cls(coo.shape, *coo.to_csr_arrays())
-
     def spmv_into(self, x, y):
         x = self._check_x(x)
         t0 = obs_perf.clock() if obs_perf.active else 0.0
@@ -127,12 +123,6 @@ class CSRMatrix(SpMVFormat):
             "indices": idx,
             "total": self.vals.nbytes + idx,
         }
-
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.row_ptr))
-        dense[rows, self.col_idx] = self.vals
-        return dense
 
     def row_nnz(self) -> np.ndarray:
         """Per-row nonzero counts."""

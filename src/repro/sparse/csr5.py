@@ -98,12 +98,6 @@ class CSR5Matrix(SpMVFormat):
             "total": self.tile_vals.nbytes + idx,
         }
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
-
     def to_coo_triplets(self):
         rows = np.repeat(
             np.arange(self.shape[0], dtype=np.int64), np.diff(self.row_ptr)

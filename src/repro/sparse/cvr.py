@@ -102,12 +102,6 @@ class CVRMatrix(SpMVFormat):
         """Padded slots / nnz — small by construction (tail only)."""
         return self.lane_vals.size / self.nnz - 1.0 if self.nnz else 0.0
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
-
     def to_coo_triplets(self):
         rows = self.lane_rows.ravel()
         valid = rows >= 0

@@ -92,14 +92,6 @@ class ELLMatrix(SpMVFormat):
         stored = self.vals.size
         return stored / self.nnz - 1.0 if self.nnz else 0.0
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        for k in range(self.width):
-            c = self.cols[k]
-            valid = c >= 0
-            dense[np.nonzero(valid)[0], c[valid]] = self.vals[k, valid]
-        return dense
-
     def to_coo_triplets(self):
         valid = self.cols >= 0
         lanes, rows = np.nonzero(valid)

@@ -115,17 +115,6 @@ class ESBMatrix(SpMVFormat):
         slots = sum(sv.size for _, sv in self.slices)
         return slots / self.nnz - 1.0 if self.nnz else 0.0
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        for si, (sc, sv) in enumerate(self.slices):
-            s0 = si * self.slice_height
-            rows = self.perm[s0 : s0 + sc.shape[1]]
-            for k in range(sc.shape[0]):
-                c = sc[k]
-                valid = c >= 0
-                dense[rows[valid], c[valid]] = sv[k, valid]
-        return dense
-
     def to_coo_triplets(self):
         rows_parts, cols_parts, vals_parts = [], [], []
         for si, (sc, sv) in enumerate(self.slices):

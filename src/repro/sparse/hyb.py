@@ -70,10 +70,6 @@ class HYBMatrix(SpMVFormat):
         )
 
     @property
-    def ell_nnz(self) -> int:
-        return int((self.ell_cols >= 0).sum())
-
-    @property
     def coo_nnz(self) -> int:
         return int(self.coo_vals.size)
 
@@ -105,15 +101,6 @@ class HYBMatrix(SpMVFormat):
         """(stored slots incl. padding) / nnz - 1 — bounded by design."""
         slots = self.ell_vals.size + self.coo_vals.size
         return slots / self.nnz - 1.0 if self.nnz else 0.0
-
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        for k in range(self.width):
-            c = self.ell_cols[k]
-            valid = c >= 0
-            dense[np.nonzero(valid)[0], c[valid]] = self.ell_vals[k, valid]
-        dense[self.coo_rows, self.coo_cols] = self.coo_vals
-        return dense
 
     def to_coo_triplets(self):
         valid = self.ell_cols >= 0

@@ -3,12 +3,19 @@
 Every format in :mod:`repro.sparse` (and CSCV in :mod:`repro.core`)
 subclasses :class:`SpMVFormat`, which fixes the public contract:
 
-* construction from COO triplets (:meth:`SpMVFormat.from_coo`);
+* construction from COO triplets (:meth:`SpMVFormat.from_coo`), the one
+  constructor: it canonicalises the triplets with :func:`coalesce`, which
+  sorts only input that is not already canonical;
 * ``y = A @ x`` through :meth:`SpMVFormat.spmv` /
   :meth:`SpMVFormat.spmv_into`;
 * an exact accounting of the bytes the format streams per SpMV
   (:meth:`SpMVFormat.memory_bytes`) — the paper's ``M(A)`` term;
-* densification for testing (:meth:`SpMVFormat.to_dense`).
+* the stored nonzeros read back as triplets
+  (:meth:`SpMVFormat.to_coo_triplets`).
+
+Everything else is derived from these four: :meth:`SpMVFormat.to_dense`
+scatters the triplets, and the operator cache stores them for formats
+without native arrays.
 
 Formats register themselves under a short name with
 :func:`register_format`, so the bench harness can sweep "all formats" the
@@ -59,7 +66,8 @@ class SpMVFormat(abc.ABC):
     """Abstract sparse matrix supporting ``y = A @ x``.
 
     Subclasses must set the class attribute :attr:`name` and implement
-    :meth:`from_coo`, :meth:`spmv_into` and :meth:`memory_bytes`.
+    :meth:`from_coo`, :meth:`spmv_into`, :meth:`memory_bytes` and
+    :meth:`to_coo_triplets`.
     """
 
     #: short registry name, e.g. ``"csr"``
@@ -88,7 +96,9 @@ class SpMVFormat(abc.ABC):
         vals: np.ndarray,
         **kwargs,
     ) -> "SpMVFormat":
-        """Build the format from (already deduplicated) COO triplets."""
+        """Build the format from COO triplets in any order (duplicates
+        are summed); unknown keywords raise
+        :class:`~repro.errors.ValidationError`."""
 
     @abc.abstractmethod
     def spmv_into(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -104,6 +114,16 @@ class SpMVFormat(abc.ABC):
 
         Returns a dict with at least ``{"values": ..., "indices": ...,
         "total": ...}``; ``total`` is the paper's ``M(A)``.
+        """
+
+    @abc.abstractmethod
+    def to_coo_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, vals)`` of the stored nonzeros, any order.
+
+        A direct O(nnz) read of the format's own arrays, without
+        duplicates; padding slots are left out.  The adjoint fallback,
+        ICD's CSC copy, the operator cache and :meth:`to_dense` read the
+        matrix back through it.
         """
 
     # ------------------------------------------------------------------ #
@@ -167,36 +187,12 @@ class SpMVFormat(abc.ABC):
         return ensure_dtype(x, self._dtype, "x")
 
     def to_dense(self) -> np.ndarray:
-        """Dense equivalent, reconstructed by multiplying by unit vectors.
-
-        Subclasses with direct access to triplets should override this; the
-        default is O(n) SpMVs and intended only for small test matrices.
-        """
-        m, n = self._shape
-        dense = np.zeros((m, n), dtype=self._dtype)
-        e = np.zeros(n, dtype=self._dtype)
-        for j in range(n):
-            e[j] = 1.0
-            dense[:, j] = self.spmv(e)
-            e[j] = 0.0
+        """Dense equivalent scattered from :meth:`to_coo_triplets`
+        (for tests and small matrices)."""
+        dense = np.zeros(self._shape, dtype=self._dtype)
+        rows, cols, vals = self.to_coo_triplets()
+        dense[rows, cols] = vals
         return dense
-
-    def to_coo_triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, vals)`` of the stored nonzeros, any order.
-
-        Used by the adjoint fallback and the norm helpers, which must not
-        densify the matrix.  Every shipped format overrides this with a
-        direct O(nnz) extraction from its own arrays; this default (via
-        :meth:`to_dense`) exists only for out-of-tree subclasses and is
-        meant for small test matrices.
-        """
-        dense = self.to_dense()
-        r, c = np.nonzero(dense)
-        return r.astype(np.int64), c.astype(np.int64), dense[r, c]
-
-    def index_bytes(self) -> int:
-        """Bytes of index/metadata streamed per SpMV (from memory_bytes)."""
-        return int(self.memory_bytes()["indices"])
 
     # ------------------------------------------------------------------ #
     # persistence hooks (the operator cache's per-format serialization)
@@ -248,18 +244,6 @@ class SpMVFormat(abc.ABC):
             **kwargs,
         )
 
-    def describe(self) -> dict:
-        """Human-readable summary used by the bench reports."""
-        mem = self.memory_bytes()
-        return {
-            "format": self.name,
-            "shape": self._shape,
-            "nnz": self._nnz,
-            "dtype": str(self._dtype),
-            "matrix MiB": mem["total"] / 2**20,
-            "index MiB": mem["indices"] / 2**20,
-        }
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         m, n = self._shape
         return (
@@ -302,21 +286,29 @@ def coo_validate(
 def coalesce(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort triplets row-major and sum duplicates."""
-    m, n = shape
+    """Sort triplets row-major and sum duplicates, into new arrays.
+
+    Triplets whose row-major key already strictly increases (the output
+    of an earlier coalesce, a row-major format's read-back) are copied
+    after one O(nnz) comparison instead of sorted; anything else,
+    sorted input with duplicates included, takes the stable sort.
+    """
+    n = shape[1]
     key = rows * n + cols
+    if key.size < 2 or np.all(key[1:] > key[:-1]):
+        del key  # 8 bytes per nonzero, freed before the copies
+        return rows.astype(np.int64), cols.astype(np.int64), vals.copy()
     order = np.argsort(key, kind="stable")
     key = key[order]
     vals = vals[order]
-    if key.size:
-        # the key is sorted: each run of equal keys is one (row, col)
-        is_new = np.empty(key.size, dtype=bool)
-        is_new[0] = True
-        np.not_equal(key[1:], key[:-1], out=is_new[1:])
-        if not is_new.all():
-            start = np.flatnonzero(is_new)
-            vals = np.add.reduceat(vals, start)
-            key = key[start]
+    # the key is sorted: each run of equal keys is one (row, col)
+    is_new = np.empty(key.size, dtype=bool)
+    is_new[0] = True
+    np.not_equal(key[1:], key[:-1], out=is_new[1:])
+    if not is_new.all():
+        start = np.flatnonzero(is_new)
+        vals = np.add.reduceat(vals, start)
+        key = key[start]
     rows, cols = np.divmod(key, n)
     # an int64 key divides into int64 arrays: casting them again would
     # copy 16 bytes per nonzero at the peak of every from_coo

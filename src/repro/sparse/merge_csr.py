@@ -124,12 +124,6 @@ class MergeCSRMatrix(SpMVFormat):
         """Merge-work items per chunk — near-constant by construction."""
         return np.array([(r1 - r0) + (k1 - k0) for r0, r1, k0, k1 in self._chunks])
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
-
     def to_coo_triplets(self):
         rows = np.repeat(
             np.arange(self.shape[0], dtype=np.int64), np.diff(self.row_ptr)

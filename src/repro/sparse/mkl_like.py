@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.config import INDEX_DTYPE
+from repro.errors import ValidationError
 from repro.sparse.matrix_base import SpMVFormat, coo_validate, register_format
 from repro.utils.arrays import check_1d, check_out, ensure_dtype
 
@@ -30,6 +31,8 @@ class _ScipyBacked(SpMVFormat):
     @classmethod
     def from_coo(cls, shape, rows, cols, vals, **kwargs):
         dtype = kwargs.pop("dtype", None)
+        if kwargs:
+            raise ValidationError(f"unknown kwargs: {sorted(kwargs)}")
         rows, cols, vals = coo_validate(shape, rows, cols, vals, dtype)
         coo = sp.coo_matrix((vals, (rows, cols)), shape=shape)
         coo.sum_duplicates()
@@ -49,9 +52,6 @@ class _ScipyBacked(SpMVFormat):
             "indices": idx,
             "total": self._m.data.nbytes + idx,
         }
-
-    def to_dense(self):
-        return np.asarray(self._m.todense(), dtype=self.dtype)
 
     def to_coo_triplets(self):
         coo = self._m.tocoo()

@@ -132,12 +132,6 @@ class SPC5Matrix(SpMVFormat):
         """Average nonzeros per block (out of ``width`` slots)."""
         return self.nnz / self.num_blocks if self.num_blocks else 0.0
 
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        rows, cols, vals = self.to_coo_triplets()
-        dense[rows, cols] = vals
-        return dense
-
     def to_coo_triplets(self):
         rows = np.repeat(self.blk_row.astype(np.int64), np.diff(self.voff))
         return rows, self._expanded_cols.astype(np.int64), self.packed

@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.config import INDEX_DTYPE
 from repro.errors import FormatError
-from repro.sparse.coo import COOMatrix
+from repro.sparse.coo import transposed_coo
 from repro.sparse.matrix_base import SpMVFormat, register_format
 
 
@@ -38,13 +38,10 @@ class VHCCMatrix(SpMVFormat):
     def from_coo(cls, shape, rows, cols, vals, *, panel_width: int = 4096, **kwargs):
         if panel_width < 1:
             raise FormatError("panel_width must be >= 1")
-        coo = COOMatrix.from_coo(shape, rows, cols, vals, **kwargs)
+        # column-major order, so each panel's nonzeros are contiguous
+        t = transposed_coo(shape, rows, cols, vals, **kwargs)
+        cols_s, rows_s, vals_s = t.rows, t.cols, t.vals
         panels = []
-        # column-major global order so each panel's nonzeros are contiguous
-        order = np.argsort(coo.cols * np.int64(shape[0]) + coo.rows, kind="stable")
-        rows_s = coo.rows[order]
-        cols_s = coo.cols[order]
-        vals_s = coo.vals[order]
         panel_of = cols_s // panel_width
         boundaries = np.flatnonzero(np.diff(panel_of, prepend=-1))
         boundaries = np.append(boundaries, rows_s.size)
@@ -61,7 +58,7 @@ class VHCCMatrix(SpMVFormat):
                     vals_s[a:b].copy(),
                 )
             )
-        return cls(shape, panels, coo.nnz, coo.vals.dtype, panel_width)
+        return cls(shape, panels, t.nnz, t.vals.dtype, panel_width)
 
     @property
     def num_panels(self) -> int:
@@ -92,12 +89,6 @@ class VHCCMatrix(SpMVFormat):
             + (self.nnz + 7) // 8
         )
         return {"values": values, "indices": idx, "total": values + idx}
-
-    def to_dense(self):
-        dense = np.zeros(self.shape, dtype=self.dtype)
-        for c0, prows, pcols, pvals in self.panels:
-            dense[prows.astype(np.int64), c0 + pcols.astype(np.int64)] = pvals
-        return dense
 
     def to_coo_triplets(self):
         if not self.panels:

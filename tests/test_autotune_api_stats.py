@@ -100,6 +100,20 @@ class TestTopLevelAPI:
         fmt = build_format("csr", coo)
         assert isinstance(fmt, CSRMatrix)
 
+    @pytest.mark.parametrize("knob", [{"reference_mode": "btb"},
+                                      {"build_workers": 2}])
+    def test_build_format_rejects_cscv_knobs_for_other_formats(self, ct, knob):
+        from repro.core.format_z import CSCVMatrix
+        from repro.sparse.matrix_base import available_formats, get_format
+
+        coo, _ = ct
+        names = [n for n in available_formats()
+                 if not issubclass(get_format(n), CSCVMatrix)]
+        assert len(names) == 15
+        for name in names:
+            with pytest.raises(ValidationError, match="unknown kwargs"):
+                build_format(name, coo, **knob)
+
     def test_build_format_cscv_needs_geom(self, ct):
         coo, _ = ct
         with pytest.raises(ValidationError):
@@ -151,14 +165,14 @@ class TestStats:
 
     def test_memory_requirement_composition(self, ct):
         coo, _ = ct
-        csr = CSRMatrix.from_coo_matrix(coo)
+        csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         mem = memory_requirement(csr)
         assert mem["M_rit"] == mem["M_A"] + mem["M_x"] + mem["M_y"]
         assert mem["M_x"] == coo.shape[1] * csr.dtype.itemsize
 
     def test_effective_bandwidth_ratio(self, ct):
         coo, _ = ct
-        csr = CSRMatrix.from_coo_matrix(coo)
+        csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         r = effective_bandwidth_ratio(csr, seconds=1.0, peak_bandwidth_gbs=100.0)
         assert r == pytest.approx(memory_requirement(csr)["M_rit"] / 1e11)
         with pytest.raises(ValueError):

@@ -502,6 +502,49 @@ class TestOperatorFacade:
         assert not s and "geom" in s.reason
 
 
+class TestSortOnce:
+    """A conversion sorts the whole matrix at most once: triplets that are
+    already canonical are copied, and column-major formats sort only the
+    transpose.  Tracing sorts each view group's raw triplets; with four
+    groups none of those sorts is of the matrix's size."""
+
+    @pytest.fixture()
+    def geom(self):
+        return ParallelBeamGeometry.for_image(SIZE, num_views=32)
+
+    @pytest.fixture()
+    def argsorts(self, monkeypatch):
+        """The size of every ``np.argsort`` call from here on."""
+        sizes = []
+        real = np.argsort
+
+        def counting(a, *args, **kwargs):
+            sizes.append(np.size(a))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        return sizes
+
+    @pytest.mark.parametrize("fmt, sorts", [("csr", 0), ("ell", 0),
+                                            ("csc", 1), ("vhcc", 1)])
+    def test_cold_operator(self, geom, argsorts, fmt, sorts):
+        op = operator(geom, fmt=fmt, cache=False)
+        assert argsorts.count(op.fmt.nnz) == sorts
+
+    def test_warm_csr_load(self, geom, cache, argsorts):
+        operator(geom, fmt="csr", cache_obj=cache)
+        argsorts.clear()
+        op = operator(geom, fmt="csr", cache_obj=cache)
+        assert cache.stats()["hits"] == 1
+        assert argsorts.count(op.fmt.nnz) == 0
+
+    @pytest.mark.parametrize("fmt", ["cscv-z", "cscv-m"])
+    def test_to_csc_of_a_cscv_operator(self, geom, argsorts, fmt):
+        op = operator(geom, fmt=fmt, cache=False)
+        argsorts.clear()
+        assert argsorts.count(op.to_csc().nnz) == 1
+
+
 # ---------------------------------------------------------------------- #
 # io: atomic save + dir layout
 

@@ -21,7 +21,7 @@ from repro.sparse.csr import CSRMatrix
 @pytest.fixture(scope="module")
 def setup(fine_ct):
     coo, geom = fine_ct
-    csr = CSRMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     rng = np.random.default_rng(7)
     x = rng.random(coo.shape[1]).astype(np.float32)
     y_ref = csr.spmv(x)
@@ -76,7 +76,7 @@ class TestDoublePrecision:
         coo = coo32.astype(np.float64)
         rng = np.random.default_rng(3)
         x = rng.random(coo.shape[1])
-        y_ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        y_ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         for cls in (CSCVZMatrix, CSCVMMatrix):
             fmt = cls.from_ct(coo, geom, CSCVParams(8, 8, 2))
             np.testing.assert_allclose(fmt.spmv(x), y_ref, rtol=1e-12, atol=1e-12)

@@ -87,7 +87,7 @@ class TestFanBeamCSCV:
     def test_cscv_correct_under_fan_beam(self, fan_problem, params, backend):
         coo, geom = fan_problem
         x = np.random.default_rng(3).random(coo.shape[1]).astype(np.float32)
-        ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         for cls in (CSCVZMatrix, CSCVMMatrix):
             fmt = cls.from_ct(coo, geom, params)
             rel = np.abs(fmt.spmv(x) - ref).max() / np.abs(ref).max()
@@ -137,7 +137,7 @@ class TestAttenuatedOperator:
         rows, cols, vals = attenuated_strip_matrix(geom, mu=0.05, dtype=np.float32)
         coo = COOMatrix.from_coo(geom.shape, rows, cols, vals, dtype=np.float32)
         x = np.random.default_rng(1).random(coo.shape[1]).astype(np.float32)
-        ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2))
         rel = np.abs(z.spmv(x) - ref).max() / np.abs(ref).max()
         assert rel < 5e-6
@@ -160,7 +160,7 @@ class TestBTBAblation:
     def test_btb_correct(self, problem):
         coo, geom = problem
         x = np.random.default_rng(2).random(coo.shape[1])
-        ref = CSRMatrix.from_coo_matrix(coo).spmv(x)
+        ref = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals).spmv(x)
         z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2), reference_mode="btb")
         np.testing.assert_allclose(z.spmv(x), ref, rtol=1e-10, atol=1e-10)
 
@@ -229,7 +229,8 @@ class TestOSSART:
         geom = ParallelBeamGeometry.for_image(24, num_views=48)
         rows, cols, vals = strip_area_matrix(geom)
         coo = COOMatrix.from_coo(geom.shape, rows, cols, vals)
-        op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
+        op = ProjectionOperator(CSRMatrix.from_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals))
         truth = disk_phantom(24, radius_frac=0.5).ravel()
         sino = op.forward(truth)
         x_os, x_plain = (
@@ -256,7 +257,7 @@ class TestOSSART:
             raise AssertionError("OS-SART built a CSR copy")
 
         monkeypatch.setattr(CSRMatrix, "from_coo", no_csr)
-        monkeypatch.setattr(CSRMatrix, "from_coo_matrix", no_csr)
+        monkeypatch.setattr(CSRMatrix, "__init__", no_csr)
         image = repro.reconstruct(op, sino, solver="os-sart", geom=geom,
                                   iterations=2, num_subsets=4).image
         monkeypatch.undo()

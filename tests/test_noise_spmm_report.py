@@ -32,7 +32,7 @@ def problem():
     geom = ParallelBeamGeometry.for_image(24, num_views=48)
     coo, geom = build_ct_matrix(24, geom=geom)
     truth = disk_phantom(24, radius_frac=0.5).ravel()
-    csr = CSRMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     sino = csr.spmv(truth)
     return coo, geom, csr, truth, sino
 

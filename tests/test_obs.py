@@ -341,7 +341,8 @@ class TestPipelineSpans:
         from repro.sparse.csr import CSRMatrix
 
         coo, geom = small_ct_f32
-        op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
+        op = ProjectionOperator(CSRMatrix.from_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals))
         sino = op.forward(np.ones(coo.shape[1], dtype=np.float32))
         reconstruct(op, sino, solver="sirt", iterations=3)
         iters = obs.tracer.find("sirt.iter")
@@ -499,7 +500,8 @@ class TestHarnessAndCLI:
         from repro.sparse.csr import CSRMatrix
 
         coo, geom = small_ct_f32
-        rec = measure_format(CSRMatrix.from_coo_matrix(coo), iterations=3)
+        rec = measure_format(CSRMatrix.from_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals), iterations=3)
         assert rec.mean_seconds >= rec.seconds > 0
         assert rec.p50_seconds >= rec.seconds
         assert rec.timed_iterations >= 1

@@ -99,7 +99,7 @@ class TestBytesModels:
         from repro.sparse.stats import memory_requirement
 
         coo, _ = small_ct_f32
-        fmt = CSRMatrix.from_coo_matrix(coo)
+        fmt = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         b = perf.format_bytes(fmt)
         assert b["total"] == pytest.approx(memory_requirement(fmt)["M_rit"])
 

@@ -25,8 +25,8 @@ def formats(fine_ct):
     coo, geom = fine_ct
     z = CSCVZMatrix.from_ct(coo, geom, CSCVParams(16, 16, 2))
     return {
-        "csr": CSRMatrix.from_coo_matrix(coo),
-        "csc": CSCMatrix.from_coo_matrix(coo),
+        "csr": CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
+        "csc": CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "mkl-csr": MKLLikeCSR.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "spc5": SPC5Matrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "cscv-z": z,
@@ -132,8 +132,8 @@ def tuned_formats():
     z = CSCVZMatrix.from_ct(coo, geom, PAPER_TABLE3[("skl", "cscv-z", "single")])
     m_data = CSCVZMatrix.from_ct(coo, geom, PAPER_TABLE3[("skl", "cscv-m", "single")])
     return {
-        "csr": CSRMatrix.from_coo_matrix(coo),
-        "csc": CSCMatrix.from_coo_matrix(coo),
+        "csr": CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
+        "csc": CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "mkl-csr": MKLLikeCSR.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "spc5": SPC5Matrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals),
         "cscv-z": z,

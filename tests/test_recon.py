@@ -27,7 +27,7 @@ def problem():
     geom = ParallelBeamGeometry.for_image(32, num_views=64)
     coo, geom = build_ct_matrix(32, geom=geom)
     truth = shepp_logan(32).ravel()
-    csr = CSRMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     op = ProjectionOperator(csr)
     sino = op.forward(truth)
     return coo, geom, op, truth, sino
@@ -145,7 +145,8 @@ class TestCGLS:
         # tiny consistent system: CGLS should nearly solve it
         geom = ParallelBeamGeometry.for_image(8, num_views=24)
         coo, geom = build_ct_matrix(8, geom=geom)
-        op = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
+        op = ProjectionOperator(CSRMatrix.from_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals))
         truth = disk_phantom(8, radius_frac=0.6).ravel()
         sino = op.forward(truth)
         x = reconstruct(op, sino, solver="cgls", iterations=60).image
@@ -160,7 +161,7 @@ class TestART:
 
     def test_kaczmarz_sweep_reduces_residual(self, problem, rng):
         coo, _, op, truth, sino = problem
-        csr = CSRMatrix.from_coo_matrix(coo)
+        csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         x = np.zeros(op.shape[1])
         rows, _, vals = csr.to_coo_triplets()
         norms = np.bincount(rows, weights=vals.astype(np.float64) ** 2,
@@ -183,7 +184,7 @@ class TestICD:
         geom = ParallelBeamGeometry.for_image(16, num_views=32)
         coo, geom = build_ct_matrix(16, geom=geom)
         truth = disk_phantom(16, radius_frac=0.5).ravel()
-        csc = CSCMatrix.from_coo_matrix(coo)
+        csc = CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         sino = csc.spmv(truth)
         return ProjectionOperator(csc), truth, sino
 
@@ -331,7 +332,8 @@ class TestSolversThroughCSCV:
         geom = ParallelBeamGeometry.for_image(16, num_views=32)
         coo, geom = build_ct_matrix(16, geom=geom)
         truth = disk_phantom(16, radius_frac=0.5).ravel()
-        op_csr = ProjectionOperator(CSRMatrix.from_coo_matrix(coo))
+        op_csr = ProjectionOperator(CSRMatrix.from_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals))
         op_cscv = ProjectionOperator(CSCVZMatrix.from_ct(coo, geom, CSCVParams(8, 8, 2)))
         sino = op_csr.forward(truth)
         x_a = reconstruct(op_csr, sino, solver="sirt", iterations=10).image

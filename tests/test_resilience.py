@@ -78,7 +78,7 @@ def problem():
     geom = ParallelBeamGeometry.for_image(SIZE, num_views=32)
     coo, geom = build_ct_matrix(SIZE, geom=geom)
     truth = disk_phantom(SIZE, radius_frac=0.5).ravel()
-    csr = CSRMatrix.from_coo_matrix(coo)
+    csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
     op = ProjectionOperator(csr)
     sino = op.forward(truth)
     return csr, geom, op, truth, sino

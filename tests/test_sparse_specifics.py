@@ -16,6 +16,7 @@ from repro.sparse import (
     SPC5Matrix,
     VHCCMatrix,
 )
+from repro.sparse.coo import transposed_coo
 from repro.sparse.csr import segment_sum
 from repro.sparse.merge_csr import merge_path_search
 
@@ -41,7 +42,8 @@ class TestCOO:
 
     def test_csr_csc_arrays_consistent(self, coo):
         row_ptr, col_idx, vals_r = coo.to_csr_arrays()
-        col_ptr, row_idx, vals_c = coo.to_csc_arrays()
+        col_ptr, row_idx, vals_c = transposed_coo(
+            coo.shape, coo.rows, coo.cols, coo.vals).to_csr_arrays()
         assert row_ptr[-1] == col_ptr[-1] == coo.nnz
         assert vals_r.sum() == pytest.approx(vals_c.sum())
 
@@ -61,6 +63,69 @@ class TestCOO:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValidationError):
             COOMatrix.from_coo((2, 2), [0, 1], [0], [1.0])
+
+
+def _stable_argsort_coalesce(rows, cols, vals, shape):
+    """The definition ``coalesce`` must match: a stable argsort of the
+    row-major key, then each run of equal keys summed in input order."""
+    key = rows * shape[1] + cols
+    order = np.argsort(key, kind="stable")
+    key, vals = key[order], vals[order]
+    uniq, start = np.unique(key, return_index=True)
+    if key.size:
+        vals = np.add.reduceat(vals, start)
+    return uniq // shape[1], uniq % shape[1], vals
+
+
+class TestCoalesce:
+    SHAPE = (9, 7)
+
+    def _triplets(self, rng, kind, dtype):
+        n = self.SHAPE[1]
+        if kind == "empty":
+            keys = np.zeros(0, dtype=np.int64)
+        elif kind == "one":
+            keys = np.array([40], dtype=np.int64)
+        elif kind == "canonical":
+            keys = np.flatnonzero(rng.random(63) < 0.5)
+        elif kind == "sorted-with-duplicates":
+            keys = np.sort(rng.integers(0, 63, 80))
+        else:
+            keys = rng.integers(0, 63, 80)
+        vals = rng.standard_normal(keys.size).astype(dtype)
+        return keys // n, keys % n, vals
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["canonical", "sorted-with-duplicates",
+                                      "unsorted", "empty", "one"])
+    def test_bitwise_the_stable_argsort_reference(self, rng, kind, dtype):
+        from repro.sparse.matrix_base import coalesce
+
+        inputs = self._triplets(rng, kind, dtype)
+        got = coalesce(*inputs, self.SHAPE)
+        want = _stable_argsort_coalesce(*inputs, self.SHAPE)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        for g in got:
+            assert not any(np.shares_memory(g, a) for a in inputs)
+        if kind == "sorted-with-duplicates":
+            assert got[0].size < inputs[0].size  # the duplicates were summed
+
+    def test_transposed_coo_is_column_major(self, coo):
+        t = transposed_coo(coo.shape, coo.rows, coo.cols, coo.vals)
+        order = np.lexsort((coo.rows, coo.cols))
+        assert t.shape == coo.shape[::-1]
+        np.testing.assert_array_equal(t.rows, coo.cols[order])
+        np.testing.assert_array_equal(t.cols, coo.rows[order])
+        np.testing.assert_array_equal(t.vals, coo.vals[order])
+
+    @pytest.mark.parametrize("cls", [CSCMatrix, VHCCMatrix])
+    def test_column_major_range_errors_name_the_matrix_axes(self, cls):
+        with pytest.raises(ValidationError, match="col indices"):
+            cls.from_coo((2, 3), [0], [5], [1.0])
+        with pytest.raises(ValidationError, match="row indices"):
+            cls.from_coo((2, 3), [4], [1], [1.0])
 
 
 class TestSegmentSum:
@@ -83,7 +148,7 @@ class TestSegmentSum:
 
 class TestCSR:
     def test_row_ptr_invariants(self, coo):
-        csr = CSRMatrix.from_coo_matrix(coo)
+        csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         assert csr.row_ptr[0] == 0 and csr.row_ptr[-1] == csr.nnz
         assert np.all(np.diff(csr.row_ptr) >= 0)
 
@@ -92,7 +157,7 @@ class TestCSR:
             CSRMatrix((2, 2), np.array([0, 2, 1]), np.array([0, 1]), np.ones(2))
 
     def test_transpose_spmv(self, coo, rng):
-        csr = CSRMatrix.from_coo_matrix(coo)
+        csr = CSRMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         y = rng.standard_normal(20)
         expected = coo.to_dense().T @ y
         np.testing.assert_allclose(csr.transpose_spmv(y), expected, rtol=1e-10)
@@ -100,12 +165,12 @@ class TestCSR:
 
 class TestCSC:
     def test_col_ptr_invariants(self, coo):
-        csc = CSCMatrix.from_coo_matrix(coo)
+        csc = CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         assert csc.col_ptr[-1] == csc.nnz
         assert csc.col_nnz().sum() == csc.nnz
 
     def test_transpose_spmv(self, coo, rng):
-        csc = CSCMatrix.from_coo_matrix(coo)
+        csc = CSCMatrix.from_coo(coo.shape, coo.rows, coo.cols, coo.vals)
         y = rng.standard_normal(20)
         np.testing.assert_allclose(
             csc.transpose_spmv(y), coo.to_dense().T @ y, rtol=1e-10
